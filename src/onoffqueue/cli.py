@@ -113,9 +113,16 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _numeric_config(args) -> NumericConfig:
+    try:
+        return NumericConfig(backend=args.backend, k_max=args.kmax)
+    except ValueError as exc:
+        raise CliInputError(f"invalid argument: {exc}") from exc
+
+
 def cmd_dist(args) -> int:
+    config = _numeric_config(args)
     spec, _ = load_model(args.path, backend=args.backend)
-    config = NumericConfig(backend=args.backend, k_max=args.kmax)
     dist = series.queue_distribution(spec, config)
     table = OutputTable(columns=("k", "p", "tail"))
     for k, (p, tail) in enumerate(zip(dist.p, dist.tail)):
@@ -149,13 +156,16 @@ def cmd_oracle(args) -> int:
 
 
 def _sim_config(args) -> sim.SimulationConfig:
-    return sim.SimulationConfig(
-        iterations=args.iterations,
-        runs=args.runs,
-        burn_in=args.burn_in,
-        seed=args.seed,
-        k_max=args.kmax,
-    )
+    try:
+        return sim.SimulationConfig(
+            iterations=args.iterations,
+            runs=args.runs,
+            burn_in=args.burn_in,
+            seed=args.seed,
+            k_max=args.kmax,
+        )
+    except ValueError as exc:
+        raise CliInputError(f"invalid argument: {exc}") from exc
 
 
 def _sim_footer(table, report):
@@ -172,8 +182,9 @@ def _sim_footer(table, report):
 
 
 def cmd_simulate(args) -> int:
+    config = _sim_config(args)
     spec, _ = load_model(args.path)
-    report = sim.simulate(spec, _sim_config(args))
+    report = sim.simulate(spec, config)
     table = OutputTable(columns=("k", "p_hat", "ci_low", "ci_high"))
     for k, p in enumerate(report.p_hat):
         lo = report.p_ci_low[k] if report.p_ci_low is not None else None
@@ -185,10 +196,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    config = _numeric_config(args)
+    sim_config = _sim_config(args)
     spec, _ = load_model(args.path, backend=args.backend)
-    config = NumericConfig(backend=args.backend, k_max=args.kmax)
     dist = series.queue_distribution(spec, config)
-    report = sim.simulate(spec, _sim_config(args))
+    report = sim.simulate(spec, sim_config)
     table = OutputTable(
         columns=("k", "theory", "sim_mean", "ci_low", "ci_high", "within_ci")
     )

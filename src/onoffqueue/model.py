@@ -10,6 +10,7 @@ f[i].  Every on slot delivers a batch of work with size drawn from g
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Sequence
 
 from .config import EXACT, FLOAT64, NumericConfig, Scalar, canonical_backend, to_number
@@ -90,6 +91,29 @@ def coerce(spec: ModelSpec, backend: str = FLOAT64) -> ModelSpec:
     return ModelSpec(f, g)
 
 
+def _parse_vector(name, values, backend, violations):
+    """Convert every entry to the backend type; None if any entry is malformed.
+
+    Each entry that is not a finite number (text such as "nan" or "abc",
+    a nested list, a division by zero) is recorded as its own violation.
+    """
+    out = []
+    for i, v in enumerate(values):
+        try:
+            out.append(to_number(v, backend))
+        except (ValueError, TypeError, ArithmeticError):
+            violations.append(NonStochasticVector(f"{name}[{i}] = {v!r} is not a finite number"))
+    return tuple(out) if len(out) == len(values) else None
+
+
+def _show(value, digits=6) -> str:
+    """A parameter to `digits` significant digits, also a rational beyond float range."""
+    try:
+        return f"{float(value):.{digits}g}"
+    except OverflowError:
+        return f"{Decimal(value.numerator) / value.denominator:.{digits}g}"
+
+
 def _check_vector(name, values, exact, violations):
     """Range/sum checks for one probability vector.
 
@@ -100,16 +124,16 @@ def _check_vector(name, values, exact, violations):
         return values, False
     ok = True
     for i, v in enumerate(values):
-        if v < 0 or v > 1:
+        if not 0 <= v <= 1:  # also catches NaN
             violations.append(
-                NonStochasticVector(f"{name}[{i}] = {float(v):.6g} is outside [0, 1]")
+                NonStochasticVector(f"{name}[{i}] = {_show(v)} is outside [0, 1]")
             )
             ok = False
     total = sum(values)
     if exact:
         if total != 1:
             violations.append(
-                NonStochasticVector(f"{name} sums to {float(total):.9g}, expected exactly 1")
+                NonStochasticVector(f"{name} sums to {_show(total, 9)}, expected exactly 1")
             )
             ok = False
     elif abs(total - 1) > PROB_SUM_TOL:
@@ -131,10 +155,13 @@ def validate(spec: ModelSpec, config: NumericConfig = NumericConfig()) -> ModelS
     """
     exact = config.backend == EXACT
     violations = []
-    f = tuple(to_number(v, config.backend) for v in spec.f)
-    g = tuple(to_number(v, config.backend) for v in spec.g)
-    f, f_ok = _check_vector("f", f, exact, violations)
-    g, g_ok = _check_vector("g", g, exact, violations)
+    f = _parse_vector("f", spec.f, config.backend, violations)
+    g = _parse_vector("g", spec.g, config.backend, violations)
+    f_ok = g_ok = False
+    if f is not None:
+        f, f_ok = _check_vector("f", f, exact, violations)
+    if g is not None:
+        g, g_ok = _check_vector("g", g, exact, violations)
     if f_ok:
         f0 = f[0]
         if not 0 < f0 < 1:

@@ -8,16 +8,23 @@ E[z^Q] = b0 * N(z) / D(z) with
 
 so P(Q=k) is the coefficient of z^k in the quotient.  Dividing the two
 power series term by term yields a short recurrence for P(Q=k) driven by
-the coefficient table G[i][j] of (g(z)/z)^j.  All arithmetic runs over the
-number type picked by NumericConfig: binary floats are fast but the
-recurrence eventually produces negative values once the true coefficients
-sink below accumulated rounding error (expected behavior, reported as
-breakdown diagnostics), while exact rationals never break down.
+the coefficient table G[i][j] of (g(z)/z)^j.  N and D are polynomials of
+degree n*(m-1)+1, so the tables stop at that degree whatever k_max is, and
+the division treats every later coefficient as zero.
+
+Binary floats are fast but the recurrence eventually produces negative
+values once the true coefficients sink below accumulated rounding error
+(expected behavior, reported as breakdown diagnostics).  Exact rationals
+never break down: N and D are scaled to integers and divided with an
+integer-only recurrence, so a Fraction is reduced once per emitted value
+rather than on every operation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .config import NumericConfig, Scalar
@@ -142,11 +149,11 @@ def _wrap_distribution(p, running, breakdown):
 
 
 def _divide_series(b0, N, D, config: NumericConfig) -> QueueDistribution:
-    """Run the division recurrence with the float-mode breakdown scan.
+    """Float division recurrence with the breakdown scan.
 
     P(Q=k) = (1/D[0]) * [N[k]*b0 - sum_{i<k} P(Q=i)*D[k-i]], seeded by
-    P(Q=0) = b0*N[0]/D[0].  D vanishes beyond degree max(1, n*(m-1)), so
-    the convolution only needs the trailing nonzero window of D.
+    P(Q=0) = b0*N[0]/D[0], with N[k] = 0 past the end of N.  The
+    convolution only needs the trailing nonzero window of D.
     """
     d0 = D[0]
     zero = d0 * 0
@@ -154,26 +161,71 @@ def _divide_series(b0, N, D, config: NumericConfig) -> QueueDistribution:
     for i in range(1, len(D)):
         if D[i] != zero:
             window = i
-    float_mode = not config.is_exact
     tol = config.negative_tolerance
     p = []
     running = zero
     breakdown = None
     for k in range(config.k_max + 1):
-        acc = N[k] * b0
+        acc = N[k] * b0 if k < len(N) else 0.0
         for i in range(max(0, k - window), k):
             acc -= p[i] * D[k - i]
         pk = acc / d0
-        if float_mode:
-            if pk < -tol:
-                breakdown = (k, pk, "negative")
-                break
-            if running + pk > 1 + MASS_EXCESS_TOL:
-                breakdown = (k, pk, "mass")
-                break
+        if pk < -tol:
+            breakdown = (k, pk, "negative")
+            break
+        if running + pk > 1 + MASS_EXCESS_TOL:
+            breakdown = (k, pk, "mass")
+            break
         p.append(pk)
         running = running + pk
     return _wrap_distribution(p, running, breakdown)
+
+
+def _divide_exact(b0: Fraction, N, D, k_max: int) -> QueueDistribution:
+    """Exact division recurrence over integers, one reduction per emitted value.
+
+    With N and D scaled by the lcm of their denominators to integers n_k
+    and d_k, and w the last nonzero index of d, the integers
+    R_k = d0^(k+1) * P(Q=k) / b0 satisfy
+
+        R_k = n_k*d0^k - sum_{j=1..w} R_{k-j} * d_j*d0^(j-1)
+
+    (n_k = 0 past the end of N), and C_k = C_{k-1}*d0 + R_k carries the
+    cumulative sum, so P(Q=k) = b0*R_k/d0^(k+1) and P(Q>k) =
+    1 - b0*C_k/d0^(k+1).
+    """
+    scale = lcm(*(c.denominator for c in N + D))
+    n = [c.numerator * (scale // c.denominator) for c in N]
+    d = [c.numerator * (scale // c.denominator) for c in D]
+    d0 = d[0]
+    w = max(i for i, c in enumerate(d) if c)
+    weights = [d[j] * d0 ** (j - 1) for j in range(1, w + 1)]
+    num, den = b0.numerator, b0.denominator
+    R = []
+    p = []
+    tail = []
+    cum = 0
+    power = 1  # d0^k
+    for k in range(k_max + 1):
+        acc = n[k] * power if k < len(n) else 0
+        for j, weight in enumerate(weights[:k], start=1):
+            acc -= R[k - j] * weight
+        R.append(acc)
+        cum = cum * d0 + acc
+        power *= d0
+        scaled = den * power
+        p.append(Fraction(num * acc, scaled))
+        tail.append(Fraction(scaled - num * cum, scaled))
+    return QueueDistribution(
+        p=tuple(p),
+        k_effective=k_max,
+        breakdown_detected=False,
+        breakdown_index=None,
+        breakdown_value=None,
+        breakdown_reason=None,
+        mass_accounted=Fraction(num * cum, den * power),
+        tail=tuple(tail),
+    )
 
 
 def queue_distribution(spec: ModelSpec, config: NumericConfig = NumericConfig()) -> QueueDistribution:
@@ -186,7 +238,10 @@ def queue_distribution(spec: ModelSpec, config: NumericConfig = NumericConfig())
     mom = moments(spec)
     if mom.rho >= 1:
         raise Unstable(f"utilization rho = {float(mom.rho):.6g} must be below 1")
-    table = build_series_table(spec, config.k_max)
+    degree = spec.n * (spec.m - 1) + 1  # of N(z); D(z) has no higher term
+    table = build_series_table(spec, min(config.k_max, degree))
+    if config.is_exact:
+        return _divide_exact(mom.b0, table.N, table.D, config.k_max)
     return _divide_series(mom.b0, table.N, table.D, config)
 
 

@@ -4,13 +4,15 @@ Every table-producing command shares one shape: a header row, data rows,
 and a footer of key=value metadata lines (prefixed "# " in CSV).  Values
 are preformatted strings, so parsing and re-emitting a CSV is
 byte-identical.  Floats print with 17 significant digits (round-trip
-exact); rationals print as fraction strings.
+exact) and a negative zero prints as 0; rationals print as fraction
+strings, at any length.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 
 
@@ -36,10 +38,25 @@ def format_scalar(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return f"{value:.17g}"
+        return f"{value + 0.0:.17g}"  # -0.0 + 0.0 is 0.0
     if isinstance(value, (int, Fraction)):
-        return str(value)
+        try:
+            return str(value)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            return _long_rational_text(Fraction(value))
     return str(value)
+
+
+def _long_rational_text(value: Fraction) -> str:
+    """str(value) for a rational too long for str(int).
+
+    Decimal converts an int exactly at any length without touching the
+    process-wide int-to-str digit limit.
+    """
+    text = str(Decimal(value.numerator))
+    if value.denominator != 1:
+        text += f"/{Decimal(value.denominator)}"
+    return text
 
 
 def render_csv(table: OutputTable) -> str:

@@ -13,7 +13,17 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 
-from onoffqueue import FLOAT64, ModelSpec, NumericConfig, validate
+from onoffqueue import (
+    FLOAT64,
+    ModelSpec,
+    NumericConfig,
+    QueueDistribution,
+    build_series_table,
+    coerce,
+    moments,
+    validate,
+)
+from onoffqueue.series import MASS_EXCESS_TOL
 
 TABLE1_F = ("0.8", "0.1", "0.05", "0.05")
 TABLE1_G = ("0.4", "0.4", "0.2")
@@ -88,3 +98,56 @@ def light_f_vectors(draw, n_max=5):
     on_w = draw(st.lists(st.integers(1, 1000), min_size=n, max_size=n))
     f_bar_pct = draw(st.integers(2, 30))
     return light_f_vector(on_w, f_bar_pct)
+
+
+def reference_distribution(spec: ModelSpec, config: NumericConfig) -> QueueDistribution:
+    """The division recurrence on full k_max-row tables, in the backend's own numbers.
+
+    P(Q=k) = (1/D[0]) * [N[k]*b0 - sum_{i<k} P(Q=i)*D[k-i]], with one
+    Fraction (or float) operation per term and the float breakdown scan.
+    This is the straightforward form of what `queue_distribution` computes
+    with degree-bounded tables and integer-only exact arithmetic, and its
+    results must match exactly (bitwise in float mode).
+    """
+    spec = coerce(spec, config.backend)
+    b0 = moments(spec).b0
+    table = build_series_table(spec, config.k_max)
+    N, D = table.N, table.D
+    d0 = D[0]
+    zero = d0 * 0
+    window = 1
+    for i in range(1, len(D)):
+        if D[i] != zero:
+            window = i
+    p = []
+    running = zero
+    breakdown = (None, None, None)
+    for k in range(config.k_max + 1):
+        acc = N[k] * b0
+        for i in range(max(0, k - window), k):
+            acc -= p[i] * D[k - i]
+        pk = acc / d0
+        if not config.is_exact:
+            if pk < -config.negative_tolerance:
+                breakdown = (k, pk, "negative")
+                break
+            if running + pk > 1 + MASS_EXCESS_TOL:
+                breakdown = (k, pk, "mass")
+                break
+        p.append(pk)
+        running = running + pk
+    tail = []
+    cum = zero
+    for v in p:
+        cum = cum + v
+        tail.append(1 - cum)
+    return QueueDistribution(
+        p=tuple(p),
+        k_effective=len(p) - 1,
+        breakdown_detected=breakdown[0] is not None,
+        breakdown_index=breakdown[0],
+        breakdown_value=breakdown[1],
+        breakdown_reason=breakdown[2],
+        mass_accounted=running,
+        tail=tuple(tail),
+    )

@@ -1,6 +1,8 @@
 """CLI behavior: exit codes, output schemas, round-trips, determinism."""
 
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -45,6 +47,13 @@ class TestValidateCommand:
         code, _, err = run_cli(capsys, "validate", str(path))
         assert code == 1
         assert err.count("sums to") == 2
+
+    def test_malformed_entries_listed(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"f": ["nan", "0.5"], "g": [["1.0"]]}')
+        code, _, err = run_cli(capsys, "validate", str(path))
+        assert code == 1
+        assert err.count("is not a finite number") == 2
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "validate", "/no/such/file.json")
@@ -142,6 +151,40 @@ class TestDistCommand:
         assert out == ""
         assert target.read_text().startswith("k,p,tail\n")
 
+    def test_unit_batch_prints_no_negative_zero(self, capsys, tmp_path):
+        # p[k>=1] is 0.0 / D[0] with D[0] < 0, a negative zero
+        path = tmp_path / "r1.json"
+        path.write_text('{"f": ["0.5", "0.5"], "g": ["1"]}')
+        code, out, _ = run_cli(capsys, "dist", str(path), "--kmax", "3")
+        assert code == 0
+        rows = parse_csv(out).rows
+        assert [row[1] for row in rows] == ["1", "0", "0", "0"]
+        assert "-0" not in out
+
+    def test_exact_rows_past_int_str_digit_limit(self, capsys, tmp_path):
+        # denominators here pass sys.get_int_max_str_digits() near k = 430
+        path = tmp_path / "deep.json"
+        path.write_text(
+            '{"f": ["0.14", "0.74", "0.02", "0.03", "0.07"],'
+            ' "g": ["0.59", "0.24", "0.15", "0.02"]}'
+        )
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run_cli(
+            capsys, "dist", str(path), "--backend", "exact", "--kmax", "800"
+        )
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        rows = parse_csv(out).rows
+        assert len(rows) == 801
+        assert max(len(row[1]) for row in rows) > limit
+        sys.set_int_max_str_digits(0)
+        try:
+            p = [Fraction(row[1]) for row in rows]
+            last_tail = Fraction(rows[-1][2])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert sum(p) + last_tail == 1
+
 
 class TestOracleCommand:
     def test_schema_and_agreement(self, capsys, table1_path):
@@ -235,6 +278,25 @@ class TestCompareCommand:
         assert meta["breakdown_detected"] == "true"
         assert len(table.rows) == int(meta["k_effective"]) + 1
         assert int(meta["k_effective"]) < 60
+
+
+class TestNumericArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dist", "--kmax", "-1"],
+            ["compare", "--kmax", "-1"],
+            ["simulate", "--runs", "0"],
+            ["simulate", "--iterations", "5", "--burn-in", "10"],
+            ["simulate", "--seed", "-1"],
+        ],
+    )
+    def test_out_of_range_is_one_line_exit_2(self, capsys, table1_path, argv):
+        code, out, err = run_cli(capsys, argv[0], table1_path, *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: invalid argument:")
+        assert err.count("\n") == 1
 
 
 class TestTables:

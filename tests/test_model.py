@@ -81,6 +81,36 @@ class TestValidate:
                             backend="exact")
         assert spec.f[2] == Fraction(1, 20)
 
+    @pytest.mark.parametrize("backend", ["float64", "exact"])
+    def test_malformed_entries_are_violations(self, backend):
+        with pytest.raises(ValidationError) as err:
+            from_strings(("nan", "inf", "0.5"), ("abc", ["0.5"], "1/0"), backend=backend)
+        messages = [str(v) for v in err.value.violations]
+        assert len(messages) == 5
+        assert all(isinstance(v, NonStochasticVector) for v in err.value.violations)
+        assert messages[0] == "f[0] = 'nan' is not a finite number"
+        assert messages[3] == "g[1] = ['0.5'] is not a finite number"
+
+    def test_malformed_entry_reported_with_other_violations(self):
+        with pytest.raises(ValidationError) as err:
+            from_strings(("0.5", "abc"), ("0.5", "0.4"))
+        messages = [str(v) for v in err.value.violations]
+        assert messages == ["f[1] = 'abc' is not a finite number",
+                            "g sums to 0.9, expected 1 within 1e-09"]
+
+    def test_entry_beyond_float_range(self):
+        with pytest.raises(ValidationError) as err:
+            from_strings(("0.5", "0.5"), ("1e400",))
+        assert str(err.value) == "g[0] = '1e400' is not a finite number"
+        with pytest.raises(ValidationError) as err:
+            from_strings(("0.5", "0.5"), ("1e400",), backend="exact")
+        assert str(err.value).startswith("g[0] = 1.00000e+400 is outside [0, 1]")
+
+    def test_float_nan_entry_is_out_of_range(self):
+        with pytest.raises(ValidationError) as err:
+            validate(ModelSpec((0.5, float("nan")), (1.0,)))
+        assert "f[1] = nan is outside [0, 1]" in str(err.value)
+
     def test_spec_is_immutable(self, table1):
         with pytest.raises(AttributeError):
             table1.f = (1.0,)

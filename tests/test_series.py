@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import light_f_vectors, model_specs
+from helpers import light_f_vectors, model_specs, reference_distribution
 from onoffqueue import (
     ModelSpec,
     NumericConfig,
     PoleNear,
+    QueueDistribution,
     Unstable,
     build_series_table,
     expected_queue,
@@ -188,6 +189,42 @@ class TestQueueDistribution:
             assert p >= 0
             running += p
             assert running <= 1
+
+
+def bits(value):
+    """Exact identity of a float or a tuple of floats, telling -0.0 from 0.0."""
+    if isinstance(value, tuple):
+        return tuple(bits(v) for v in value)
+    return value.hex() if isinstance(value, float) else value
+
+
+class TestReferenceEquality:
+    """Degree-bounded tables and integer exact division change no result."""
+
+    @given(model_specs(backend="exact"), st.integers(0, 60))
+    @settings(max_examples=40, deadline=None)
+    def test_exact_equals_fraction_recurrence(self, spec, k_max):
+        config = NumericConfig(backend="exact", k_max=k_max)
+        dist = queue_distribution(spec, config)
+        assert dist == reference_distribution(spec, config)
+
+    @given(model_specs(), st.integers(0, 60), st.sampled_from([0.0, 1e-15]))
+    @settings(max_examples=150, deadline=None)
+    def test_float_bitwise_equals_full_table_recurrence(self, spec, k_max, tol):
+        config = NumericConfig(k_max=k_max, negative_tolerance=tol)
+        dist = queue_distribution(spec, config)
+        ref = reference_distribution(spec, config)
+        for name in QueueDistribution.__dataclass_fields__:
+            assert bits(getattr(dist, name)) == bits(getattr(ref, name)), name
+
+    def test_float_bitwise_through_breakdown(self, table1, table2):
+        for spec in (table1, table2):
+            config = NumericConfig(k_max=400)
+            dist = queue_distribution(spec, config)
+            ref = reference_distribution(spec, config)
+            for name in QueueDistribution.__dataclass_fields__:
+                assert bits(getattr(dist, name)) == bits(getattr(ref, name)), name
+        assert queue_distribution(table1, NumericConfig(k_max=400)).breakdown_detected
 
 
 class TestConstantBatchDistribution:
