@@ -3,40 +3,32 @@
 
 Reports where the float recursion is flagged (first negative coefficient or
 mass overshoot), where float and exact first disagree beyond a threshold,
-and the exact tail magnitude at the scan horizon.
+and the exact tail magnitude at the scan horizon.  Exit status follows the
+CLI: 1 for an invalid or unstable model, 2 for a file or argument error.
 
 Example:
     python3 scripts/breakdown_scan.py models/table1.json --kmax 200
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from onoffqueue import NumericConfig, from_strings, queue_distribution
+from onoffqueue import EXACT, NumericConfig, queue_distribution
+from onoffqueue.cli import load_model, make_config, run
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("model")
-    parser.add_argument("--kmax", type=int, default=200)
-    parser.add_argument("--threshold", type=float, default=1e-12,
-                        help="absolute disagreement that counts as divergence")
-    args = parser.parse_args()
+def scan(args) -> int:
+    float_config = make_config(NumericConfig, k_max=args.kmax)
+    exact_config = make_config(NumericConfig, backend=EXACT, k_max=args.kmax)
+    float_spec, name = load_model(args.model)
+    exact_spec, _ = load_model(args.model, backend=EXACT)
+    float_dist = queue_distribution(float_spec, float_config)
+    exact_dist = queue_distribution(exact_spec, exact_config)
 
-    doc = json.loads(Path(args.model).read_text(), parse_float=str, parse_int=str)
-    float_spec = from_strings(doc["f"], doc["g"])
-    exact_spec = from_strings(doc["f"], doc["g"], backend="exact")
-
-    float_dist = queue_distribution(float_spec, NumericConfig(k_max=args.kmax))
-    exact_dist = queue_distribution(
-        exact_spec, NumericConfig(backend="exact", k_max=args.kmax)
-    )
-
-    print(f"model: {doc.get('name', args.model)}  k_max={args.kmax}")
+    print(f"model: {name or args.model}  k_max={args.kmax}")
     if float_dist.breakdown_detected:
         print(
             f"float backend flagged at k={float_dist.breakdown_index} "
@@ -61,6 +53,15 @@ def main():
     print(f"exact p[{args.kmax}] = {float(exact_dist.p[args.kmax]):.6e}; "
           f"exact mass accounted = {float(exact_dist.mass_accounted):.15f}")
     return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("model")
+    parser.add_argument("--kmax", type=int, default=200)
+    parser.add_argument("--threshold", type=float, default=1e-12,
+                        help="absolute disagreement that counts as divergence")
+    return run(scan, parser.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -41,8 +41,6 @@ from .oracle import (
 )
 from .series import (
     QueueDistribution,
-    SeriesTable,
-    build_series_table,
     g_coefficients,
     pgf_eval,
     queue_distribution,

@@ -30,7 +30,7 @@ def load_model(path: str, backend: str = FLOAT64):
     """Read and validate a model file; returns (spec, name)."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text, parse_float=str, parse_int=str)
@@ -38,6 +38,8 @@ def load_model(path: str, backend: str = FLOAT64):
         raise CliInputError(
             f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise CliInputError(f"{path}: arrays or objects nested too deeply") from None
     if not isinstance(doc, dict):
         raise CliInputError(f"{path}: expected a JSON object with arrays 'f' and 'g'")
     for key in ("f", "g"):
@@ -82,12 +84,6 @@ def cmd_validate(args) -> int:
     return 0
 
 
-_ANALYZE_FIELDS = (
-    "f_bar", "f2_bar", "g_bar", "g2_bar", "rho", "lambda", "pi0", "b0",
-    "expected_queue", "expected_delay",
-)
-
-
 def cmd_analyze(args) -> int:
     spec, _ = load_model(args.path, backend=args.backend)
     mom = moments(spec)
@@ -105,23 +101,24 @@ def cmd_analyze(args) -> int:
         "expected_delay": rep.expected_delay,
     }
     if args.format == "structured":
-        payload = {key: format_scalar(values[key]) for key in _ANALYZE_FIELDS}
+        payload = {key: format_scalar(value) for key, value in values.items()}
         write_output(json.dumps(payload, indent=2) + "\n", args.output)
     else:
-        lines = [f"{key} = {format_scalar(values[key])}" for key in _ANALYZE_FIELDS]
+        lines = [f"{key} = {format_scalar(value)}" for key, value in values.items()]
         write_output("\n".join(lines) + "\n", args.output)
     return 0
 
 
-def _numeric_config(args) -> NumericConfig:
+def make_config(cls, **fields):
+    """cls(**fields), with a rejected value reported as an argument error (exit 2)."""
     try:
-        return NumericConfig(backend=args.backend, k_max=args.kmax)
+        return cls(**fields)
     except ValueError as exc:
         raise CliInputError(f"invalid argument: {exc}") from exc
 
 
 def cmd_dist(args) -> int:
-    config = _numeric_config(args)
+    config = make_config(NumericConfig, backend=args.backend, k_max=args.kmax)
     spec, _ = load_model(args.path, backend=args.backend)
     dist = series.queue_distribution(spec, config)
     table = OutputTable(columns=("k", "p", "tail"))
@@ -156,16 +153,8 @@ def cmd_oracle(args) -> int:
 
 
 def _sim_config(args) -> sim.SimulationConfig:
-    try:
-        return sim.SimulationConfig(
-            iterations=args.iterations,
-            runs=args.runs,
-            burn_in=args.burn_in,
-            seed=args.seed,
-            k_max=args.kmax,
-        )
-    except ValueError as exc:
-        raise CliInputError(f"invalid argument: {exc}") from exc
+    return make_config(sim.SimulationConfig, iterations=args.iterations, runs=args.runs,
+                       burn_in=args.burn_in, seed=args.seed, k_max=args.kmax)
 
 
 def _sim_footer(table, report):
@@ -196,7 +185,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config = _numeric_config(args)
+    config = make_config(NumericConfig, backend=args.backend, k_max=args.kmax)
     sim_config = _sim_config(args)
     spec, _ = load_model(args.path, backend=args.backend)
     dist = series.queue_distribution(spec, config)
@@ -301,10 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def run(command, args) -> int:
+    """Call command(args) and turn the package's errors into an exit status.
+
+    A model error prints its message (every violation, for an invalid
+    model) and gives 1; a file or argument error gives 2.
+    """
     try:
-        return args.func(args)
+        return command(args)
     except ValidationError as exc:
         print("invalid model:", file=sys.stderr)
         for violation in exc.violations:
@@ -316,6 +309,11 @@ def main(argv=None) -> int:
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return run(args.func, args)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Arithmetic backend selection and numerical tolerances."""
+"""Arithmetic backend selection for distribution computations."""
 
 from __future__ import annotations
 
@@ -11,20 +11,11 @@ Scalar = Union[float, Fraction]
 FLOAT64 = "float64"
 EXACT = "exact"
 
-_BACKEND_ALIASES = {
-    "float64": FLOAT64,
-    "exact": EXACT,
-    "exact-rational": EXACT,
-}
-
 
 def canonical_backend(name: str) -> str:
-    try:
-        return _BACKEND_ALIASES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {name!r}; expected 'float64' or 'exact'"
-        ) from None
+    if name not in (FLOAT64, EXACT):
+        raise ValueError(f"unknown backend {name!r}; expected 'float64' or 'exact'")
+    return name
 
 
 def to_number(value, backend: str) -> Scalar:
@@ -41,26 +32,21 @@ def to_number(value, backend: str) -> Scalar:
 
 @dataclass(frozen=True)
 class NumericConfig:
-    """Backend and tolerance knobs for distribution computations.
+    """Backend and depth of a distribution computation.
 
-    backend: "float64" (fast, breaks down at tiny coefficients) or
-        "exact" (rational arithmetic, never breaks down).
-    negative_tolerance: a computed probability below -negative_tolerance
-        flags numerical breakdown (float backend only); 0 means any
-        strictly negative value counts.
+    backend: "float64" (fast; the recurrence breaks down at the first
+        strictly negative value once true coefficients sink below rounding
+        error) or "exact" (rational arithmetic, never breaks down).
     k_max: largest queue length whose probability is computed.
     """
 
     backend: str = FLOAT64
-    negative_tolerance: float = 0.0
     k_max: int = 200
 
     def __post_init__(self):
-        object.__setattr__(self, "backend", canonical_backend(self.backend))
+        canonical_backend(self.backend)
         if self.k_max < 0:
             raise ValueError("k_max must be nonnegative")
-        if self.negative_tolerance < 0:
-            raise ValueError("negative_tolerance must be nonnegative")
 
     @property
     def is_exact(self) -> bool:

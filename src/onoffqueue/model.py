@@ -9,8 +9,11 @@ f[i].  Every on slot delivers a batch of work with size drawn from g
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
+from itertools import accumulate
 from typing import Sequence
 
 from .config import EXACT, FLOAT64, NumericConfig, Scalar, canonical_backend, to_number
@@ -19,6 +22,10 @@ from .errors import NonStochasticVector, NotErgodic, Unstable, ValidationError
 # Float-mode slack for user-entered decimals; vectors inside it are
 # renormalized so downstream identities hold tightly.
 PROB_SUM_TOL = 1e-9
+
+# The decimal exponent of a string entry.  Fraction's parse time grows with
+# its magnitude, which (unlike the digit count) Python does not bound.
+_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -91,15 +98,33 @@ def coerce(spec: ModelSpec, backend: str = FLOAT64) -> ModelSpec:
     return ModelSpec(f, g)
 
 
+def _exponent_beyond_limit(value) -> bool:
+    """True for a string whose decimal exponent exceeds the int-to-str digit limit."""
+    if not isinstance(value, str) or ("e" not in value and "E" not in value):
+        return False
+    limit = sys.get_int_max_str_digits()
+    match = _EXPONENT.search(value) if limit else None
+    return match is not None and (len(match[1]) > limit or int(match[1]) > limit)
+
+
 def _parse_vector(name, values, backend, violations):
     """Convert every entry to the backend type; None if any entry is malformed.
 
     Each entry that is not a finite number (text such as "nan" or "abc",
-    a nested list, a division by zero) is recorded as its own violation.
+    a boolean, a nested list, a division by zero) is recorded as its own
+    violation, and so is a decimal exponent too large to expand.
     """
     out = []
     for i, v in enumerate(values):
+        if _exponent_beyond_limit(v):
+            limit = sys.get_int_max_str_digits()
+            violations.append(NonStochasticVector(
+                f"{name}[{i}] = {v!r} has a decimal exponent above {limit} in magnitude"
+            ))
+            continue
         try:
+            if isinstance(v, bool):
+                raise TypeError("a boolean is not a probability")
             out.append(to_number(v, backend))
         except (ValueError, TypeError, ArithmeticError):
             violations.append(NonStochasticVector(f"{name}[{i}] = {v!r} is not a finite number"))
@@ -169,9 +194,7 @@ def validate(spec: ModelSpec, config: NumericConfig = NumericConfig()) -> ModelS
                 NotErgodic(f"f[0] = {float(f0):.6g} must lie strictly between 0 and 1")
             )
     if f_ok and g_ok:
-        f_bar = sum(i * p for i, p in enumerate(f))
-        g_bar = sum(i * p for i, p in enumerate(g, start=1))
-        rho = g_bar * f_bar / (1 + f_bar)
+        rho = moments(ModelSpec(f, g)).rho
         if rho >= 1:
             violations.append(
                 Unstable(f"utilization rho = {float(rho):.6g} must be below 1")
@@ -219,17 +242,16 @@ def transition_matrix(spec: ModelSpec) -> tuple:
     return tuple(rows)
 
 
+def suffix_sums(f: Sequence) -> tuple:
+    """F[j] = sum(f[j:]) for every j, accumulated from the last entry."""
+    return tuple(accumulate(reversed(f)))[::-1]
+
+
 def stationary_distribution(spec: ModelSpec) -> tuple:
     """Equilibrium distribution of the on/off chain.
 
     pi[i] = pi[0] * sum(f[i:]) with pi[0] = 1 / (1 + f_bar); the suffix-sum
     form follows from the countdown structure of the chain.
     """
-    f = spec.f
-    n = spec.n
-    suffix = list(f)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i] + suffix[i + 1]
-    f_bar = sum(i * p for i, p in enumerate(f))
-    pi0 = 1 / (1 + f_bar)
-    return tuple(pi0 * suffix[i] if i else pi0 for i in range(n + 1))
+    pi0 = moments(spec).pi0
+    return tuple(pi0 * F if i else pi0 for i, F in enumerate(suffix_sums(spec.f)))

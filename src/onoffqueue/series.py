@@ -24,12 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from typing import Optional, Sequence
 
 from .config import NumericConfig, Scalar
 from .errors import PoleNear, Unstable
-from .model import ModelSpec, coerce, moments, validate
+from .model import ModelSpec, coerce, moments, suffix_sums, validate
 
 # Slack on the cumulative-probability guard in float mode.
 MASS_EXCESS_TOL = 1e-9
@@ -39,25 +40,12 @@ POLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class SeriesTable:
-    """Power-series coefficients feeding the division recurrence.
-
-    G[i][j]: coefficient of z^i in (g(z)/z)^j for 0 <= j <= n.
-    N[i], D[i]: coefficients of z^i in N(z) and D(z).
-    """
-
-    G: tuple
-    N: tuple
-    D: tuple
-
-
-@dataclass(frozen=True)
 class QueueDistribution:
     """Computed queue-length probabilities with numerical-health diagnostics.
 
     p[k] = P(Q=k) for k up to k_effective; tail[k] = P(Q>k).  In float mode
-    k_effective is the last index before breakdown (a coefficient below
-    -negative_tolerance or cumulative mass above 1 + 1e-9); in exact mode
+    k_effective is the last index before breakdown (the first strictly
+    negative coefficient or cumulative mass above 1 + 1e-9); in exact mode
     it always equals k_max and breakdown_detected is False.
     """
 
@@ -96,45 +84,33 @@ def g_coefficients(spec: ModelSpec, k_max: int) -> tuple:
     return tuple(tuple(row) for row in G)
 
 
-def series_coefficients(spec: ModelSpec, G: Sequence, k_max: int) -> tuple:
+def series_coefficients(spec: ModelSpec, G: Sequence) -> tuple:
     """Coefficient vectors (N, D) of the numerator and denominator series.
 
+    One coefficient per row of the G table:
     D[i] = delta_{i-1} - sum_j f[j] * G[i][j]
     N[0] = -sum_j G[0][j] * F[j],  N[i>0] = sum_j (G[i-1][j] - G[i][j]) * F[j]
-    where F[j] = sum(f[j:]) is the suffix sum of f.
+    where F = suffix_sums(f).
     """
     f = spec.f
-    n = spec.n
+    F = suffix_sums(f)
     zero = f[0] * 0
-    suffix = list(f)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i] + suffix[i + 1]
     N = []
     D = []
-    for i in range(k_max + 1):
-        d = (1 if i == 1 else 0) - sum(f[j] * G[i][j] for j in range(n + 1))
+    for i, row in enumerate(G):
+        d = (1 if i == 1 else 0) - sum(p * c for p, c in zip(f, row))
         if i == 0:
-            nu = -sum(G[0][j] * suffix[j] for j in range(n + 1))
+            nu = -sum(c * s for c, s in zip(row, F))
         else:
-            nu = sum((G[i - 1][j] - G[i][j]) * suffix[j] for j in range(n + 1))
+            nu = sum((a - c) * s for a, c, s in zip(G[i - 1], row, F))
         D.append(d + zero)
         N.append(nu + zero)
     return tuple(N), tuple(D)
 
 
-def build_series_table(spec: ModelSpec, k_max: int) -> SeriesTable:
-    G = g_coefficients(spec, k_max)
-    N, D = series_coefficients(spec, G, k_max)
-    return SeriesTable(G=G, N=N, D=D)
-
-
 def _wrap_distribution(p, running, breakdown):
     one = (p[0] * 0 + 1) if p else 1
-    tail = []
-    cum = p[0] * 0 if p else 0
-    for v in p:
-        cum = cum + v
-        tail.append(one - cum)
+    tail = [one - cum for cum in accumulate(p)]
     index, value, reason = breakdown if breakdown else (None, None, None)
     return QueueDistribution(
         p=tuple(p),
@@ -157,11 +133,7 @@ def _divide_series(b0, N, D, config: NumericConfig) -> QueueDistribution:
     """
     d0 = D[0]
     zero = d0 * 0
-    window = 1
-    for i in range(1, len(D)):
-        if D[i] != zero:
-            window = i
-    tol = config.negative_tolerance
+    window = max(1, max(i for i, c in enumerate(D) if c))
     p = []
     running = zero
     breakdown = None
@@ -170,7 +142,7 @@ def _divide_series(b0, N, D, config: NumericConfig) -> QueueDistribution:
         for i in range(max(0, k - window), k):
             acc -= p[i] * D[k - i]
         pk = acc / d0
-        if pk < -tol:
+        if pk < zero:
             breakdown = (k, pk, "negative")
             break
         if running + pk > 1 + MASS_EXCESS_TOL:
@@ -239,10 +211,10 @@ def queue_distribution(spec: ModelSpec, config: NumericConfig = NumericConfig())
     if mom.rho >= 1:
         raise Unstable(f"utilization rho = {float(mom.rho):.6g} must be below 1")
     degree = spec.n * (spec.m - 1) + 1  # of N(z); D(z) has no higher term
-    table = build_series_table(spec, min(config.k_max, degree))
+    N, D = series_coefficients(spec, g_coefficients(spec, min(config.k_max, degree)))
     if config.is_exact:
-        return _divide_exact(mom.b0, table.N, table.D, config.k_max)
-    return _divide_series(mom.b0, table.N, table.D, config)
+        return _divide_exact(mom.b0, N, D, config.k_max)
+    return _divide_series(mom.b0, N, D, config)
 
 
 def queue_distribution_constant_batch(
@@ -276,17 +248,10 @@ def queue_distribution_constant_batch(
     if r == 1:
         p = [one] + [zero] * config.k_max
         return _wrap_distribution(p, one, None)
-    suffix = list(fv)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i] + suffix[i + 1]
-
-    def fsum(j):
-        return suffix[j] if j <= n else zero
-
     b0 = (1 + f_bar - r * f_bar) / (1 + f_bar)
     step = r - 1
+    F = suffix_sums(fv) + (zero,) * (config.k_max // step)  # F[J] = 0 past J = n
     float_mode = not config.is_exact
-    tol = config.negative_tolerance
     p = [b0 / fv[0]]
     running = p[0]
     breakdown = None
@@ -295,12 +260,12 @@ def queue_distribution_constant_batch(
         for j in range(1, min(n, k // step) + 1):
             acc -= fv[j] * p[k - j * step]
         if (k - 1) % step == 0:
-            acc -= b0 * fsum((k - 1) // step)
+            acc -= b0 * F[(k - 1) // step]
         if k % step == 0:
-            acc += b0 * fsum(k // step)
+            acc += b0 * F[k // step]
         pk = acc / fv[0]
         if float_mode:
-            if pk < -tol:
+            if pk < zero:
                 breakdown = (k, pk, "negative")
                 break
             if running + pk > 1 + MASS_EXCESS_TOL:

@@ -113,49 +113,38 @@ def simulate_run(spec: ModelSpec, config: SimulationConfig, run_index: int) -> R
     rng = np.random.Generator(np.random.PCG64(config.seed ^ run_index))
     bis = bisect_right
     k_cap = config.k_max
-    counts = [0] * (k_cap + 1)
-    lumped = 0
-    queue_sum = 0
     x = 0
     q = 0
-    done = 0
-    while done < config.burn_in:
-        block = rng.random(min(_CHUNK, config.burn_in - done)).tolist()
-        done += len(block)
-        for u in block:
-            if x:
-                q += bis(g_cum, u)  # bisect index equals batch size - 1
-                x -= 1
-            elif q:
-                q -= 1
-                x = bis(f_cum, u)
-            else:
-                x = bis(f_cum, u)
-    span = config.iterations - config.burn_in
-    done = 0
-    while done < span:
-        block = rng.random(min(_CHUNK, span - done)).tolist()
-        done += len(block)
-        for u in block:
-            queue_sum += q
-            if q <= k_cap:
-                counts[q] += 1
-            else:
-                lumped += 1
-            if x:
-                q += bis(g_cum, u)
-                x -= 1
-            elif q:
-                q -= 1
-                x = bis(f_cum, u)
-            else:
-                x = bis(f_cum, u)
+    # Burn-in and tally phases run the same steps; each phase starts from
+    # fresh tallies, so only the tally phase's are returned.
+    for start, stop in ((0, config.burn_in), (config.burn_in, config.iterations)):
+        counts = [0] * (k_cap + 1)
+        lumped = 0
+        queue_sum = 0
+        done = start
+        while done < stop:
+            block = rng.random(min(_CHUNK, stop - done)).tolist()
+            done += len(block)
+            for u in block:
+                queue_sum += q
+                if q <= k_cap:
+                    counts[q] += 1
+                else:
+                    lumped += 1
+                if x:
+                    q += bis(g_cum, u)  # bisect index equals batch size - 1
+                    x -= 1
+                elif q:
+                    q -= 1
+                    x = bis(f_cum, u)
+                else:
+                    x = bis(f_cum, u)
     return RunTally(
         run_index=run_index,
         counts=tuple(counts),
         lumped=lumped,
         queue_sum=queue_sum,
-        steps=span,
+        steps=config.iterations - config.burn_in,
     )
 
 

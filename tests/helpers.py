@@ -18,9 +18,10 @@ from onoffqueue import (
     ModelSpec,
     NumericConfig,
     QueueDistribution,
-    build_series_table,
     coerce,
+    g_coefficients,
     moments,
+    series_coefficients,
     validate,
 )
 from onoffqueue.series import MASS_EXCESS_TOL
@@ -111,8 +112,7 @@ def reference_distribution(spec: ModelSpec, config: NumericConfig) -> QueueDistr
     """
     spec = coerce(spec, config.backend)
     b0 = moments(spec).b0
-    table = build_series_table(spec, config.k_max)
-    N, D = table.N, table.D
+    N, D = series_coefficients(spec, g_coefficients(spec, config.k_max))
     d0 = D[0]
     zero = d0 * 0
     window = 1
@@ -128,7 +128,7 @@ def reference_distribution(spec: ModelSpec, config: NumericConfig) -> QueueDistr
             acc -= p[i] * D[k - i]
         pk = acc / d0
         if not config.is_exact:
-            if pk < -config.negative_tolerance:
+            if pk < 0:
                 breakdown = (k, pk, "negative")
                 break
             if running + pk > 1 + MASS_EXCESS_TOL:

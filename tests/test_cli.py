@@ -1,10 +1,14 @@
 """CLI behavior: exit codes, output schemas, round-trips, determinism."""
 
+import io
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onoffqueue.cli import main
 from onoffqueue.tables import OutputTable, parse_csv, render_csv
@@ -55,6 +59,23 @@ class TestValidateCommand:
         assert code == 1
         assert err.count("is not a finite number") == 2
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ('{"f": ["0.5", "0.5"], "g": [true]}', "g[0] = True is not a finite number"),
+            ('{"f": ["0.5", "0.5", 0e-100000], "g": ["1"]}',
+             "f[2] = '0e-100000' has a decimal exponent"),
+        ],
+        ids=["boolean", "huge_exponent"],
+    )
+    def test_boolean_or_huge_exponent_entry(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "entry.json"
+        path.write_text(doc)
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert code == 1
+        assert out == ""
+        assert message in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "validate", "/no/such/file.json")
         assert code == 2
@@ -66,6 +87,19 @@ class TestValidateCommand:
         code, _, err = run_cli(capsys, "validate", str(path))
         assert code == 2
         assert "line 2" in err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [(b'\xff{"f": ["1"]}', "cannot read"), (b"[" * 100_000, "nested too deeply")],
+        ids=["undecodable", "too_deep"],
+    )
+    def test_unreadable_document(self, capsys, tmp_path, content, message):
+        path = tmp_path / "odd.json"
+        path.write_bytes(content)
+        code, _, err = run_cli(capsys, "validate", str(path))
+        assert code == 2
+        assert message in err
+        assert err.count("\n") == 1
 
     def test_missing_array(self, capsys, tmp_path):
         path = tmp_path / "nog.json"
@@ -297,6 +331,73 @@ class TestNumericArguments:
         assert out == ""
         assert err.startswith("error: invalid argument:")
         assert err.count("\n") == 1
+
+
+# Entries of a model document: plausible decimals, malformed numbers and
+# values of the wrong JSON type, nested a little.
+_ENTRY = st.recursive(
+    st.sampled_from(["0.5", "0.25", "1", "0", "0.75", "-0.5", "nan", "1e400", "1/0",
+                     "0e-100000", "abc"])
+    | st.none() | st.booleans() | st.integers(-2, 2)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+_DOCUMENT = st.one_of(
+    st.fixed_dictionaries({"f": st.lists(_ENTRY, max_size=4), "g": st.lists(_ENTRY, max_size=3)}),
+    st.dictionaries(st.sampled_from(["f", "g", "name"]), _ENTRY, max_size=3),
+    _ENTRY,
+)
+_CONTENT = st.one_of(
+    st.just(b'{"f": ["0.8", "0.1", "0.05", "0.05"], "g": ["0.4", "0.4", "0.2"]}'),
+    st.binary(max_size=12),
+    _DOCUMENT.map(lambda doc: json.dumps(doc).encode()),
+)
+
+
+_BACKEND = st.sampled_from(["float64", "exact"])
+_FLAGS = {
+    "validate": {},
+    "analyze": {"--backend": _BACKEND, "--format": st.sampled_from(["text", "structured"])},
+    "dist": {"--backend": _BACKEND, "--kmax": st.integers(-2, 50)},
+    "oracle": {"--qcap": st.integers(-2, 200)},
+    "simulate": {"--iterations": st.integers(-1, 2000), "--burn-in": st.integers(-1, 500),
+                 "--runs": st.integers(-1, 3), "--seed": st.integers(-1, 5),
+                 "--kmax": st.integers(-2, 50)},
+}
+_FLAGS["compare"] = {**_FLAGS["simulate"], "--backend": _BACKEND}
+# Small sizes for the flags a draw leaves out; argparse keeps the last value.
+_SMALL = {"simulate": ["--iterations", "2000", "--burn-in", "100", "--runs", "2"]}
+_SMALL["compare"] = _SMALL["simulate"] + ["--kmax", "5"]
+
+
+@st.composite
+def _cli_calls(draw):
+    """(argv without the model path, file content) for one of the six commands."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command, *_SMALL.get(command, [])]
+    for flag, values in _FLAGS[command].items():
+        if draw(st.booleans()):
+            argv += [flag, str(draw(values))]
+    if draw(st.integers(0, 7)) == 0:
+        argv += [draw(st.sampled_from(["--kmax", "--runs", "--format"])), "1.5"]
+    return argv, draw(_CONTENT)
+
+
+class TestFuzz:
+    @given(_cli_calls())
+    @settings(max_examples=60, deadline=None)
+    def test_exit_status_is_0_1_or_2(self, tmp_path_factory, call):
+        argv, content = call
+        path = tmp_path_factory.mktemp("fuzz") / "model.json"
+        path.write_bytes(content)
+        try:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main([argv[0], str(path), *argv[1:]])
+        except SystemExit as exc:  # argparse rejecting a flag value
+            code = exc.code
+        assert code in (0, 1, 2)
 
 
 class TestTables:

@@ -1,5 +1,6 @@
 """Validation, moments, and chain structure of the arrival model."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -84,12 +85,25 @@ class TestValidate:
     @pytest.mark.parametrize("backend", ["float64", "exact"])
     def test_malformed_entries_are_violations(self, backend):
         with pytest.raises(ValidationError) as err:
-            from_strings(("nan", "inf", "0.5"), ("abc", ["0.5"], "1/0"), backend=backend)
+            from_strings(("nan", "inf", "0.5"), ("abc", ["0.5"], "1/0", True), backend=backend)
         messages = [str(v) for v in err.value.violations]
-        assert len(messages) == 5
+        assert len(messages) == 6
         assert all(isinstance(v, NonStochasticVector) for v in err.value.violations)
         assert messages[0] == "f[0] = 'nan' is not a finite number"
         assert messages[3] == "g[1] = ['0.5'] is not a finite number"
+        assert messages[5] == "g[3] = True is not a finite number"
+
+    @pytest.mark.parametrize("backend", ["float64", "exact"])
+    def test_decimal_exponent_beyond_digit_limit(self, backend):
+        # 0e-100000 is zero, but Fraction's cost grows with the exponent
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(ValidationError) as err:
+            from_strings(("0.5", "0.5", "0e-100000"), ("1",), backend=backend)
+        assert str(err.value) == (
+            f"f[2] = '0e-100000' has a decimal exponent above {limit} in magnitude"
+        )
+        spec = from_strings(("0.5", "0.5", f"0e-{limit}"), ("1",), backend=backend)
+        assert spec.f[2] == 0
 
     def test_malformed_entry_reported_with_other_violations(self):
         with pytest.raises(ValidationError) as err:

@@ -50,6 +50,20 @@ class TestSimulateRun:
         assert tally.steps == FAST.iterations - FAST.burn_in
         assert sum(tally.counts) + tally.lumped == tally.steps
 
+    @pytest.mark.parametrize(
+        "burn_in, counts, lumped, queue_sum",
+        [
+            (1234, (1253, 249, 150, 79, 26), 9, 940),
+            (0, (2185, 399, 231, 118, 45), 22, 1513),
+        ],
+    )
+    def test_pinned_stream(self, table1, burn_in, counts, lumped, queue_sum):
+        # a seed's stream is part of the reproducibility contract: these
+        # tallies must not move when the step loop is restructured
+        config = SimulationConfig(iterations=3000, runs=1, burn_in=burn_in, seed=11, k_max=4)
+        tally = simulate_run(table1, config, 0)
+        assert (tally.counts, tally.lumped, tally.queue_sum) == (counts, lumped, queue_sum)
+
     def test_lumping_beyond_kmax(self, table2):
         config = SimulationConfig(iterations=50_000, runs=1, burn_in=0, seed=1, k_max=2)
         tally = simulate_run(table2, config, 0)
