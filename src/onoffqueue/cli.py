@@ -18,7 +18,7 @@ from pathlib import Path
 from . import analytic, oracle, series, simulation as sim
 from .config import EXACT, FLOAT64, NumericConfig
 from .errors import QueueModelError, TruncationBias, ValidationError
-from .model import from_strings, moments
+from .model import from_strings, moments, suffix_sums
 from .tables import OutputTable, format_scalar, render_csv, render_structured
 
 
@@ -133,15 +133,15 @@ def cmd_oracle(args) -> int:
     spec, _ = load_model(args.path)
     chain = oracle.build_joint_chain(spec, args.qcap)
     pi = oracle.joint_stationary(chain)
-    marginal = oracle.queue_marginal(chain, pi)
+    marginal = oracle.queue_marginal(chain, pi).tolist()
+    # P(Q > k) summed from the far end, so small tails do not cancel against 1
+    tails = suffix_sums(marginal)[1:] + (0.0,)
     table = OutputTable(columns=("k", "p", "tail"))
-    cum = 0.0
-    for k, p in enumerate(marginal):
-        cum += float(p)
-        table.add_row(k, format_scalar(float(p)), format_scalar(1.0 - cum))
-    boundary = float(marginal[-1])
+    for k, (p, tail) in enumerate(zip(marginal, tails)):
+        table.add_row(k, format_scalar(p), format_scalar(tail))
     table.add_footer("q_cap", args.qcap)
-    table.add_footer("boundary_mass", format_scalar(boundary))
+    table.add_footer("boundary_mass", format_scalar(marginal[-1]))
+    table.add_footer("residual", format_scalar(oracle.residual(chain, pi)))
     try:
         expected = oracle.oracle_expected_queue(pi, args.qcap)
         table.add_footer("expected_queue", format_scalar(expected))

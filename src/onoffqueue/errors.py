@@ -41,15 +41,11 @@ class CapTooSmall(QueueModelError):
 
 
 class NoConvergence(QueueModelError):
-    """Stationary solve failed to reach the residual target within budget."""
+    """Stationary solve missed the residual target or gave a non-finite vector."""
 
-    def __init__(self, residual, iterations):
+    def __init__(self, residual):
         self.residual = residual
-        self.iterations = iterations
-        super().__init__(
-            f"stationary solve stalled at residual {residual:.3e} "
-            f"after {iterations} iterations"
-        )
+        super().__init__(f"stationary solve missed the residual target: residual {residual:.3e}")
 
 
 class TruncationBias(QueueModelError):

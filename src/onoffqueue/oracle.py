@@ -14,13 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.sparse.linalg import spsolve
 
 from .errors import CapTooSmall, NoConvergence, TruncationBias
 from .model import ModelSpec
 
 DEFAULT_RESIDUAL_TOL = 1e-13
-DEFAULT_MAX_ITERATIONS = 10**6
 DEFAULT_BOUNDARY_TOL = 1e-9
 
 
@@ -82,52 +81,38 @@ def build_joint_chain(spec: ModelSpec, q_cap: int) -> JointChain:
     return JointChain(q_cap=q_cap, n=n, kernel=kernel)
 
 
-def _residual(kernel_t, pi):
-    return float(np.max(np.abs(kernel_t @ pi - pi)))
+def residual(chain: JointChain, pi: np.ndarray) -> float:
+    """Max-norm balance residual |P^T pi - pi| of a candidate stationary vector."""
+    return float(np.max(np.abs(chain.kernel.T @ pi - pi)))
 
 
-def joint_stationary(
-    chain: JointChain,
-    tol: float = DEFAULT_RESIDUAL_TOL,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    method: str = "direct",
-) -> np.ndarray:
-    """Stationary vector of the joint kernel, to max-norm residual <= tol.
+def joint_stationary(chain: JointChain) -> np.ndarray:
+    """Stationary vector of the joint kernel, to max-norm residual <= DEFAULT_RESIDUAL_TOL.
 
-    method "direct" solves the linear fixed-point system (one balance
-    equation replaced by normalization) and falls back to power iteration
-    if the residual target is missed; method "power" iterates from uniform.
+    Solves (P^T - I) pi = 0 with the balance row of the idle state (0, 0)
+    replaced by pi[(0, 0)] = 1, then normalises.  The pinned system is
+    nonsingular: the idle state has probability b0 = 1 - rho > 0, and the
+    other balance rows have rank size - 1.  Unlike a normalisation row of
+    ones, the pin adds no dense row for the LU factors to fill in from, and
+    small tail probabilities keep their relative accuracy.
     """
-    kernel_t = chain.kernel.T.tocsr()
-    size = chain.kernel.shape[0]
-    pi = None
-    if method == "direct":
-        a = sp.lil_matrix(kernel_t - sp.eye(size, format="csr"))
-        a[size - 1, :] = 1.0
-        b = np.zeros(size)
-        b[size - 1] = 1.0
-        candidate = spla.spsolve(a.tocsc(), b)
-        total = candidate.sum()
-        if np.isfinite(candidate).all() and total > 0:
-            candidate = candidate / total
-            if _residual(kernel_t, candidate) <= tol:
-                return candidate
-            pi = candidate  # refine by iteration below
-    elif method != "power":
-        raise ValueError("method must be 'direct' or 'power'")
-    if pi is None:
-        pi = np.full(size, 1.0 / size)
-    check_every = 50
-    done = 0
-    while done < max_iterations:
-        burst = min(check_every, max_iterations - done)
-        for _ in range(burst):
-            pi = kernel_t @ pi
-        pi = pi / pi.sum()
-        done += burst
-        if _residual(kernel_t, pi) <= tol:
-            return pi
-    raise NoConvergence(_residual(kernel_t, pi), max_iterations)
+    kernel = chain.kernel.tocoo()
+    size = kernel.shape[0]
+    idle = chain.state_index(0, 0)
+    keep = kernel.col != idle  # kernel column idle is balance row idle
+    others = np.delete(np.arange(size), idle)
+    rows = np.concatenate((kernel.col[keep], others, [idle]))
+    cols = np.concatenate((kernel.row[keep], others, [idle]))
+    vals = np.concatenate((kernel.data[keep], np.full(size - 1, -1.0), [1.0]))
+    pinned = sp.csc_matrix((vals, (rows, cols)), shape=(size, size))
+    rhs = np.zeros(size)
+    rhs[idle] = 1.0
+    pi = spsolve(pinned, rhs)
+    pi = pi / pi.sum()
+    gap = residual(chain, pi)
+    if not (np.isfinite(pi).all() and gap <= DEFAULT_RESIDUAL_TOL):
+        raise NoConvergence(gap)
+    return pi
 
 
 def queue_marginal(chain: JointChain, pi: np.ndarray) -> np.ndarray:
@@ -140,16 +125,15 @@ def state_marginal(chain: JointChain, pi: np.ndarray) -> np.ndarray:
     return pi.reshape(chain.n + 1, chain.q_cap + 1).sum(axis=1)
 
 
-def oracle_expected_queue(
-    pi: np.ndarray, q_cap: int, boundary_tol: float = DEFAULT_BOUNDARY_TOL
-) -> float:
+def oracle_expected_queue(pi: np.ndarray, q_cap: int) -> float:
     """E[Q] over the truncated support; flags truncation bias.
 
     Raises TruncationBias when the lumped mass at q = q_cap exceeds
-    boundary_tol, since the truncated mean would then understate the tail.
+    DEFAULT_BOUNDARY_TOL, since the truncated mean would then understate
+    the tail.
     """
     marginal = pi.reshape(-1, q_cap + 1).sum(axis=0)
     boundary = float(marginal[-1])
-    if boundary > boundary_tol:
-        raise TruncationBias(boundary, boundary_tol)
+    if boundary > DEFAULT_BOUNDARY_TOL:
+        raise TruncationBias(boundary, DEFAULT_BOUNDARY_TOL)
     return float(np.arange(q_cap + 1) @ marginal)

@@ -12,10 +12,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import numpy as np
 
 from onoffqueue import (
     FLOAT64,
+    JointChain,
     ModelSpec,
+    NoConvergence,
     NumericConfig,
     QueueDistribution,
     coerce,
@@ -24,6 +27,7 @@ from onoffqueue import (
     series_coefficients,
     validate,
 )
+from onoffqueue.oracle import residual
 from onoffqueue.series import MASS_EXCESS_TOL
 
 TABLE1_F = ("0.8", "0.1", "0.05", "0.05")
@@ -151,3 +155,25 @@ def reference_distribution(spec: ModelSpec, config: NumericConfig) -> QueueDistr
         mass_accounted=running,
         tail=tuple(tail),
     )
+
+
+def power_stationary(chain: JointChain, tol: float, max_iterations: int) -> np.ndarray:
+    """Stationary vector of the joint kernel by power iteration from uniform.
+
+    The independent check on `joint_stationary`'s direct solve: iterates
+    pi <- P^T pi, renormalising and testing the max-norm residual every 50
+    steps, and raises NoConvergence if it stays above tol.
+    """
+    kernel_t = chain.kernel.T.tocsr()
+    size = kernel_t.shape[0]
+    pi = np.full(size, 1.0 / size)
+    done = 0
+    while done < max_iterations:
+        burst = min(50, max_iterations - done)
+        for _ in range(burst):
+            pi = kernel_t @ pi
+        pi = pi / pi.sum()
+        done += burst
+        if residual(chain, pi) <= tol:
+            return pi
+    raise NoConvergence(residual(chain, pi))

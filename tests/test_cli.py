@@ -232,6 +232,21 @@ class TestOracleCommand:
         assert float(meta["expected_queue"]) == pytest.approx(649 / 1080, abs=1e-8)
         assert float(table.rows[0][1]) == pytest.approx(458 / 665, abs=1e-10)
 
+    @pytest.mark.parametrize("name", ["table1", "table2"])
+    def test_tail_matches_exact_dist(self, capsys, request, name):
+        path = request.getfixturevalue(f"{name}_path")
+        code, out, _ = run_cli(capsys, "oracle", path, "--qcap", "500")
+        assert code == 0
+        table = parse_csv(out)
+        tails = [float(row[2]) for row in table.rows]
+        assert min(tails) >= 0
+        assert tails[-1] == 0
+        assert float(dict(table.footer)["residual"]) <= 1e-13
+        code, out, _ = run_cli(capsys, "dist", path, "--backend", "exact", "--kmax", "300")
+        assert code == 0
+        for k, row in enumerate(parse_csv(out).rows):
+            assert tails[k] == pytest.approx(float(Fraction(row[2])), rel=1e-10, abs=0)
+
     def test_truncation_flagged(self, capsys, table2_path):
         code, out, _ = run_cli(capsys, "oracle", table2_path, "--qcap", "6")
         assert code == 0

@@ -5,6 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
+from helpers import build_model, power_stationary
 from onoffqueue import (
     CapTooSmall,
     ModelSpec,
@@ -108,19 +109,42 @@ class TestJointStationary:
     def test_power_method_agrees(self, table1):
         chain = build_joint_chain(table1, 60)
         direct = joint_stationary(chain)
-        power = joint_stationary(chain, tol=1e-13, method="power")
+        power = power_stationary(chain, tol=1e-13, max_iterations=10**6)
         assert np.max(np.abs(direct - power)) < 1e-11
 
-    def test_no_convergence_reported(self, table2):
+    def test_no_convergence_reported(self, table2, monkeypatch):
         chain = build_joint_chain(table2, 60)
+        monkeypatch.setattr(
+            oracle_module, "spsolve", lambda a, b: np.full(b.shape, np.nan)
+        )
         with pytest.raises(NoConvergence) as err:
-            joint_stationary(chain, tol=1e-13, max_iterations=5, method="power")
-        assert err.value.residual > 0
+            joint_stationary(chain)
+        assert np.isnan(err.value.residual)
 
-    def test_unknown_method_rejected(self, table1):
-        chain = build_joint_chain(table1, 10)
-        with pytest.raises(ValueError):
-            joint_stationary(chain, method="magic")
+    @pytest.mark.parametrize("name", ["table1", "table2"])
+    def test_far_tail_relative_accuracy(self, request, name):
+        # every P(Q=k) down to ~1e-127 keeps its leading digits, none is noise
+        spec = request.getfixturevalue(name)
+        exact = request.getfixturevalue(f"{name}_exact")
+        chain = build_joint_chain(spec, 500)
+        marginal = queue_marginal(chain, joint_stationary(chain))
+        dist = queue_distribution(exact, NumericConfig(backend="exact", k_max=300))
+        for k in range(301):
+            assert marginal[k] == pytest.approx(float(dist.p[k]), rel=1e-10, abs=0)
+
+    def test_heavy_load(self):
+        # rho = 0.97: the cap must reach far into the tail before E[Q] is unbiased
+        spec = build_model([3, 2, 1, 1], [2, 5, 2, 1], 97)
+        exact = build_model([3, 2, 1, 1], [2, 5, 2, 1], 97, backend="exact")
+        assert float(moments(spec).rho) >= 0.96
+        chain = build_joint_chain(spec, 2000)
+        pi = joint_stationary(chain)
+        marginal = queue_marginal(chain, pi)
+        dist = queue_distribution(exact, NumericConfig(backend="exact", k_max=200))
+        for k in range(201):
+            assert marginal[k] == pytest.approx(float(dist.p[k]), abs=1e-9)
+        value = oracle_expected_queue(pi, 2000)  # raises TruncationBias if biased
+        assert value == pytest.approx(float(expected_queue(moments(exact))), abs=1e-8)
 
 
 class TestOracleExpectedQueue:
