@@ -58,24 +58,17 @@ def build_joint_chain(spec: ModelSpec, q_cap: int) -> JointChain:
     if q_cap < m:
         raise CapTooSmall(f"q_cap = {q_cap} must be at least the largest batch m = {m}")
     width = q_cap + 1
-    rows, cols, vals = [], [], []
-    # off rows: no arrival, queue decrements, next state sampled from f
-    for q in range(width):
-        src = q  # x = 0
-        q_next = max(q - 1, 0)
-        for x_next in range(n + 1):
-            rows.append(src)
-            cols.append(x_next * width + q_next)
-            vals.append(f[x_next])
+    # Entries go in (q, x_next) then (x, q, y) order, the order in which the
+    # CSR conversion sums the duplicates that q_cap lumps together.
+    # off rows (x = 0): no arrival, queue decrements, next state sampled from f
+    q, x_next = np.meshgrid(np.arange(width), np.arange(n + 1), indexing="ij")
+    off = (q, x_next * width + np.maximum(q - 1, 0), f[x_next])
     # on rows: countdown to x - 1, batch of size y arrives
-    for x in range(1, n + 1):
-        for q in range(width):
-            src = x * width + q
-            for y in range(1, m + 1):
-                q_next = min(q + y - 1, q_cap)
-                rows.append(src)
-                cols.append((x - 1) * width + q_next)
-                vals.append(g[y - 1])
+    x, q, y = np.meshgrid(
+        np.arange(1, n + 1), np.arange(width), np.arange(1, m + 1), indexing="ij"
+    )
+    on = (x * width + q, (x - 1) * width + np.minimum(q + y - 1, q_cap), g[y - 1])
+    rows, cols, vals = (np.concatenate((a.ravel(), b.ravel())) for a, b in zip(off, on))
     size = (n + 1) * width
     kernel = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
     return JointChain(q_cap=q_cap, n=n, kernel=kernel)

@@ -16,8 +16,10 @@ Binary floats are fast but the recurrence eventually produces negative
 values once the true coefficients sink below accumulated rounding error
 (expected behavior, reported as breakdown diagnostics).  Exact rationals
 never break down: N and D are scaled to integers and divided with an
-integer-only recurrence, so a Fraction is reduced once per emitted value
-rather than on every operation.
+integer-only recurrence.  Each emitted value is an integer over
+den*d0^(k+1), whose primes all divide the small integer den*d0, so it is
+reduced over those primes alone; a full-width gcd runs only when an odd
+prime of den*d0 cancels more than once.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
-from typing import Optional, Sequence
+from math import gcd, lcm
+from numbers import Rational
+from typing import NamedTuple, Optional, Sequence
 
 from .config import NumericConfig, Scalar
 from .errors import PoleNear, Unstable
@@ -153,26 +156,75 @@ def _divide_series(b0, N, D, config: NumericConfig) -> QueueDistribution:
     return _wrap_distribution(p, running, breakdown)
 
 
+class _Reduced(NamedTuple):
+    """A numerator/denominator pair already in lowest terms, denominator > 0.
+
+    Registered as a `numbers.Rational`, so `Fraction(_Reduced(y, M))` copies
+    the two integers as given (the Rational contract promises lowest terms)
+    instead of normalising them with a full-width gcd.
+    """
+
+    numerator: int
+    denominator: int
+
+
+Rational.register(_Reduced)
+
+
+def _reduce_over(y: int, M: int, odd_base: int) -> Fraction:
+    """The Fraction y / M, given M != 0 and every odd prime of M dividing odd_base.
+
+    The common power of 2 is stripped with bit operations and the odd
+    primes with t = gcd(gcd(y, odd_base), M), which is cheap because
+    odd_base is small.  Only when an odd prime of t still divides both
+    (a prime repeated in y and M) does one full gcd(y, M) run.
+    """
+    if not y:
+        return Fraction(0)
+    if M < 0:
+        y, M = -y, -M
+    shift = min((y & -y).bit_length(), (M & -M).bit_length()) - 1
+    y >>= shift
+    M >>= shift
+    t = gcd(gcd(y, odd_base), M)
+    if t > 1:
+        y //= t
+        M //= t
+        if gcd(gcd(y, t), M) > 1:
+            t = gcd(y, M)
+            y //= t
+            M //= t
+    return Fraction(_Reduced(y, M))
+
+
 def _divide_exact(b0: Fraction, N, D, k_max: int) -> QueueDistribution:
-    """Exact division recurrence over integers, one reduction per emitted value.
+    """Exact division recurrence over integers, reduced over the primes of b0 and d0.
 
     With N and D scaled by the lcm of their denominators to integers n_k
-    and d_k, and w the last nonzero index of d, the integers
-    R_k = d0^(k+1) * P(Q=k) / b0 satisfy
+    and d_k, the content c = gcd(d) divided out of d (and folded into
+    b0' = b0/c = num/den), and w the last nonzero index of d, the integers
+    R_k = d0^(k+1) * P(Q=k) / b0' satisfy
 
         R_k = n_k*d0^k - sum_{j=1..w} R_{k-j} * d_j*d0^(j-1)
 
     (n_k = 0 past the end of N), and C_k = C_{k-1}*d0 + R_k carries the
-    cumulative sum, so P(Q=k) = b0*R_k/d0^(k+1) and P(Q>k) =
-    1 - b0*C_k/d0^(k+1).
+    cumulative sum, so P(Q=k) = num*R_k/M and P(Q>k) = (M - num*C_k)/M
+    with M = den*d0^(k+1).  Every prime of M divides den*d0, so each value
+    is reduced by `_reduce_over` without a full-width gcd unless an odd
+    prime of den*d0 cancels more than once.
     """
     scale = lcm(*(c.denominator for c in N + D))
     n = [c.numerator * (scale // c.denominator) for c in N]
     d = [c.numerator * (scale // c.denominator) for c in D]
+    content = gcd(*d)
+    d = [c // content for c in d]
     d0 = d[0]
     w = max(i for i, c in enumerate(d) if c)
     weights = [d[j] * d0 ** (j - 1) for j in range(1, w + 1)]
+    b0 = b0 / content
     num, den = b0.numerator, b0.denominator
+    base = den * abs(d0)
+    odd_base = base >> ((base & -base).bit_length() - 1)
     R = []
     p = []
     tail = []
@@ -186,8 +238,8 @@ def _divide_exact(b0: Fraction, N, D, k_max: int) -> QueueDistribution:
         cum = cum * d0 + acc
         power *= d0
         scaled = den * power
-        p.append(Fraction(num * acc, scaled))
-        tail.append(Fraction(scaled - num * cum, scaled))
+        p.append(_reduce_over(num * acc, scaled, odd_base))
+        tail.append(_reduce_over(scaled - num * cum, scaled, odd_base))
     return QueueDistribution(
         p=tuple(p),
         k_effective=k_max,
@@ -195,7 +247,7 @@ def _divide_exact(b0: Fraction, N, D, k_max: int) -> QueueDistribution:
         breakdown_index=None,
         breakdown_value=None,
         breakdown_reason=None,
-        mass_accounted=Fraction(num * cum, den * power),
+        mass_accounted=1 - tail[-1],
         tail=tuple(tail),
     )
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import numpy as np
+import scipy.sparse as sp
 
 from onoffqueue import (
     FLOAT64,
@@ -177,3 +178,33 @@ def power_stationary(chain: JointChain, tol: float, max_iterations: int) -> np.n
         if residual(chain, pi) <= tol:
             return pi
     raise NoConvergence(residual(chain, pi))
+
+
+def reference_kernel(spec: ModelSpec, q_cap: int) -> sp.csr_matrix:
+    """The joint-chain kernel built entry by entry with Python loops.
+
+    The straightforward form of `build_joint_chain`'s index arithmetic: the
+    same (row, col, val) entries in the same order, so the CSR conversion
+    sums duplicates in the same order and the arrays must match bytewise.
+    """
+    f = [float(v) for v in spec.f]
+    g = [float(v) for v in spec.g]
+    n, m = spec.n, spec.m
+    width = q_cap + 1
+    rows, cols, vals = [], [], []
+    # off rows: no arrival, queue decrements, next state sampled from f
+    for q in range(width):
+        q_next = max(q - 1, 0)
+        for x_next in range(n + 1):
+            rows.append(q)
+            cols.append(x_next * width + q_next)
+            vals.append(f[x_next])
+    # on rows: countdown to x - 1, batch of size y arrives
+    for x in range(1, n + 1):
+        for q in range(width):
+            for y in range(1, m + 1):
+                rows.append(x * width + q)
+                cols.append((x - 1) * width + min(q + y - 1, q_cap))
+                vals.append(g[y - 1])
+    size = (n + 1) * width
+    return sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()

@@ -4,8 +4,19 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import build_model, power_stationary
+from helpers import (
+    TABLE1_F,
+    TABLE1_G,
+    TABLE2_F,
+    TABLE2_G,
+    build_model,
+    model_specs,
+    power_stationary,
+    reference_kernel,
+)
 from onoffqueue import (
     CapTooSmall,
     ModelSpec,
@@ -15,6 +26,7 @@ from onoffqueue import (
     build_joint_chain,
     expected_queue,
     expected_queue_constant_batch,
+    from_strings,
     joint_stationary,
     moments,
     oracle_expected_queue,
@@ -52,6 +64,20 @@ class TestBuildJointChain:
         expected = {5: 0.4, 6: 0.4, 7: 0.2}  # next queue 5 + y - 1, y in 1..3
         for q_next, mass in expected.items():
             assert kernel[src, chain.state_index(1, q_next)] == pytest.approx(mass)
+
+    @given(model_specs(), st.integers(0, 30))
+    @settings(max_examples=40, deadline=None)
+    # the bundled models at q_cap = m + extra = 1000
+    @example(from_strings(TABLE1_F, TABLE1_G), 997)
+    @example(from_strings(TABLE2_F, TABLE2_G), 996)
+    def test_kernel_bytewise_equals_loop_reference(self, spec, extra):
+        q_cap = spec.m + extra
+        kernel = build_joint_chain(spec, q_cap).kernel
+        ref = reference_kernel(spec, q_cap)
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(kernel, name), getattr(ref, name)
+            assert got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
 
     def test_rows_are_stochastic(self, table1):
         chain = build_joint_chain(table1, 500)

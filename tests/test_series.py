@@ -1,9 +1,10 @@
 """Power-series recursion: coefficient tables, division, breakdown, pgf."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import light_f_vectors, model_specs, reference_distribution
@@ -203,10 +204,26 @@ class TestReferenceEquality:
 
     @given(model_specs(backend="exact"), st.integers(0, 60))
     @settings(max_examples=40, deadline=None)
+    # an odd prime of d0 cancels more than once: the full-gcd fallback
+    @example(from_strings(["0.88", "0.04", "0.02", "0.01", "0.04", "0.01"],
+                          ["0.25", "0.33", "0.28", "0.14"], backend="exact"), 150)
+    @example(from_strings(["0.73", "0.19", "0.08"], ["0.30", "0.03", "0.67"],
+                          backend="exact"), 150)
+    # every scaled d_j is a multiple of 11 (the content of d)
+    @example(from_strings(["0.31", "0.25", "0.44"], ["0.96", "0.04"], backend="exact"), 150)
+    # odd primes in the entries' denominators
+    @example(from_strings(["1/3", "2/3"], ["1/7", "6/7"], backend="exact"), 150)
+    # all-zero rows
+    @example(from_strings(["0.5", "0.5"], ["1"], backend="exact"), 150)
+    @example(from_strings(["0.5", "0.5"], ["0", "1"], backend="exact"), 150)
     def test_exact_equals_fraction_recurrence(self, spec, k_max):
         config = NumericConfig(backend="exact", k_max=k_max)
         dist = queue_distribution(spec, config)
         assert dist == reference_distribution(spec, config)
+        for value in dist.p + dist.tail + (dist.mass_accounted,):
+            assert type(value) is Fraction
+            assert value.denominator > 0
+            assert gcd(value.numerator, value.denominator) == 1
 
     @given(model_specs(), st.integers(0, 60))
     @settings(max_examples=150, deadline=None)
