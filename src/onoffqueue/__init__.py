@@ -1,5 +1,12 @@
 """Exact and simulated analysis of a discrete-time on/off Markov-modulated
-batch-arrival single-server queue."""
+batch-arrival single-server queue.
+
+The oracle and simulation names load on first access (PEP 562), so
+importing the package, or running the CLI's series commands, never loads
+numpy or scipy.
+"""
+
+from importlib import import_module
 
 from .analytic import (
     AnalyticReport,
@@ -28,16 +35,7 @@ from .model import (
     from_strings,
     moments,
     stationary_distribution,
-    transition_matrix,
     validate,
-)
-from .oracle import (
-    JointChain,
-    build_joint_chain,
-    joint_stationary,
-    oracle_expected_queue,
-    queue_marginal,
-    state_marginal,
 )
 from .series import (
     QueueDistribution,
@@ -47,13 +45,26 @@ from .series import (
     queue_distribution_constant_batch,
     series_coefficients,
 )
-from .simulation import (
-    RunTally,
-    SimulationConfig,
-    SimulationReport,
-    aggregate,
-    simulate,
-    simulate_run,
-)
 
 __version__ = "0.1.0"
+
+# Resolved on first access by __getattr__: name -> submodule.
+_LAZY = {
+    "JointChain": "oracle",
+    "build_joint_chain": "oracle",
+    "joint_stationary": "oracle",
+    "oracle_expected_queue": "oracle",
+    "queue_marginal": "oracle",
+    "RunTally": "simulation",
+    "SimulationConfig": "simulation",
+    "SimulationReport": "simulation",
+    "aggregate": "simulation",
+    "simulate": "simulation",
+    "simulate_run": "simulation",
+}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import analytic, oracle, series, simulation as sim
+from . import analytic, series
 from .config import EXACT, FLOAT64, NumericConfig
 from .errors import QueueModelError, TruncationBias, ValidationError
 from .model import from_strings, moments, suffix_sums
@@ -130,6 +130,8 @@ def cmd_dist(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle
+
     spec, _ = load_model(args.path)
     chain = oracle.build_joint_chain(spec, args.qcap)
     pi = oracle.joint_stationary(chain)
@@ -152,7 +154,9 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _sim_config(args) -> sim.SimulationConfig:
+def _sim_config(args):
+    from . import simulation as sim
+
     return make_config(sim.SimulationConfig, iterations=args.iterations, runs=args.runs,
                        burn_in=args.burn_in, seed=args.seed, k_max=args.kmax)
 
@@ -171,6 +175,8 @@ def _sim_footer(table, report):
 
 
 def cmd_simulate(args) -> int:
+    from . import simulation as sim
+
     config = _sim_config(args)
     spec, _ = load_model(args.path)
     report = sim.simulate(spec, config)
@@ -185,6 +191,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from . import simulation as sim
+
     config = make_config(NumericConfig, backend=args.backend, k_max=args.kmax)
     sim_config = _sim_config(args)
     spec, _ = load_model(args.path, backend=args.backend)

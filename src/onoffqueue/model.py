@@ -228,20 +228,6 @@ def moments(spec: ModelSpec) -> MomentSummary:
     )
 
 
-def transition_matrix(spec: ModelSpec) -> tuple:
-    """Row-stochastic transition matrix of the on/off chain.
-
-    Row 0 is f; row i (i >= 1) steps deterministically down to state i - 1.
-    """
-    n = spec.n
-    zero = spec.f[0] * 0
-    one = zero + 1
-    rows = [tuple(spec.f)]
-    for i in range(1, n + 1):
-        rows.append(tuple(one if j == i - 1 else zero for j in range(n + 1)))
-    return tuple(rows)
-
-
 def suffix_sums(f: Sequence) -> tuple:
     """F[j] = sum(f[j:]) for every j, accumulated from the last entry."""
     return tuple(accumulate(reversed(f)))[::-1]

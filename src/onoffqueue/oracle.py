@@ -38,12 +38,6 @@ class JointChain:
     def state_index(self, x: int, q: int) -> int:
         return x * (self.q_cap + 1) + q
 
-    @property
-    def states(self) -> tuple:
-        """Enumeration of (x, q) pairs in state-index order."""
-        width = self.q_cap + 1
-        return tuple((s // width, s % width) for s in range(self.num_states))
-
 
 def build_joint_chain(spec: ModelSpec, q_cap: int) -> JointChain:
     """Product chain of the on/off state with the truncated queue.
@@ -111,11 +105,6 @@ def joint_stationary(chain: JointChain) -> np.ndarray:
 def queue_marginal(chain: JointChain, pi: np.ndarray) -> np.ndarray:
     """P(Q=q) for q = 0..q_cap from the joint stationary vector."""
     return pi.reshape(chain.n + 1, chain.q_cap + 1).sum(axis=0)
-
-
-def state_marginal(chain: JointChain, pi: np.ndarray) -> np.ndarray:
-    """P(X=x) for x = 0..n from the joint stationary vector."""
-    return pi.reshape(chain.n + 1, chain.q_cap + 1).sum(axis=1)
 
 
 def oracle_expected_queue(pi: np.ndarray, q_cap: int) -> float:

@@ -158,6 +158,31 @@ def reference_distribution(spec: ModelSpec, config: NumericConfig) -> QueueDistr
     )
 
 
+def transition_matrix(spec: ModelSpec) -> tuple:
+    """Row-stochastic transition matrix of the on/off chain.
+
+    Row 0 is f; row i (i >= 1) steps deterministically down to state i - 1.
+    """
+    n = spec.n
+    zero = spec.f[0] * 0
+    one = zero + 1
+    rows = [tuple(spec.f)]
+    for i in range(1, n + 1):
+        rows.append(tuple(one if j == i - 1 else zero for j in range(n + 1)))
+    return tuple(rows)
+
+
+def joint_states(chain: JointChain) -> tuple:
+    """Enumeration of (x, q) pairs in state-index order."""
+    width = chain.q_cap + 1
+    return tuple((s // width, s % width) for s in range(chain.num_states))
+
+
+def state_marginal(chain: JointChain, pi: np.ndarray) -> np.ndarray:
+    """P(X=x) for x = 0..n from the joint stationary vector."""
+    return pi.reshape(chain.n + 1, chain.q_cap + 1).sum(axis=1)
+
+
 def power_stationary(chain: JointChain, tol: float, max_iterations: int) -> np.ndarray:
     """Stationary vector of the joint kernel by power iteration from uniform.
 

@@ -1,0 +1,55 @@
+"""Import layout: the series commands never load numpy or scipy."""
+
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import onoffqueue
+from conftest import MODELS_DIR, REPO_ROOT
+
+LAZY = {
+    "oracle": ("JointChain", "build_joint_chain", "joint_stationary",
+               "oracle_expected_queue", "queue_marginal"),
+    "simulation": ("RunTally", "SimulationConfig", "SimulationReport", "aggregate",
+                   "simulate", "simulate_run"),
+}
+
+SERIES_COMMANDS = """
+import contextlib, io, sys
+import onoffqueue
+from onoffqueue import cli
+model = sys.argv[1]
+for argv in (["validate", model], ["analyze", model], ["dist", model],
+             ["dist", model, "--backend", "exact"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))))
+"""
+
+
+def test_series_commands_load_no_numpy_or_scipy():
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", SERIES_COMMANDS, str(MODELS_DIR / "table1.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""
+
+
+@pytest.mark.parametrize(
+    "module, name", [(module, name) for module, names in LAZY.items() for name in names]
+)
+def test_lazy_name_is_the_submodule_object(module, name):
+    home = importlib.import_module(f"onoffqueue.{module}")
+    assert getattr(onoffqueue, name) is getattr(home, name)
+
+
+def test_unknown_name_raises():
+    with pytest.raises(ImportError):
+        from onoffqueue import no_such_name  # noqa: F401
+    with pytest.raises(AttributeError):
+        onoffqueue.no_such_name

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from helpers import model_specs
+from helpers import model_specs, transition_matrix
 from onoffqueue import (
     ModelSpec,
     NonStochasticVector,
@@ -18,7 +18,6 @@ from onoffqueue import (
     from_strings,
     moments,
     stationary_distribution,
-    transition_matrix,
     validate,
 )
 

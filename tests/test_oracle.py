@@ -13,9 +13,11 @@ from helpers import (
     TABLE2_F,
     TABLE2_G,
     build_model,
+    joint_states,
     model_specs,
     power_stationary,
     reference_kernel,
+    state_marginal,
 )
 from onoffqueue import (
     CapTooSmall,
@@ -32,7 +34,6 @@ from onoffqueue import (
     oracle_expected_queue,
     queue_distribution,
     queue_marginal,
-    state_marginal,
     stationary_distribution,
     validate,
 )
@@ -44,9 +45,9 @@ class TestBuildJointChain:
         spec = validate(ModelSpec((0.5, 0.5), (1.0,)))
         chain = build_joint_chain(spec, 4)
         assert chain.num_states == 10
-        assert len(chain.states) == 10
-        assert chain.states[0] == (0, 0)
-        assert chain.states[-1] == (1, 4)
+        assert len(joint_states(chain)) == 10
+        assert joint_states(chain)[0] == (0, 0)
+        assert joint_states(chain)[-1] == (1, 4)
 
     def test_off_state_decrements_queue(self):
         spec = validate(ModelSpec((0.5, 0.5), (1.0,)))

@@ -1,6 +1,8 @@
 """Monte Carlo engine: determinism, conservation, CIs, statistical sanity."""
 
+import numpy as np
 import pytest
+from scipy.stats import t as t_dist
 
 from onoffqueue import (
     ModelSpec,
@@ -85,6 +87,24 @@ class TestAggregate:
         assert low <= report.mean_queue <= high
         for k in range(len(report.p_hat)):
             assert report.p_ci_low[k] <= report.p_hat[k] <= report.p_ci_high[k]
+
+    @pytest.mark.parametrize("runs", [2, 3, 5, 10])
+    def test_intervals_match_scipy_stats_t(self, table1, runs):
+        # the quantile comes from scipy.special.stdtrit; the intervals must
+        # equal, bitwise, those built on scipy.stats.t.ppf
+        def interval(values, center):
+            half = float(t_dist.ppf(0.975, runs - 1)) * float(np.std(values, ddof=1))
+            half /= runs**0.5
+            return center - half, center + half
+
+        report = aggregate([simulate_run(table1, FAST, r) for r in range(runs)])
+        assert report.mean_queue_ci == interval(report.mean_queue_runs, report.mean_queue)
+        bounds = [
+            interval([p[k] for p in report.p_hat_runs], report.p_hat[k])
+            for k in range(len(report.p_hat))
+        ]
+        assert report.p_ci_low == tuple(lo for lo, _ in bounds)
+        assert report.p_ci_high == tuple(hi for _, hi in bounds)
 
     def test_single_run_has_no_ci(self, table1):
         config = SimulationConfig(iterations=5_000, runs=1, burn_in=100, seed=3, k_max=5)
