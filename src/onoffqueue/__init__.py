@@ -6,7 +6,7 @@ importing the package, or running the CLI's series commands, never loads
 numpy or scipy.
 """
 
-from importlib import import_module
+import importlib
 
 from .analytic import (
     AnalyticReport,
@@ -21,7 +21,6 @@ from .errors import (
     NoConvergence,
     NonStochasticVector,
     NotErgodic,
-    PoleNear,
     QueueModelError,
     TruncationBias,
     Unstable,
@@ -39,11 +38,9 @@ from .model import (
 )
 from .series import (
     QueueDistribution,
-    g_coefficients,
     pgf_eval,
     queue_distribution,
     queue_distribution_constant_batch,
-    series_coefficients,
 )
 
 __version__ = "0.1.0"
@@ -66,5 +63,5 @@ _LAZY = {
 
 def __getattr__(name):
     if name in _LAZY:
-        return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+        return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

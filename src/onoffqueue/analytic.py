@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import Scalar
+from .config import Scalar, check_count
 from .errors import Unstable, ZeroArrivalRate
 from .model import MomentSummary
 
@@ -22,9 +22,6 @@ class AnalyticReport:
 
     expected_queue: Scalar
     expected_delay: Scalar
-    rho: Scalar
-    lam: Scalar
-    b0: Scalar
 
 
 def _variance(second_moment, mean):
@@ -63,8 +60,7 @@ def expected_queue_constant_batch(f_bar, f2_bar, r: int) -> Scalar:
     Specializes the general formula with g degenerate at r; requires the
     stability condition r * f_bar / (1 + f_bar) < 1.
     """
-    if r < 1 or r != int(r):
-        raise ValueError("batch size r must be an integer >= 1")
+    check_count(r, "batch size r", 1)
     rho = r * f_bar / (1 + f_bar)
     if rho >= 1:
         raise Unstable(f"utilization rho = {float(rho):.6g} must be below 1")
@@ -76,10 +72,4 @@ def report(mom: MomentSummary) -> AnalyticReport:
     if mom.lam == 0:
         raise ZeroArrivalRate("mean arrival rate is zero; delay is undefined")
     eq = expected_queue(mom)
-    return AnalyticReport(
-        expected_queue=eq,
-        expected_delay=eq / mom.lam,
-        rho=mom.rho,
-        lam=mom.lam,
-        b0=mom.b0,
-    )
+    return AnalyticReport(expected_queue=eq, expected_delay=eq / mom.lam)

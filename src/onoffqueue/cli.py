@@ -69,12 +69,12 @@ def emit(table: OutputTable, fmt: str, output):
 def _dist_footer(table, dist, backend):
     table.add_footer("backend", backend)
     table.add_footer("k_effective", dist.k_effective)
-    table.add_footer("breakdown_detected", format_scalar(dist.breakdown_detected))
+    table.add_footer("breakdown_detected", dist.breakdown_detected)
     if dist.breakdown_detected:
         table.add_footer("breakdown_index", dist.breakdown_index)
-        table.add_footer("breakdown_value", format_scalar(dist.breakdown_value))
+        table.add_footer("breakdown_value", dist.breakdown_value)
         table.add_footer("breakdown_reason", dist.breakdown_reason)
-    table.add_footer("mass_accounted", format_scalar(dist.mass_accounted))
+    table.add_footer("mass_accounted", dist.mass_accounted)
 
 
 def cmd_validate(args) -> int:
@@ -123,7 +123,7 @@ def cmd_dist(args) -> int:
     dist = series.queue_distribution(spec, config)
     table = OutputTable(columns=("k", "p", "tail"))
     for k, (p, tail) in enumerate(zip(dist.p, dist.tail)):
-        table.add_row(k, format_scalar(p), format_scalar(tail))
+        table.add_row(k, p, tail)
     _dist_footer(table, dist, args.backend)
     emit(table, args.format, args.output)
     return 0
@@ -140,16 +140,15 @@ def cmd_oracle(args) -> int:
     tails = suffix_sums(marginal)[1:] + (0.0,)
     table = OutputTable(columns=("k", "p", "tail"))
     for k, (p, tail) in enumerate(zip(marginal, tails)):
-        table.add_row(k, format_scalar(p), format_scalar(tail))
+        table.add_row(k, p, tail)
     table.add_footer("q_cap", args.qcap)
-    table.add_footer("boundary_mass", format_scalar(marginal[-1]))
-    table.add_footer("residual", format_scalar(oracle.residual(chain, pi)))
+    table.add_footer("boundary_mass", marginal[-1])
+    table.add_footer("residual", oracle.residual(chain, pi))
     try:
-        expected = oracle.oracle_expected_queue(pi, args.qcap)
-        table.add_footer("expected_queue", format_scalar(expected))
-        table.add_footer("truncation_bias", "false")
+        table.add_footer("expected_queue", oracle.oracle_expected_queue(pi, args.qcap))
+        table.add_footer("truncation_bias", False)
     except TruncationBias:
-        table.add_footer("truncation_bias", "true")
+        table.add_footer("truncation_bias", True)
     emit(table, args.format, args.output)
     return 0
 
@@ -162,12 +161,12 @@ def _sim_config(args):
 
 
 def _sim_footer(table, report):
-    table.add_footer("mean_queue", format_scalar(report.mean_queue))
+    table.add_footer("mean_queue", report.mean_queue)
     if report.mean_queue_ci is not None:
-        table.add_footer("mean_queue_ci_low", format_scalar(report.mean_queue_ci[0]))
-        table.add_footer("mean_queue_ci_high", format_scalar(report.mean_queue_ci[1]))
-    table.add_footer("lumped_mass", format_scalar(report.lumped_mass))
-    table.add_footer("min_resolvable", format_scalar(report.min_resolvable))
+        table.add_footer("mean_queue_ci_low", report.mean_queue_ci[0])
+        table.add_footer("mean_queue_ci_high", report.mean_queue_ci[1])
+    table.add_footer("lumped_mass", report.lumped_mass)
+    table.add_footer("min_resolvable", report.min_resolvable)
     table.add_footer("runs", report.runs)
     table.add_footer("steps_per_run", report.steps_per_run)
     table.add_footer("seed", report.seed)
@@ -184,7 +183,7 @@ def cmd_simulate(args) -> int:
     for k, p in enumerate(report.p_hat):
         lo = report.p_ci_low[k] if report.p_ci_low is not None else None
         hi = report.p_ci_high[k] if report.p_ci_high is not None else None
-        table.add_row(k, format_scalar(p), format_scalar(lo), format_scalar(hi))
+        table.add_row(k, p, lo, hi)
     _sim_footer(table, report)
     emit(table, args.format, args.output)
     return 0
@@ -208,7 +207,6 @@ def cmd_compare(args) -> int:
     floor = 10.0 * report.min_resolvable
     for k in range(upto + 1):
         theory = dist.p[k]
-        sim_mean = report.p_hat[k]
         lo = report.p_ci_low[k] if report.p_ci_low is not None else None
         hi = report.p_ci_high[k] if report.p_ci_high is not None else None
         within = lo is not None and lo <= float(theory) <= hi
@@ -216,22 +214,13 @@ def cmd_compare(args) -> int:
         if float(theory) >= floor:
             resolvable += 1
             inside_resolvable += within
-        table.add_row(
-            k,
-            format_scalar(theory),
-            format_scalar(sim_mean),
-            format_scalar(lo),
-            format_scalar(hi),
-            format_scalar(within),
-        )
+        table.add_row(k, theory, report.p_hat[k], lo, hi, within)
     rows = upto + 1
     table.add_footer("rows", rows)
-    table.add_footer("within_ci_fraction", format_scalar(inside_all / rows))
+    table.add_footer("within_ci_fraction", inside_all / rows)
     table.add_footer("resolvable_rows", resolvable)
     if resolvable:
-        table.add_footer(
-            "within_ci_fraction_resolvable", format_scalar(inside_resolvable / resolvable)
-        )
+        table.add_footer("within_ci_fraction_resolvable", inside_resolvable / resolvable)
     _dist_footer(table, dist, args.backend)
     _sim_footer(table, report)
     emit(table, args.format, args.output)

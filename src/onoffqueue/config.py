@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -16,6 +17,21 @@ def canonical_backend(name: str) -> str:
     if name not in (FLOAT64, EXACT):
         raise ValueError(f"unknown backend {name!r}; expected 'float64' or 'exact'")
     return name
+
+
+def check_count(value, name: str, minimum: int = 0) -> None:
+    """Raise ValueError unless value is an integer (int-like) >= minimum.
+
+    `operator.index` refuses floats and Fractions, so 2.0 is reported here
+    instead of failing later inside a loop.
+    """
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        bound = "nonnegative" if minimum == 0 else f"at least {minimum}"
+        raise ValueError(f"{name} must be {bound}")
 
 
 def to_number(value, backend: str) -> Scalar:
@@ -45,8 +61,7 @@ class NumericConfig:
 
     def __post_init__(self):
         canonical_backend(self.backend)
-        if self.k_max < 0:
-            raise ValueError("k_max must be nonnegative")
+        check_count(self.k_max, "k_max")
 
     @property
     def is_exact(self) -> bool:

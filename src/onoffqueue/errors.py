@@ -32,10 +32,6 @@ class ZeroArrivalRate(QueueModelError):
     """Mean arrival rate is zero, so delay is undefined."""
 
 
-class PoleNear(QueueModelError):
-    """Generating-function denominator vanishes at the requested point."""
-
-
 class CapTooSmall(QueueModelError):
     """Queue cap of the truncated joint chain cannot absorb one slot's arrivals."""
 

@@ -31,35 +31,39 @@ from math import gcd, lcm
 from numbers import Rational
 from typing import NamedTuple, Optional, Sequence
 
-from .config import NumericConfig, Scalar
-from .errors import PoleNear, Unstable
+from .config import NumericConfig, Scalar, check_count
+from .errors import Unstable
 from .model import ModelSpec, coerce, moments, suffix_sums, validate
 
 # Slack on the cumulative-probability guard in float mode.
 MASS_EXCESS_TOL = 1e-9
-
-# |D(z)| below this refuses float evaluation near the z=1 pole.
-POLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class QueueDistribution:
     """Computed queue-length probabilities with numerical-health diagnostics.
 
-    p[k] = P(Q=k) for k up to k_effective; tail[k] = P(Q>k).  In float mode
-    k_effective is the last index before breakdown (the first strictly
-    negative coefficient or cumulative mass above 1 + 1e-9); in exact mode
-    it always equals k_max and breakdown_detected is False.
+    p[k] = P(Q=k) for k up to k_effective = len(p) - 1; tail[k] = P(Q>k).
+    In float mode p stops before breakdown, the first strictly negative
+    coefficient or cumulative mass above 1 + 1e-9, whose index, value and
+    reason ("negative" or "mass") are recorded; in exact mode p always
+    reaches k_max and the breakdown fields stay None.
     """
 
     p: tuple
-    k_effective: int
-    breakdown_detected: bool
-    breakdown_index: Optional[int]
-    breakdown_value: Optional[Scalar]
-    breakdown_reason: Optional[str]
-    mass_accounted: Scalar
     tail: tuple
+    mass_accounted: Scalar
+    breakdown_index: Optional[int] = None
+    breakdown_value: Optional[Scalar] = None
+    breakdown_reason: Optional[str] = None
+
+    @property
+    def k_effective(self) -> int:
+        return len(self.p) - 1
+
+    @property
+    def breakdown_detected(self) -> bool:
+        return self.breakdown_index is not None
 
 
 def g_coefficients(spec: ModelSpec, k_max: int) -> tuple:
@@ -111,23 +115,13 @@ def series_coefficients(spec: ModelSpec, G: Sequence) -> tuple:
     return tuple(N), tuple(D)
 
 
-def _wrap_distribution(p, running, breakdown):
+def _wrap_distribution(p, running, breakdown=()):
     one = (p[0] * 0 + 1) if p else 1
-    tail = [one - cum for cum in accumulate(p)]
-    index, value, reason = breakdown if breakdown else (None, None, None)
-    return QueueDistribution(
-        p=tuple(p),
-        k_effective=len(p) - 1,
-        breakdown_detected=breakdown is not None,
-        breakdown_index=index,
-        breakdown_value=value,
-        breakdown_reason=reason,
-        mass_accounted=running,
-        tail=tuple(tail),
-    )
+    tail = tuple(one - cum for cum in accumulate(p))
+    return QueueDistribution(tuple(p), tail, running, *breakdown)
 
 
-def _divide_series(b0, N, D, config: NumericConfig) -> QueueDistribution:
+def _divide_series(b0, N, D, k_max: int) -> QueueDistribution:
     """Float division recurrence with the breakdown scan.
 
     P(Q=k) = (1/D[0]) * [N[k]*b0 - sum_{i<k} P(Q=i)*D[k-i]], seeded by
@@ -139,8 +133,8 @@ def _divide_series(b0, N, D, config: NumericConfig) -> QueueDistribution:
     window = max(1, max(i for i, c in enumerate(D) if c))
     p = []
     running = zero
-    breakdown = None
-    for k in range(config.k_max + 1):
+    breakdown = ()
+    for k in range(k_max + 1):
         acc = N[k] * b0 if k < len(N) else 0.0
         for i in range(max(0, k - window), k):
             acc -= p[i] * D[k - i]
@@ -240,16 +234,7 @@ def _divide_exact(b0: Fraction, N, D, k_max: int) -> QueueDistribution:
         scaled = den * power
         p.append(_reduce_over(num * acc, scaled, odd_base))
         tail.append(_reduce_over(scaled - num * cum, scaled, odd_base))
-    return QueueDistribution(
-        p=tuple(p),
-        k_effective=k_max,
-        breakdown_detected=False,
-        breakdown_index=None,
-        breakdown_value=None,
-        breakdown_reason=None,
-        mass_accounted=1 - tail[-1],
-        tail=tuple(tail),
-    )
+    return QueueDistribution(tuple(p), tuple(tail), 1 - tail[-1])
 
 
 def queue_distribution(spec: ModelSpec, config: NumericConfig = NumericConfig()) -> QueueDistribution:
@@ -266,7 +251,7 @@ def queue_distribution(spec: ModelSpec, config: NumericConfig = NumericConfig())
     N, D = series_coefficients(spec, g_coefficients(spec, min(config.k_max, degree)))
     if config.is_exact:
         return _divide_exact(mom.b0, N, D, config.k_max)
-    return _divide_series(mom.b0, N, D, config)
+    return _divide_series(mom.b0, N, D, config.k_max)
 
 
 def queue_distribution_constant_batch(
@@ -286,8 +271,7 @@ def queue_distribution_constant_batch(
     with F[J] = sum(f[J:]) and every out-of-range term zero.  Matches the
     general path term for term; r = 1 yields the trivial distribution.
     """
-    if r < 1 or r != int(r):
-        raise ValueError("batch size r must be an integer >= 1")
+    check_count(r, "batch size r", 1)
     spec = validate(coerce(ModelSpec(tuple(f), (1,)), config.backend), config)
     fv = spec.f
     n = spec.n
@@ -298,15 +282,14 @@ def queue_distribution_constant_batch(
     if rho >= 1:
         raise Unstable(f"utilization rho = {float(rho):.6g} must be below 1")
     if r == 1:
-        p = [one] + [zero] * config.k_max
-        return _wrap_distribution(p, one, None)
+        return _wrap_distribution([one] + [zero] * config.k_max, one)
     b0 = (1 + f_bar - r * f_bar) / (1 + f_bar)
     step = r - 1
     F = suffix_sums(fv) + (zero,) * (config.k_max // step)  # F[J] = 0 past J = n
     float_mode = not config.is_exact
     p = [b0 / fv[0]]
     running = p[0]
-    breakdown = None
+    breakdown = ()
     for k in range(1, config.k_max + 1):
         acc = p[k - 1]
         for j in range(1, min(n, k // step) + 1):
@@ -329,30 +312,25 @@ def queue_distribution_constant_batch(
 
 
 def pgf_eval(spec: ModelSpec, z) -> Scalar:
-    """Evaluate E[z^Q] = b0*N(z)/D(z) directly at a point z in [0, 1).
+    """Evaluate E[z^Q] directly at a point z in [0, 1].
 
+    Both N and D vanish at z = 1, so (z - 1) is divided out of each
+    analytically: with h = g(z)/z, F = suffix_sums(f) and
+    c = (h - 1)/(z - 1) = sum_s g_s * (1 + z + ... + z^(s-2)),
+
+        S(z) = N/(z-1) = sum_j F[j] * h^j
+        E(z) = D/(z-1) = 1 - c * sum_{j<n} F[j+1] * h^j
+
+    and E[z^Q] = b0*S(z)/E(z), which has no pole on [0, 1] when rho < 1.
     Independent of the coefficient recurrence, so the truncated series
-    sum(p[k] * z^k) can be checked against it.  g(z)/z is evaluated as the
-    polynomial sum_i g_i z^(i-1), which is exact at z = 0.
+    sum(p[k] * z^k) can be checked against it.
     """
-    if z < 0 or z >= 1:
-        raise ValueError("z must lie in [0, 1)")
-    mom = moments(spec)
-    ratio = sum(p * z ** (i - 1) for i, p in enumerate(spec.g, start=1))
-    n = spec.n
-    powers = [ratio * 0 + 1]
-    for _ in range(n):
-        powers.append(powers[-1] * ratio)
-    den = z - sum(spec.f[i] * powers[i] for i in range(n + 1))
-    if isinstance(den, float):
-        if abs(den) < POLE_TOL:
-            raise PoleNear(f"|D(z)| = {abs(den):.3e} at z = {z!r}")
-    elif den == 0:
-        raise PoleNear(f"D(z) = 0 at z = {z!r}")
-    partial = powers[0] * 0
-    num_sum = partial
-    for i in range(n + 1):
-        partial = partial + powers[i]
-        num_sum = num_sum + spec.f[i] * partial
-    num = (z - 1) * num_sum
-    return mom.b0 * num / den
+    if not 0 <= z <= 1:  # also refuses NaN
+        raise ValueError("z must lie in [0, 1]")
+    F = suffix_sums(spec.f)
+    h = sum(p * z ** (s - 1) for s, p in enumerate(spec.g, start=1))
+    c = sum(p * sum(z**i for i in range(s - 1)) for s, p in enumerate(spec.g, start=1))
+    powers = [h**j for j in range(spec.n + 1)]
+    S = sum(Fj * hj for Fj, hj in zip(F, powers))
+    E = 1 - c * sum(Fj * hj for Fj, hj in zip(F[1:], powers))
+    return moments(spec).b0 * S / E

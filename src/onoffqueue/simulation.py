@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import stdtrit
 
+from .config import check_count
 from .model import ModelSpec
 
 GENERATOR_NAME = "pcg64"
@@ -44,16 +45,13 @@ class SimulationConfig:
     k_max: int = 50
 
     def __post_init__(self):
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be nonnegative")
+        check_count(self.burn_in, "burn_in")
+        check_count(self.iterations, "iterations")
         if self.iterations <= self.burn_in:
             raise ValueError("iterations must exceed burn_in")
-        if self.runs < 1:
-            raise ValueError("runs must be at least 1")
-        if self.k_max < 0:
-            raise ValueError("k_max must be nonnegative")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        check_count(self.runs, "runs", 1)
+        check_count(self.k_max, "k_max")
+        check_count(self.seed, "seed")
 
 
 @dataclass(frozen=True)

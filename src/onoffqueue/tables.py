@@ -1,11 +1,12 @@
 """CSV and structured-text emission for result tables.
 
 Every table-producing command shares one shape: a header row, data rows,
-and a footer of key=value metadata lines (prefixed "# " in CSV).  Values
-are preformatted strings, so parsing and re-emitting a CSV is
-byte-identical.  Floats print with 17 significant digits (round-trip
-exact) and a negative zero prints as 0; rationals print as fraction
-strings, at any length.
+and a footer of key=value metadata lines (prefixed "# " in CSV).  Each
+cell and footer value is stored as its `format_scalar` text, so parsing
+and re-emitting a CSV is byte-identical.  Floats print with 17
+significant digits (round-trip exact) and a negative zero prints as 0;
+rationals print as fraction strings, at any length; None prints empty
+and booleans as true/false.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ class OutputTable:
     def add_row(self, *cells):
         if len(cells) != len(self.columns):
             raise ValueError("row width does not match the header")
-        self.rows.append(tuple(str(c) for c in cells))
+        self.rows.append(tuple(format_scalar(c) for c in cells))
 
     def add_footer(self, key, value):
-        self.footer.append((str(key), str(value)))
+        self.footer.append((str(key), format_scalar(value)))
 
 
 def format_scalar(value) -> str:

@@ -23,13 +23,11 @@ from onoffqueue import (
     NumericConfig,
     QueueDistribution,
     coerce,
-    g_coefficients,
     moments,
-    series_coefficients,
     validate,
 )
 from onoffqueue.oracle import residual
-from onoffqueue.series import MASS_EXCESS_TOL
+from onoffqueue.series import MASS_EXCESS_TOL, g_coefficients, series_coefficients
 
 TABLE1_F = ("0.8", "0.1", "0.05", "0.05")
 TABLE1_G = ("0.4", "0.4", "0.2")
@@ -146,16 +144,7 @@ def reference_distribution(spec: ModelSpec, config: NumericConfig) -> QueueDistr
     for v in p:
         cum = cum + v
         tail.append(1 - cum)
-    return QueueDistribution(
-        p=tuple(p),
-        k_effective=len(p) - 1,
-        breakdown_detected=breakdown[0] is not None,
-        breakdown_index=breakdown[0],
-        breakdown_value=breakdown[1],
-        breakdown_reason=breakdown[2],
-        mass_accounted=running,
-        tail=tuple(tail),
-    )
+    return QueueDistribution(tuple(p), tuple(tail), running, *breakdown)
 
 
 def transition_matrix(spec: ModelSpec) -> tuple:

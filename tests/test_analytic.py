@@ -116,6 +116,5 @@ class TestReport:
         mom = moments(table1)
         rep = report(mom)
         assert rep.expected_queue >= 0
-        assert rep.expected_delay * rep.lam == pytest.approx(rep.expected_queue, rel=1e-14)
-        assert rep.rho == mom.rho
-        assert rep.b0 == mom.b0
+        assert rep.expected_delay * mom.lam == pytest.approx(rep.expected_queue, rel=1e-14)
+        assert rep.expected_queue == expected_queue(mom)

@@ -1,6 +1,7 @@
 """Import layout: the series commands never load numpy or scipy."""
 
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -15,6 +16,18 @@ LAZY = {
                "oracle_expected_queue", "queue_marginal"),
     "simulation": ("RunTally", "SimulationConfig", "SimulationReport", "aggregate",
                    "simulate", "simulate_run"),
+}
+
+# Every public name the package binds on import; the lazy ones are LAZY above.
+EAGER = {
+    "AnalyticReport", "expected_delay", "expected_queue", "expected_queue_constant_batch",
+    "report",
+    "EXACT", "FLOAT64", "NumericConfig",
+    "CapTooSmall", "NoConvergence", "NonStochasticVector", "NotErgodic", "QueueModelError",
+    "TruncationBias", "Unstable", "ValidationError", "ZeroArrivalRate",
+    "ModelSpec", "MomentSummary", "coerce", "from_strings", "moments",
+    "stationary_distribution", "validate",
+    "QueueDistribution", "pgf_eval", "queue_distribution", "queue_distribution_constant_batch",
 }
 
 SERIES_COMMANDS = """
@@ -53,3 +66,11 @@ def test_unknown_name_raises():
         from onoffqueue import no_such_name  # noqa: F401
     with pytest.raises(AttributeError):
         onoffqueue.no_such_name
+
+
+def test_public_surface_is_pinned():
+    # submodules become attributes once imported, so they are not counted
+    eager = {name for name, value in vars(onoffqueue).items()
+             if not name.startswith("_") and not inspect.ismodule(value)}
+    assert eager == EAGER
+    assert set(onoffqueue._LAZY) == {name for names in LAZY.values() for name in names}

@@ -11,19 +11,19 @@ from helpers import light_f_vectors, model_specs, reference_distribution
 from onoffqueue import (
     ModelSpec,
     NumericConfig,
-    PoleNear,
     QueueDistribution,
+    SimulationConfig,
     Unstable,
     expected_queue,
+    expected_queue_constant_batch,
     from_strings,
-    g_coefficients,
     moments,
     pgf_eval,
     queue_distribution,
     queue_distribution_constant_batch,
-    series_coefficients,
     validate,
 )
+from onoffqueue.series import g_coefficients, series_coefficients
 
 EXACT = NumericConfig(backend="exact", k_max=60)
 
@@ -301,15 +301,21 @@ class TestPgfEval:
             truncated = sum(p * z**k for k, p in enumerate(dist.p))
             assert pgf_eval(table2, z) == pytest.approx(truncated, abs=1e-8)
 
-    def test_pole_refused(self, table1):
-        with pytest.raises(PoleNear):
-            pgf_eval(table1, 1 - 1e-13)
+    @given(model_specs(backend="exact"))
+    @settings(max_examples=30, deadline=None)
+    def test_exactly_one_at_one(self, spec):
+        assert pgf_eval(spec, 1) == 1
+
+    @pytest.mark.parametrize("z", [0.999, 1 - 1e-6, 1 - 1e-10, 1 - 1e-12, 1.0])
+    def test_float_matches_exact_up_to_one(self, table1, table1_exact, table2, table2_exact, z):
+        for spec, exact_spec in ((table1, table1_exact), (table2, table2_exact)):
+            exact = pgf_eval(exact_spec, Fraction(z))
+            assert abs(Fraction(pgf_eval(spec, z)) - exact) <= Fraction(1e-14) * exact
 
     def test_domain_checked(self, table1):
-        with pytest.raises(ValueError):
-            pgf_eval(table1, 1.5)
-        with pytest.raises(ValueError):
-            pgf_eval(table1, -0.1)
+        for z in (1.5, -0.1, 1 + 1e-15, float("nan")):
+            with pytest.raises(ValueError):
+                pgf_eval(table1, z)
 
 
 class TestMeanConsistency:
@@ -319,6 +325,26 @@ class TestMeanConsistency:
             dist = queue_distribution(spec, cfg)
             mean = sum(k * p for k, p in enumerate(dist.p))
             assert abs(float(mean - expected_queue(moments(spec)))) < tol
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: NumericConfig(k_max=5.0),
+        lambda: SimulationConfig(iterations=1e4, burn_in=0),
+        lambda: SimulationConfig(runs=2.0),
+        lambda: SimulationConfig(k_max=5.0),
+        lambda: SimulationConfig(seed=1.5),
+        lambda: queue_distribution_constant_batch((0.5, 0.5), 2.0),
+        lambda: queue_distribution_constant_batch((0.5, 0.5), Fraction(2)),
+        lambda: expected_queue_constant_batch(0.5, 0.5, 2.0),
+    ],
+    ids=["config_kmax", "sim_iterations", "sim_runs", "sim_kmax", "sim_seed",
+         "constant_batch_float_r", "constant_batch_fraction_r", "expected_queue_float_r"],
+)
+def test_non_integer_count_rejected(make):
+    with pytest.raises(ValueError, match="must be an integer, got "):
+        make()
 
 
 class TestNumericConfig:
