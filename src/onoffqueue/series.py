@@ -237,6 +237,11 @@ def _divide_exact(b0: Fraction, N, D, k_max: int) -> QueueDistribution:
     return QueueDistribution(tuple(p), tuple(tail), 1 - tail[-1])
 
 
+def _check_stable(rho):
+    if rho >= 1:
+        raise Unstable(f"utilization rho = {float(rho):.6g} must be below 1")
+
+
 def queue_distribution(spec: ModelSpec, config: NumericConfig = NumericConfig()) -> QueueDistribution:
     """Full queue-length distribution up to config.k_max.
 
@@ -245,8 +250,7 @@ def queue_distribution(spec: ModelSpec, config: NumericConfig = NumericConfig())
     """
     spec = coerce(spec, config.backend)
     mom = moments(spec)
-    if mom.rho >= 1:
-        raise Unstable(f"utilization rho = {float(mom.rho):.6g} must be below 1")
+    _check_stable(mom.rho)
     degree = spec.n * (spec.m - 1) + 1  # of N(z); D(z) has no higher term
     N, D = series_coefficients(spec, g_coefficients(spec, min(config.k_max, degree)))
     if config.is_exact:
@@ -279,8 +283,7 @@ def queue_distribution_constant_batch(
     one = zero + 1
     f_bar = sum(i * p for i, p in enumerate(fv))
     rho = r * f_bar / (1 + f_bar)
-    if rho >= 1:
-        raise Unstable(f"utilization rho = {float(rho):.6g} must be below 1")
+    _check_stable(rho)
     if r == 1:
         return _wrap_distribution([one] + [zero] * config.k_max, one)
     b0 = (1 + f_bar - r * f_bar) / (1 + f_bar)
@@ -321,16 +324,19 @@ def pgf_eval(spec: ModelSpec, z) -> Scalar:
         S(z) = N/(z-1) = sum_j F[j] * h^j
         E(z) = D/(z-1) = 1 - c * sum_{j<n} F[j+1] * h^j
 
-    and E[z^Q] = b0*S(z)/E(z), which has no pole on [0, 1] when rho < 1.
+    and E[z^Q] = b0*S(z)/E(z), which has no pole on [0, 1] when rho < 1;
+    rho >= 1 raises Unstable, as queue_distribution does.
     Independent of the coefficient recurrence, so the truncated series
     sum(p[k] * z^k) can be checked against it.
     """
     if not 0 <= z <= 1:  # also refuses NaN
         raise ValueError("z must lie in [0, 1]")
+    mom = moments(spec)
+    _check_stable(mom.rho)
     F = suffix_sums(spec.f)
     h = sum(p * z ** (s - 1) for s, p in enumerate(spec.g, start=1))
     c = sum(p * sum(z**i for i in range(s - 1)) for s, p in enumerate(spec.g, start=1))
     powers = [h**j for j in range(spec.n + 1)]
     S = sum(Fj * hj for Fj, hj in zip(F, powers))
     E = 1 - c * sum(Fj * hj for Fj, hj in zip(F[1:], powers))
-    return moments(spec).b0 * S / E
+    return mom.b0 * S / E

@@ -1,19 +1,34 @@
 """Monte Carlo estimation of the queue-length law by direct replication.
 
-Each run replays the chain and queue dynamics step by step: from the off
-state the next chain state is drawn from f and nothing arrives; from an on
-state the chain counts down and a batch drawn from g arrives; the queue
-then updates by Q <- max(Q + Y - 1, 0).  Runs are independent streams of a
-named generator (PCG64) with run r seeded by seed XOR r, so every report
-is bitwise reproducible.  Confidence intervals are computed across runs
-with the t distribution, since within-run samples are autocorrelated; its
-quantile comes from `scipy.special.stdtrit`, the function behind
-`scipy.stats.t.ppf`, which spares the slow `scipy.stats` import.
+The chain has one off state and on states that count down.  An off slot t
+draws the on-period X_t from f (0 means it stays off), so the off slots of
+a run form a renewal sequence: the next one after t is t + 1 + X_t.  Every
+on slot brings a batch Y_t drawn from g, an off slot brings none, and the
+server completes one unit per slot, so the queue follows the Lindley
+recursion Q <- max(Q + a_t, 0) with a_t = Y_t - 1 at on slots and -1 at
+off slots.
+
+A run draws one uniform per slot, in blocks of `_CHUNK`, and settles each
+block with array operations.  One uniform u_t gives both X_t and Y_t - 1
+as the number of cumulative-probability steps at or below it.  The off
+slots of the block are the path from the first one under
+hop(t) = t + 1 + X_t, found by pointer doubling; the queue after slot t is
+S_t - min(-Q_0, min_{s<=t} S_s), with S the running sum of a.  The queue
+length and the first off slot past the block carry into the next block,
+and across the burn-in/tally boundary.  Runs are independent streams of a
+named generator (PCG64) with run r seeded by seed XOR r, and the integer
+arithmetic is exact, so every report is bitwise reproducible.
+
+Confidence intervals are computed across runs with the t distribution,
+since within-run samples are autocorrelated; its quantile comes from
+`scipy.special.stdtrit`, the function behind `scipy.stats.t.ppf`, which
+spares the slow `scipy.stats` import.  The queue sum of each full block
+also serves as a batch mean, which gives a within-run standard error to
+set against the spread between runs.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional, Sequence
@@ -56,13 +71,18 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class RunTally:
-    """Raw tallies of one run: counts per queue value plus lumped overflow."""
+    """Raw tallies of one run: counts per queue value plus lumped overflow.
+
+    batch_sums holds the queue sum of each full `_CHUNK`-slot block of the
+    tally phase, in order; a shorter last block is left out.
+    """
 
     run_index: int
     counts: tuple
     lumped: int
     queue_sum: int
     steps: int
+    batch_sums: tuple
 
     @property
     def mean_queue(self) -> float:
@@ -83,6 +103,13 @@ class SimulationReport:
 
     CI fields are None for single-run reports.  min_resolvable is the
     smallest nonzero probability one run can register.
+
+    mean_queue_batch_se is the standard error of mean_queue from the batch
+    means within each run; it is None when a run has fewer than 2 full
+    batches.  between_within_ratio divides the standard error the runs'
+    spread gives by it: near 1 when the batches are long enough to be
+    independent, above 1 when autocorrelation outlasts a batch.  It is None
+    for a single run or when the batch means never vary.
     """
 
     runs: int
@@ -90,6 +117,8 @@ class SimulationReport:
     mean_queue: float
     mean_queue_runs: tuple
     mean_queue_ci: Optional[tuple]
+    mean_queue_batch_se: Optional[float]
+    between_within_ratio: Optional[float]
     p_hat: tuple
     p_hat_runs: tuple
     p_ci_low: Optional[tuple]
@@ -106,45 +135,84 @@ def _cumulative(probabilities) -> list:
     return cums
 
 
+def _bin_indices(cums: list, u: np.ndarray) -> np.ndarray:
+    """bisect_right(cums, u_t) for every u_t, as a count of the steps it passes.
+
+    One comparison pass per step: for the few steps of f and g that is
+    several times cheaper than np.searchsorted, with the same integers.
+    """
+    index = np.zeros(len(u), dtype=np.int64)
+    for c in cums[:-1]:  # u < 1.0 == cums[-1]
+        index += u >= c
+    return index
+
+
+def _off_slots(on_period: np.ndarray, first: int) -> tuple:
+    """Off slots of one block, given on-period draws and the first off slot.
+
+    The off slots are first, hop(first), hop(hop(first)), ... with
+    hop(t) = t + 1 + on_period[t].  Pointer doubling finds them in about
+    log2(block length) rounds: each round appends hop^(2^r) of the path so
+    far and squares hop.  Slots past the block all map to len(on_period),
+    which maps to itself.  Returns the off slots inside the block and the
+    first one past it, counted from the block's end.
+    """
+    size = len(on_period)
+    hop = np.arange(1, size + 2, dtype=np.int64)
+    hop[:size] += on_period
+    np.minimum(hop, size, out=hop)
+    path = np.array([min(first, size)], dtype=np.int64)
+    while path[-1] < size:
+        path = np.concatenate((path, hop[path]))
+        hop = hop[hop]
+    off = path[path < size]
+    if len(off):
+        first = int(off[-1] + 1 + on_period[off[-1]])
+    return off, first - size
+
+
 def simulate_run(spec: ModelSpec, config: SimulationConfig, run_index: int) -> RunTally:
-    """One deterministic run; consumes exactly one uniform per step."""
+    """One deterministic run; consumes exactly one uniform per step.
+
+    The slots are settled a `_CHUNK` block at a time (see the module
+    docstring); the queue length and the first off slot carry over.
+    """
     f_cum = _cumulative(spec.f)
     g_cum = _cumulative(spec.g)
     rng = np.random.Generator(np.random.PCG64(config.seed ^ run_index))
-    bis = bisect_right
-    k_cap = config.k_max
-    x = 0
-    q = 0
-    # Burn-in and tally phases run the same steps; each phase starts from
+    lump = config.k_max + 1
+    q = 0  # queue length at the start of the next block
+    first = 0  # first off slot of the next block, counted from its start
+    # Burn-in and tally phases run the same blocks; each phase starts from
     # fresh tallies, so only the tally phase's are returned.
     for start, stop in ((0, config.burn_in), (config.burn_in, config.iterations)):
-        counts = [0] * (k_cap + 1)
-        lumped = 0
+        counts = np.zeros(lump + 1, dtype=np.int64)
         queue_sum = 0
+        batch_sums = []
         done = start
         while done < stop:
-            block = rng.random(min(_CHUNK, stop - done)).tolist()
-            done += len(block)
-            for u in block:
-                queue_sum += q
-                if q <= k_cap:
-                    counts[q] += 1
-                else:
-                    lumped += 1
-                if x:
-                    q += bis(g_cum, u)  # bisect index equals batch size - 1
-                    x -= 1
-                elif q:
-                    q -= 1
-                    x = bis(f_cum, u)
-                else:
-                    x = bis(f_cum, u)
+            u = rng.random(min(_CHUNK, stop - done))
+            done += len(u)
+            off, first = _off_slots(_bin_indices(f_cum, u), first)
+            step = _bin_indices(g_cum, u)  # batch size - 1
+            step[off] = -1
+            level = np.cumsum(step)
+            # Lindley: the queue after slot t is S_t - min(-q, min_{s<=t} S_s)
+            after = level - np.minimum(np.minimum.accumulate(level), -q)
+            seen = np.concatenate(([q], after[:-1]))  # queue as each slot starts
+            q = int(after[-1])
+            counts += np.bincount(np.minimum(seen, lump), minlength=lump + 1)
+            block_sum = int(seen.sum())
+            queue_sum += block_sum
+            if len(u) == _CHUNK:
+                batch_sums.append(block_sum)
     return RunTally(
         run_index=run_index,
-        counts=tuple(counts),
-        lumped=lumped,
+        counts=tuple(counts[:lump].tolist()),
+        lumped=int(counts[lump]),
         queue_sum=queue_sum,
         steps=config.iterations - config.burn_in,
+        batch_sums=tuple(batch_sums),
     )
 
 
@@ -154,6 +222,23 @@ def _t_interval(values, center):
     spread = float(arr.std(ddof=1))
     half = float(stdtrit(n - 1, 0.975)) * spread / n**0.5
     return center - half, center + half
+
+
+def _batch_health(tallies: Sequence[RunTally], mean_queue_runs: tuple) -> tuple:
+    """(mean_queue_batch_se, between_within_ratio), as SimulationReport defines them."""
+    runs = len(tallies)
+    if min(len(t.batch_sums) for t in tallies) < 2:
+        return None, None
+    # the pooled mean averages the run means, so their variances add / runs^2
+    within = sum(
+        float(np.var(np.array(t.batch_sums, dtype=float) / _CHUNK, ddof=1)) / len(t.batch_sums)
+        for t in tallies
+    )
+    batch_se = within**0.5 / runs
+    if runs < 2 or batch_se == 0:
+        return batch_se, None
+    between_se = float(np.std(mean_queue_runs, ddof=1)) / runs**0.5
+    return batch_se, between_se / batch_se
 
 
 def aggregate(tallies: Sequence[RunTally], seed: int = 0) -> SimulationReport:
@@ -183,12 +268,15 @@ def aggregate(tallies: Sequence[RunTally], seed: int = 0) -> SimulationReport:
         mean_queue_ci = None
         p_ci_low = None
         p_ci_high = None
+    batch_se, ratio = _batch_health(tallies, mean_queue_runs)
     return SimulationReport(
         runs=runs,
         steps_per_run=steps,
         mean_queue=mean_queue,
         mean_queue_runs=mean_queue_runs,
         mean_queue_ci=mean_queue_ci,
+        mean_queue_batch_se=batch_se,
+        between_within_ratio=ratio,
         p_hat=p_hat,
         p_hat_runs=p_hat_runs,
         p_ci_low=p_ci_low,

@@ -9,6 +9,7 @@ rounding of the inputs.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -22,12 +23,15 @@ from onoffqueue import (
     NoConvergence,
     NumericConfig,
     QueueDistribution,
+    RunTally,
+    SimulationConfig,
     coerce,
     moments,
     validate,
 )
 from onoffqueue.oracle import residual
 from onoffqueue.series import MASS_EXCESS_TOL, g_coefficients, series_coefficients
+from onoffqueue.simulation import _CHUNK, _cumulative
 
 TABLE1_F = ("0.8", "0.1", "0.05", "0.05")
 TABLE1_G = ("0.4", "0.4", "0.2")
@@ -145,6 +149,57 @@ def reference_distribution(spec: ModelSpec, config: NumericConfig) -> QueueDistr
         cum = cum + v
         tail.append(1 - cum)
     return QueueDistribution(tuple(p), tuple(tail), running, *breakdown)
+
+
+def reference_run(spec: ModelSpec, config: SimulationConfig, run_index: int) -> RunTally:
+    """One run of the chain and queue, replayed slot by slot.
+
+    The straightforward form of `simulate_run`'s block computation: the
+    same uniforms in the same blocks, one `bisect_right` per slot for the
+    on-period (off state) or the batch size (on state).  Its tallies must
+    match exactly.
+    """
+    f_cum = _cumulative(spec.f)
+    g_cum = _cumulative(spec.g)
+    rng = np.random.Generator(np.random.PCG64(config.seed ^ run_index))
+    bis = bisect_right
+    k_cap = config.k_max
+    x = 0
+    q = 0
+    for start, stop in ((0, config.burn_in), (config.burn_in, config.iterations)):
+        counts = [0] * (k_cap + 1)
+        lumped = 0
+        queue_sum = 0
+        batch_sums = []
+        done = start
+        while done < stop:
+            block = rng.random(min(_CHUNK, stop - done)).tolist()
+            done += len(block)
+            block_start = queue_sum
+            for u in block:
+                queue_sum += q
+                if q <= k_cap:
+                    counts[q] += 1
+                else:
+                    lumped += 1
+                if x:
+                    q += bis(g_cum, u)  # bisect index equals batch size - 1
+                    x -= 1
+                elif q:
+                    q -= 1
+                    x = bis(f_cum, u)
+                else:
+                    x = bis(f_cum, u)
+            if len(block) == _CHUNK:
+                batch_sums.append(queue_sum - block_start)
+    return RunTally(
+        run_index=run_index,
+        counts=tuple(counts),
+        lumped=lumped,
+        queue_sum=queue_sum,
+        steps=config.iterations - config.burn_in,
+        batch_sums=tuple(batch_sums),
+    )
 
 
 def transition_matrix(spec: ModelSpec) -> tuple:

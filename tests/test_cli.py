@@ -285,6 +285,24 @@ class TestSimulateCommand:
         assert table.rows[0][3] == ""
 
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_health_footers_where_computable(self, capsys, table1_path, command):
+        # 1000 burn-in slots, then 2 full 65,536-slot batches and a partial one
+        flags = ["--iterations", "133072", "--burn-in", "1000", "--kmax", "2"]
+        _, out, _ = run_cli(capsys, command, table1_path, *flags, "--runs", "2")
+        meta = dict(parse_csv(out).footer)
+        assert float(meta["mean_queue_batch_se"]) > 0
+        assert float(meta["between_within_ratio"]) > 0
+        _, out, _ = run_cli(capsys, command, table1_path, *flags, "--runs", "1")
+        meta = dict(parse_csv(out).footer)
+        assert float(meta["mean_queue_batch_se"]) > 0
+        assert "between_within_ratio" not in meta
+        _, out, _ = run_cli(capsys, command, table1_path, *SIM_FLAGS)
+        meta = dict(parse_csv(out).footer)
+        assert "mean_queue_batch_se" not in meta
+        assert "between_within_ratio" not in meta
+
+
 class TestCompareCommand:
     def test_schema_and_summary(self, capsys, table1_path):
         code, out, _ = run_cli(capsys, "compare", table1_path, *SIM_FLAGS)

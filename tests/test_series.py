@@ -317,6 +317,16 @@ class TestPgfEval:
             with pytest.raises(ValueError):
                 pgf_eval(table1, z)
 
+    def test_unstable_refused(self):
+        # rho = 9/7, and the spec is not validated: pgf_eval must check it itself
+        spec = ModelSpec((0.25, 0.75), (0.0, 0.0, 1.0))
+        with pytest.raises(Unstable) as dist_error:
+            queue_distribution(spec)
+        for z in (0.0, 0.5, 1.0):
+            with pytest.raises(Unstable) as error:
+                pgf_eval(spec, z)
+            assert str(error.value) == str(dist_error.value)
+
 
 class TestMeanConsistency:
     def test_series_mean_matches_closed_form(self, table1_exact, table2_exact):

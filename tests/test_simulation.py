@@ -1,9 +1,14 @@
 """Monte Carlo engine: determinism, conservation, CIs, statistical sanity."""
 
+import statistics
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import t as t_dist
 
+from helpers import model_specs, reference_run
 from onoffqueue import (
     ModelSpec,
     SimulationConfig,
@@ -15,8 +20,11 @@ from onoffqueue import (
     simulate_run,
     validate,
 )
+from onoffqueue.simulation import _CHUNK
 
 FAST = SimulationConfig(iterations=20_000, runs=3, burn_in=1_000, seed=7, k_max=10)
+# three full batches plus a partial one in the tally phase
+BATCHED = SimulationConfig(iterations=3 * _CHUNK + 1_500, runs=3, burn_in=1_000, seed=5, k_max=10)
 
 
 class TestSimulateRun:
@@ -71,6 +79,82 @@ class TestSimulateRun:
         tally = simulate_run(table2, config, 0)
         assert tally.lumped > 0
         assert sum(tally.p_hat) + tally.lumped_mass == pytest.approx(1.0, abs=1e-12)
+
+
+class TestBlockEqualsReference:
+    """The block computation gives the slot-by-slot loop's tallies exactly."""
+
+    @given(
+        spec=model_specs(),
+        burn_in=st.sampled_from([0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1]),
+        length=st.sampled_from([1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]),
+        k_max=st.sampled_from([0, 1, 4, 60]),
+        seed=st.integers(0, 2**32),
+        run_index=st.integers(0, 9),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_random_models_around_block_edges(self, spec, burn_in, length, k_max, seed, run_index):
+        config = SimulationConfig(iterations=burn_in + length, runs=1, burn_in=burn_in,
+                                  seed=seed, k_max=k_max)
+        assert simulate_run(spec, config, run_index) == reference_run(spec, config, run_index)
+
+    @pytest.mark.parametrize(
+        "f, g",
+        [
+            (("0.8", "0.1", "0.05", "0.05"), ("0.4", "0.4", "0.2")),
+            (("0.6", "0.2", "0.1", "0.05", "0.05"), ("0.2", "0.6", "0.1", "0.1")),
+            # never off for two slots running, rho = 1: the queue grows without bound
+            (("0", "0", "1"), ("0.5", "0.5")),
+        ],
+    )
+    def test_models_across_phase_boundary(self, f, g):
+        spec = ModelSpec(tuple(float(v) for v in f), tuple(float(v) for v in g))
+        config = SimulationConfig(iterations=2 * _CHUNK + 2, runs=1, burn_in=_CHUNK - 1,
+                                  seed=3, k_max=4)
+        assert simulate_run(spec, config, 1) == reference_run(spec, config, 1)
+
+
+class TestBatchHealth:
+    def test_batch_sums_cover_full_blocks(self, table1):
+        tally = simulate_run(table1, BATCHED, 0)
+        assert len(tally.batch_sums) == 3
+        assert sum(tally.batch_sums) <= tally.queue_sum
+        exact = SimulationConfig(iterations=2 * _CHUNK + 10, runs=1, burn_in=10, seed=5)
+        whole = simulate_run(table1, exact, 0)
+        assert sum(whole.batch_sums) == whole.queue_sum
+
+    def test_single_run_standard_error(self, table2):
+        tally = simulate_run(table2, BATCHED, 0)
+        report = aggregate([tally])
+        means = [s / _CHUNK for s in tally.batch_sums]
+        expected = statistics.stdev(means) / len(means) ** 0.5
+        assert report.mean_queue_batch_se == pytest.approx(expected, rel=1e-12)
+        assert report.between_within_ratio is None
+
+    def test_pooled_over_runs(self, table2):
+        tallies = [simulate_run(table2, BATCHED, r) for r in range(BATCHED.runs)]
+        report = aggregate(tallies)
+        singles = [aggregate([t]).mean_queue_batch_se for t in tallies]
+        pooled = sum(se**2 for se in singles) ** 0.5 / len(tallies)
+        assert report.mean_queue_batch_se == pytest.approx(pooled, rel=1e-12)
+        between = statistics.stdev(report.mean_queue_runs) / len(tallies) ** 0.5
+        assert report.between_within_ratio == pytest.approx(between / pooled, rel=1e-12)
+
+    def test_identical_runs_have_no_spread(self, table1):
+        tally = simulate_run(table1, BATCHED, 0)
+        report = aggregate([tally, tally])
+        assert report.between_within_ratio == 0.0
+
+    def test_omitted_below_two_batches(self, table1):
+        report = simulate(table1, FAST)
+        assert report.mean_queue_batch_se is None
+        assert report.between_within_ratio is None
+
+    def test_ratio_omitted_when_batches_never_vary(self):
+        spec = from_strings(("0.5", "0.5"), ("1.0",))
+        report = simulate(spec, BATCHED)
+        assert report.mean_queue_batch_se == 0.0
+        assert report.between_within_ratio is None
 
 
 class TestAggregate:
