@@ -19,7 +19,7 @@ from . import analytic, series
 from .config import EXACT, FLOAT64, NumericConfig
 from .errors import QueueModelError, TruncationBias, ValidationError
 from .model import from_strings, moments, suffix_sums
-from .tables import OutputTable, format_scalar, render_csv, render_structured
+from .tables import OutputTable, distribution_cells, format_scalar, render_csv, render_structured
 
 
 class CliInputError(Exception):
@@ -122,8 +122,8 @@ def cmd_dist(args) -> int:
     spec, _ = load_model(args.path, backend=args.backend)
     dist = series.queue_distribution(spec, config)
     table = OutputTable(columns=("k", "p", "tail"))
-    for k, (p, tail) in enumerate(zip(dist.p, dist.tail)):
-        table.add_row(k, p, tail)
+    for k, cells in enumerate(distribution_cells(dist.p, dist.tail)):
+        table.rows.append((format_scalar(k), *cells))
     _dist_footer(table, dist, args.backend)
     emit(table, args.format, args.output)
     return 0
@@ -142,6 +142,8 @@ def cmd_oracle(args) -> int:
     for k, (p, tail) in enumerate(zip(marginal, tails)):
         table.add_row(k, p, tail)
     table.add_footer("q_cap", args.qcap)
+    table.add_footer("states", chain.num_states)
+    table.add_footer("kernel_nnz", chain.kernel.nnz)
     table.add_footer("boundary_mass", marginal[-1])
     table.add_footer("residual", oracle.residual(chain, pi))
     try:

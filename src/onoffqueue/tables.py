@@ -7,14 +7,31 @@ and re-emitting a CSV is byte-identical.  Floats print with 17
 significant digits (round-trip exact) and a negative zero prints as 0;
 rationals print as fraction strings, at any length; None prints empty
 and booleans as true/false.
+
+`distribution_cells` gives the texts of a p/tail table with one full
+int-to-decimal conversion per exact row, the numerator of p[k] (str(int)
+is quadratic in the digit count on CPython 3.11).  The other three integers
+come from neighbouring cells in exact `decimal` arithmetic, which prints in
+linear time.  Each denominator is its neighbour's times u/v, the ratio in
+lowest terms: the previous tail denominator gives p[k]'s and p[k]'s gives
+tail[k]'s.  The exact backend's denominators all divide den*d0^(k+1), so u
+and v are small.  tail[k]'s numerator comes from tail[k] = tail[k-1] - p[k]
+(tail[-1] = 1), checked first in integers.  An integer is converted
+directly where the ratio is no smaller than the integer itself, where that
+identity fails, and on rows that are not two Fractions.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
+from math import gcd
+
+# Integer arithmetic in this context is exact at any length; the thread's
+# own context is never used.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 @dataclass
@@ -58,6 +75,56 @@ def _long_rational_text(value: Fraction) -> str:
     if value.denominator != 1:
         text += f"/{Decimal(value.denominator)}"
     return text
+
+
+def _converted(value: int) -> Decimal:
+    return Decimal(format_scalar(value))
+
+
+def _from_neighbour(new: int, old: int, old_dec: Decimal):
+    """(Decimal(new), u, v) with u/v = new/old in lowest terms.
+
+    Given old_dec = Decimal(old), new is old_dec * u // v.  When u and v
+    together have more bits than new, new is converted directly and
+    u = v = 0.
+    """
+    g = gcd(old, new)
+    u, v = new // g, old // g
+    if u.bit_length() + v.bit_length() > new.bit_length():
+        return _converted(new), 0, 0
+    return _EXACT.divide_int(_EXACT.multiply(old_dec, u), v), u, v
+
+
+def distribution_cells(p, tail) -> list:
+    """[(format_scalar(p[k]), format_scalar(tail[k])) for each k], for tail[k] = P(Q>k).
+
+    Rows of two Fractions print with one full conversion (see the module
+    docstring); any other row formats cell by cell.
+    """
+    cells = []
+    num, den = 1, 1  # tail[k-1], starting from tail[-1] = 1
+    num_dec = den_dec = Decimal(1)
+    for pk, tk in zip(p, tail):
+        if type(pk) is not Fraction or type(tk) is not Fraction:
+            cells.append((format_scalar(pk), format_scalar(tk)))
+            continue
+        a, b, c, d = pk.numerator, pk.denominator, tk.numerator, tk.denominator
+        a_text = format_scalar(a)
+        a_dec = Decimal(a_text)
+        b_dec, u, v = _from_neighbour(b, den, den_dec)
+        d_dec, u2, v2 = (b_dec, 1, 1) if d == b else _from_neighbour(d, b, b_dec)
+        # c/d = num/den - a/b, where b = den*u/v and d = b*u2/v2
+        if v and v2 and c * v * v2 == u2 * (num * u - a * v):
+            diff = _EXACT.subtract(_EXACT.multiply(num_dec, u), _EXACT.multiply(a_dec, v))
+            c_dec = _EXACT.divide_int(_EXACT.multiply(diff, u2), v * v2)
+        else:
+            c_dec = _converted(c)
+        b_text, c_text = str(b_dec), str(c_dec)
+        d_text = b_text if d == b else str(d_dec)
+        cells.append((a_text if b == 1 else f"{a_text}/{b_text}",
+                      c_text if d == 1 else f"{c_text}/{d_text}"))
+        num, den, num_dec, den_dec = c, d, c_dec, d_dec
+    return cells
 
 
 def render_csv(table: OutputTable) -> str:

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, output schemas, round-trips, determinism."""
 
+import hashlib
 import io
 import json
 import sys
@@ -10,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import TABLE1_F, TABLE1_G
+from onoffqueue import build_joint_chain, from_strings
 from onoffqueue.cli import main
 from onoffqueue.tables import OutputTable, parse_csv, render_csv
 
@@ -195,6 +198,19 @@ class TestDistCommand:
         assert [row[1] for row in rows] == ["1", "0", "0", "0"]
         assert "-0" not in out
 
+    @pytest.mark.parametrize("name, kmax, digest", [
+        ("table1", 200, "62ce6ae65c974047a9c55d39debc0455c5861cd12f9acea0efc1b0b67dfa487d"),
+        ("table1", 800, "57579bfe22a4bfa19581f2e5a6482c4680ed69d47ee139a2f88dc3d35bac97e5"),
+        ("table2", 200, "3a7815f63b53f1b79e99ef1b11c9a6719f9c1cafdadcb68fb9b436a1bb1f521d"),
+        ("table2", 800, "42410177cb95577d98cc80f7b6d92d18b30abc49543249a36683968e933e5a12"),
+    ])
+    def test_exact_output_bytes(self, capsys, request, name, kmax, digest):
+        # the bytes exact dist printed when every cell went through str()
+        path = request.getfixturevalue(f"{name}_path")
+        code, out, _ = run_cli(capsys, "dist", path, "--backend", "exact", "--kmax", str(kmax))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_exact_rows_past_int_str_digit_limit(self, capsys, tmp_path):
         # denominators here pass sys.get_int_max_str_digits() near k = 430
         path = tmp_path / "deep.json"
@@ -229,6 +245,9 @@ class TestOracleCommand:
         assert len(table.rows) == 201
         meta = dict(table.footer)
         assert meta["truncation_bias"] == "false"
+        assert meta["states"] == str(4 * 201)  # (n + 1) * (q_cap + 1), n = 3
+        chain = build_joint_chain(from_strings(TABLE1_F, TABLE1_G), 200)
+        assert meta["kernel_nnz"] == str(chain.kernel.count_nonzero())
         assert float(meta["expected_queue"]) == pytest.approx(649 / 1080, abs=1e-8)
         assert float(table.rows[0][1]) == pytest.approx(458 / 665, abs=1e-10)
 

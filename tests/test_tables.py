@@ -1,0 +1,105 @@
+"""Cell texts of p/tail tables: `distribution_cells` against `format_scalar`."""
+
+import sys
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import model_specs
+from onoffqueue import NumericConfig, from_strings, queue_distribution
+from onoffqueue import tables
+from onoffqueue.tables import distribution_cells, format_scalar
+
+
+def per_cell(p, tail):
+    return [(format_scalar(x), format_scalar(y)) for x, y in zip(p, tail)]
+
+
+def tails_of(p):
+    """P(Q>k) = 1 - (p[0] + ... + p[k]) for each k, in the numbers of p."""
+    out, left = [], 1
+    for value in p:
+        left -= value
+        out.append(left)
+    return out
+
+
+@pytest.fixture
+def conversions(monkeypatch):
+    """Integers `distribution_cells` converted directly, in call order."""
+    seen = []
+
+    def counted(value):
+        seen.append(value)
+        return format_scalar(value)
+
+    monkeypatch.setattr(tables, "format_scalar", counted)
+    return seen
+
+
+class TestDistributionCells:
+    @settings(max_examples=60, deadline=None)
+    @given(model_specs(backend="exact"), st.integers(0, 120))
+    def test_exact_models_match_per_cell(self, spec, k_max):
+        dist = queue_distribution(spec, NumericConfig(backend="exact", k_max=k_max))
+        assert distribution_cells(dist.p, dist.tail) == per_cell(dist.p, dist.tail)
+
+    @pytest.mark.parametrize("name", ["table1", "table2"])
+    def test_one_conversion_per_row(self, request, conversions, name):
+        # row 0 also converts its denominator and tail numerator: tail[-1] = 1
+        spec = request.getfixturevalue(f"{name}_exact")
+        dist = queue_distribution(spec, NumericConfig(backend="exact", k_max=200))
+        cells = distribution_cells(dist.p, dist.tail)
+        assert cells == per_cell(dist.p, dist.tail)
+        assert len(conversions) == len(cells) + 2
+        assert conversions[3:] == [p.numerator for p in dist.p[1:]]
+
+    def test_broken_tail_identity_converts_the_numerator(self, conversions):
+        base = 3**200
+        p = [Fraction(1, base), Fraction(2, 3 * base)]
+        tail = [1 - p[0], 1 - p[0] - p[1] + Fraction(1, 3 * base)]  # off by 1/(3*base)
+        assert distribution_cells(p, tail) == per_cell(p, tail)
+        # row 1 derives its denominator (ratio 3) but not its tail numerator
+        assert conversions[3:] == [2, tail[1].numerator]
+
+    def test_unrelated_large_denominators(self, conversions):
+        p = [Fraction(1, 5**300), Fraction(1, 7**300)]
+        tail = [Fraction(2, 11**300), Fraction(3, 13**300)]
+        assert distribution_cells(p, tail) == per_cell(p, tail)
+        assert len(conversions) == 8  # every integer of both rows
+
+    def test_float_and_mixed_rows(self, conversions):
+        base = 3**200
+        p = [0.5, -0.0, Fraction(1, base), 0.25, Fraction(1, 3 * base)]
+        tail = [0.5, 0.5, 1 - p[2], 0.25, 1 - p[2] - p[4]]
+        cells = distribution_cells(p, tail)
+        assert cells == per_cell(p, tail)
+        assert cells[1] == ("0", "0.5")
+        # the last row follows on from row 2, past the float row between them
+        assert conversions[-1] == 1
+
+    def test_empty(self):
+        assert distribution_cells((), ()) == []
+
+    def test_zero_and_denominator_one_rows(self):
+        spec = from_strings(["0.5", "0.5"], ["1"], backend="exact")
+        dist = queue_distribution(spec, NumericConfig(backend="exact", k_max=4))
+        assert distribution_cells(dist.p, dist.tail) == [("1", "0")] + [("0", "0")] * 4
+
+    def test_negative_and_integer_cells(self):
+        p = [Fraction(3, 2), Fraction(-5, 4), Fraction(1), Fraction(0)]
+        tail = tails_of(p)
+        assert distribution_cells(p, tail) == per_cell(p, tail)
+
+    def test_rows_past_int_str_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        q = Fraction(1, 7**5200)  # 4395 digits, past the default limit of 4300
+        p = [q * 6**k / 7**k for k in range(4)]
+        tail = tails_of(p)
+        cells = distribution_cells(p, tail)
+        assert sys.get_int_max_str_digits() == limit
+        assert max(len(text) for row in cells for text in row) > 4300
+        assert cells == per_cell(p, tail)
+        assert sys.get_int_max_str_digits() == limit
