@@ -77,6 +77,14 @@ def _dist_footer(table, dist, backend):
     table.add_footer("mass_accounted", dist.mass_accounted)
 
 
+def _distribution_table(p, tail) -> OutputTable:
+    """(k, p, tail) rows, k from 0."""
+    table = OutputTable(columns=("k", "p", "tail"))
+    for k, cells in enumerate(distribution_cells(p, tail)):
+        table.rows.append((format_scalar(k), *cells))
+    return table
+
+
 def cmd_validate(args) -> int:
     spec, _ = load_model(args.path)
     mom = moments(spec)
@@ -121,9 +129,7 @@ def cmd_dist(args) -> int:
     config = make_config(NumericConfig, backend=args.backend, k_max=args.kmax)
     spec, _ = load_model(args.path, backend=args.backend)
     dist = series.queue_distribution(spec, config)
-    table = OutputTable(columns=("k", "p", "tail"))
-    for k, cells in enumerate(distribution_cells(dist.p, dist.tail)):
-        table.rows.append((format_scalar(k), *cells))
+    table = _distribution_table(dist.p, dist.tail)
     _dist_footer(table, dist, args.backend)
     emit(table, args.format, args.output)
     return 0
@@ -138,9 +144,7 @@ def cmd_oracle(args) -> int:
     marginal = oracle.queue_marginal(chain, pi).tolist()
     # P(Q > k) summed from the far end, so small tails do not cancel against 1
     tails = suffix_sums(marginal)[1:] + (0.0,)
-    table = OutputTable(columns=("k", "p", "tail"))
-    for k, (p, tail) in enumerate(zip(marginal, tails)):
-        table.add_row(k, p, tail)
+    table = _distribution_table(marginal, tails)
     table.add_footer("q_cap", args.qcap)
     table.add_footer("states", chain.num_states)
     table.add_footer("kernel_nnz", chain.kernel.nnz)

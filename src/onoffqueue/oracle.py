@@ -6,6 +6,10 @@ stochastic and the truncation error stays observable), solves for its
 stationary vector, and reads off P(Q=k) and E[Q] without touching any
 generating-function machinery.  Deliberately independent of the analytic
 and series modules; only the model definition is shared.
+
+The queue falls by at most 1 per slot and rises by at most m - 1, so with
+the states ordered by queue level first (q-major) the balance matrix is
+banded, and the stationary vector comes from one band LU solve.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.linalg import solve_banded
 
 from .errors import CapTooSmall, NoConvergence, TruncationBias
 from .model import ModelSpec
@@ -73,28 +77,47 @@ def residual(chain: JointChain, pi: np.ndarray) -> float:
     return float(np.max(np.abs(chain.kernel.T @ pi - pi)))
 
 
-def joint_stationary(chain: JointChain) -> np.ndarray:
-    """Stationary vector of the joint kernel, to max-norm residual <= DEFAULT_RESIDUAL_TOL.
+def pinned_band(chain: JointChain) -> tuple:
+    """((lower, upper), ab): the pinned balance system in q-major band storage.
 
-    Solves (P^T - I) pi = 0 with the balance row of the idle state (0, 0)
-    replaced by pi[(0, 0)] = 1, then normalises.  The pinned system is
-    nonsingular: the idle state has probability b0 = 1 - rho > 0, and the
-    other balance rows have rank size - 1.  Unlike a normalisation row of
-    ones, the pin adds no dense row for the LU factors to fill in from, and
-    small tail probabilities keep their relative accuracy.
+    The system is (P^T - I) with the balance row of the idle state (0, 0)
+    replaced by pi[(0, 0)] = 1, its states ordered by q * (n + 1) + x, and
+    ab[upper + i - j, j] holding entry (i, j) as `solve_banded` takes it.
+    The widths are read off the entries: (m - 1)(n + 1) - 1 below and
+    n + 1 above the diagonal for m >= 2.
     """
     kernel = chain.kernel.tocoo()
     size = kernel.shape[0]
-    idle = chain.state_index(0, 0)
-    keep = kernel.col != idle  # kernel column idle is balance row idle
-    others = np.delete(np.arange(size), idle)
-    rows = np.concatenate((kernel.col[keep], others, [idle]))
-    cols = np.concatenate((kernel.row[keep], others, [idle]))
-    vals = np.concatenate((kernel.data[keep], np.full(size - 1, -1.0), [1.0]))
-    pinned = sp.csc_matrix((vals, (rows, cols)), shape=(size, size))
-    rhs = np.zeros(size)
-    rhs[idle] = 1.0
-    pi = spsolve(pinned, rhs)
+    # qmajor[x * (q_cap + 1) + q] = q * (n + 1) + x
+    qmajor = np.arange(size).reshape(chain.q_cap + 1, chain.n + 1).T.ravel()
+    rows, cols = qmajor[kernel.col], qmajor[kernel.row]  # balance row i is kernel column i
+    lower = int(max(0, (rows - cols).max()))
+    upper = int(max(0, (cols - rows).max()))
+    ab = np.zeros((lower + upper + 1, size))
+    ab[upper + rows - cols, cols] = kernel.data  # the CSR kernel holds no duplicates
+    ab[upper] -= 1.0
+    first = np.arange(upper + 1)  # row 0 is the idle state
+    ab[upper - first, first] = 0.0
+    ab[upper, 0] = 1.0
+    return (lower, upper), ab
+
+
+def joint_stationary(chain: JointChain) -> np.ndarray:
+    """Stationary vector of the joint kernel, to max-norm residual <= DEFAULT_RESIDUAL_TOL.
+
+    Solves the `pinned_band` system, (P^T - I) pi = 0 with the balance row
+    of the idle state (0, 0) replaced by pi[(0, 0)] = 1, then returns the
+    vector to the chain's x-major order and normalises.  The pinned system
+    is nonsingular: the idle state has probability b0 = 1 - rho > 0, and
+    the other balance rows have rank size - 1.  Unlike a normalisation row
+    of ones, the pin keeps the matrix banded, and small tail probabilities
+    keep their relative accuracy.
+    """
+    widths, ab = pinned_band(chain)
+    rhs = np.zeros(ab.shape[1])
+    rhs[0] = 1.0
+    pi = solve_banded(widths, ab, rhs, overwrite_ab=True, overwrite_b=True)
+    pi = pi.reshape(chain.q_cap + 1, chain.n + 1).T.ravel()
     pi = pi / pi.sum()
     gap = residual(chain, pi)
     if not (np.isfinite(pi).all() and gap <= DEFAULT_RESIDUAL_TOL):

@@ -18,7 +18,8 @@ tail[k]'s.  The exact backend's denominators all divide den*d0^(k+1), so u
 and v are small.  tail[k]'s numerator comes from tail[k] = tail[k-1] - p[k]
 (tail[-1] = 1), checked first in integers.  An integer is converted
 directly where the ratio is no smaller than the integer itself, where that
-identity fails, and on rows that are not two Fractions.
+identity fails, and on rows that are not two Fractions.  A row of two
+floats is formatted in place, with `format_scalar`'s float text.
 """
 
 from __future__ import annotations
@@ -98,13 +99,17 @@ def _from_neighbour(new: int, old: int, old_dec: Decimal):
 def distribution_cells(p, tail) -> list:
     """[(format_scalar(p[k]), format_scalar(tail[k])) for each k], for tail[k] = P(Q>k).
 
-    Rows of two Fractions print with one full conversion (see the module
-    docstring); any other row formats cell by cell.
+    Rows of two floats print inline and rows of two Fractions with one
+    full conversion (see the module docstring); any other row formats cell
+    by cell.
     """
     cells = []
     num, den = 1, 1  # tail[k-1], starting from tail[-1] = 1
     num_dec = den_dec = Decimal(1)
     for pk, tk in zip(p, tail):
+        if type(pk) is float and type(tk) is float:
+            cells.append((f"{pk + 0.0:.17g}", f"{tk + 0.0:.17g}"))  # as format_scalar
+            continue
         if type(pk) is not Fraction or type(tk) is not Fraction:
             cells.append((format_scalar(pk), format_scalar(tk)))
             continue

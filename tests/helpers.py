@@ -15,6 +15,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from onoffqueue import (
     FLOAT64,
@@ -247,6 +248,29 @@ def power_stationary(chain: JointChain, tol: float, max_iterations: int) -> np.n
         if residual(chain, pi) <= tol:
             return pi
     raise NoConvergence(residual(chain, pi))
+
+
+def sparse_stationary(chain: JointChain) -> np.ndarray:
+    """Stationary vector of the joint kernel by one general sparse LU solve.
+
+    The reference for `joint_stationary`'s band solve: the same pinned
+    system, (P^T - I) with the balance row of the idle state (0, 0)
+    replaced by pi[(0, 0)] = 1, in the chain's own x-major order, then
+    normalised.
+    """
+    kernel = chain.kernel.tocoo()
+    size = kernel.shape[0]
+    idle = chain.state_index(0, 0)
+    keep = kernel.col != idle  # kernel column idle is balance row idle
+    others = np.delete(np.arange(size), idle)
+    rows = np.concatenate((kernel.col[keep], others, [idle]))
+    cols = np.concatenate((kernel.row[keep], others, [idle]))
+    vals = np.concatenate((kernel.data[keep], np.full(size - 1, -1.0), [1.0]))
+    pinned = sp.csc_matrix((vals, (rows, cols)), shape=(size, size))
+    rhs = np.zeros(size)
+    rhs[idle] = 1.0
+    pi = spsolve(pinned, rhs)
+    return pi / pi.sum()
 
 
 def reference_kernel(spec: ModelSpec, q_cap: int) -> sp.csr_matrix:

@@ -17,6 +17,7 @@ from helpers import (
     model_specs,
     power_stationary,
     reference_kernel,
+    sparse_stationary,
     state_marginal,
 )
 from onoffqueue import (
@@ -38,6 +39,7 @@ from onoffqueue import (
     validate,
 )
 from onoffqueue import oracle as oracle_module
+from onoffqueue.oracle import pinned_band, residual
 
 
 class TestBuildJointChain:
@@ -139,10 +141,36 @@ class TestJointStationary:
         power = power_stationary(chain, tol=1e-13, max_iterations=10**6)
         assert np.max(np.abs(direct - power)) < 1e-11
 
+    @given(model_specs(), st.integers(0, 200))
+    @settings(max_examples=40, deadline=None)
+    def test_band_solve_agrees_with_sparse_lu(self, spec, extra):
+        chain = build_joint_chain(spec, min(spec.m + extra, 200))
+        pi = joint_stationary(chain)
+        assert np.max(np.abs(pi - sparse_stationary(chain))) <= 1e-14
+        assert residual(chain, pi) <= 1e-13
+
+    @pytest.mark.parametrize("name", ["table1", "table2"])
+    def test_band_widths_and_entries(self, request, name):
+        spec = request.getfixturevalue(name)
+        n, m, q_cap = spec.n, spec.m, 30
+        chain = build_joint_chain(spec, q_cap)
+        (lower, upper), ab = pinned_band(chain)
+        assert (lower, upper) == ((m - 1) * (n + 1) - 1, n + 1)
+        # the band equals the dense pinned system in q-major order
+        order = [chain.state_index(x, q) for q in range(q_cap + 1) for x in range(n + 1)]
+        dense = chain.kernel.toarray().T[np.ix_(order, order)] - np.eye(len(order))
+        dense[0] = 0.0
+        dense[0, 0] = 1.0
+        band = np.zeros_like(dense)
+        for i, j in zip(*np.nonzero(dense)):
+            band[i, j] = ab[upper + i - j, j]
+        assert np.array_equal(band, dense)
+        assert np.count_nonzero(ab) == np.count_nonzero(dense)
+
     def test_no_convergence_reported(self, table2, monkeypatch):
         chain = build_joint_chain(table2, 60)
         monkeypatch.setattr(
-            oracle_module, "spsolve", lambda a, b: np.full(b.shape, np.nan)
+            oracle_module, "solve_banded", lambda widths, ab, b, **_: np.full(b.shape, np.nan)
         )
         with pytest.raises(NoConvergence) as err:
             joint_stationary(chain)

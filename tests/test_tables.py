@@ -8,9 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import model_specs
-from onoffqueue import NumericConfig, from_strings, queue_distribution
+from onoffqueue import (
+    NumericConfig,
+    build_joint_chain,
+    from_strings,
+    joint_stationary,
+    queue_distribution,
+    queue_marginal,
+)
 from onoffqueue import tables
-from onoffqueue.tables import distribution_cells, format_scalar
+from onoffqueue.cli import main
+from onoffqueue.model import suffix_sums
+from onoffqueue.tables import distribution_cells, format_scalar, parse_csv
 
 
 def per_cell(p, tail):
@@ -79,6 +88,22 @@ class TestDistributionCells:
         assert cells[1] == ("0", "0.5")
         # the last row follows on from row 2, past the float row between them
         assert conversions[-1] == 1
+
+    def test_float_rows_match_format_scalar(self):
+        values = [-0.0, 0.0, 5e-324, 1e-300, 0.1, 1 / 3, 1.0]
+        p = [x for x in values for _ in values]
+        tail = [y for _ in values for y in values]
+        assert distribution_cells(p, tail) == per_cell(p, tail)
+
+    def test_oracle_rows_parse_back(self, tmp_path, table2, table2_path):
+        out = tmp_path / "oracle.csv"
+        assert main(["oracle", table2_path, "--qcap", "300", "--output", str(out)]) == 0
+        rows = parse_csv(out.read_text()).rows
+        chain = build_joint_chain(table2, 300)
+        marginal = queue_marginal(chain, joint_stationary(chain)).tolist()
+        assert [row[0] for row in rows] == [str(k) for k in range(301)]
+        assert [float(row[1]) for row in rows] == marginal
+        assert [float(row[2]) for row in rows] == [*suffix_sums(marginal)[1:], 0.0]
 
     def test_empty(self):
         assert distribution_cells((), ()) == []
