@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import Scalar, check_count
-from .errors import Unstable, ZeroArrivalRate
-from .model import MomentSummary
+from .errors import ZeroArrivalRate
+from .model import MomentSummary, check_stable
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,7 @@ def expected_queue(mom: MomentSummary) -> Scalar:
 
 def expected_delay(mom: MomentSummary) -> Scalar:
     """Mean delay E[T] = E[Q] / lam (Little's law)."""
-    if mom.lam == 0:
-        raise ZeroArrivalRate("mean arrival rate is zero; delay is undefined")
-    return expected_queue(mom) / mom.lam
+    return report(mom).expected_delay
 
 
 def expected_queue_constant_batch(f_bar, f2_bar, r: int) -> Scalar:
@@ -61,9 +59,7 @@ def expected_queue_constant_batch(f_bar, f2_bar, r: int) -> Scalar:
     stability condition r * f_bar / (1 + f_bar) < 1.
     """
     check_count(r, "batch size r", 1)
-    rho = r * f_bar / (1 + f_bar)
-    if rho >= 1:
-        raise Unstable(f"utilization rho = {float(rho):.6g} must be below 1")
+    check_stable(r * f_bar / (1 + f_bar))
     var_f = _variance(f2_bar, f_bar)
     return r * (r - 1) * var_f / (2 * (1 + f_bar) * (1 + f_bar - r * f_bar))
 

@@ -27,7 +27,7 @@ class CliInputError(Exception):
 
 
 def load_model(path: str, backend: str = FLOAT64):
-    """Read and validate a model file; returns (spec, name)."""
+    """Read and validate a model file; returns its ModelSpec."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -47,8 +47,7 @@ def load_model(path: str, backend: str = FLOAT64):
             raise CliInputError(f"{path}: missing required array '{key}'")
         if not isinstance(doc[key], list):
             raise CliInputError(f"{path}: '{key}' must be an array of decimal strings")
-    spec = from_strings(doc["f"], doc["g"], backend=backend)
-    return spec, doc.get("name")
+    return from_strings(doc["f"], doc["g"], backend=backend)
 
 
 def write_output(text: str, output):
@@ -60,10 +59,8 @@ def write_output(text: str, output):
 
 
 def emit(table: OutputTable, fmt: str, output):
-    if fmt == "structured":
-        write_output(render_structured(table), output)
-    else:
-        write_output(render_csv(table), output)
+    render = render_structured if fmt == "structured" else render_csv
+    write_output(render(table), output)
 
 
 def _dist_footer(table, dist, backend):
@@ -86,14 +83,14 @@ def _distribution_table(p, tail) -> OutputTable:
 
 
 def cmd_validate(args) -> int:
-    spec, _ = load_model(args.path)
+    spec = load_model(args.path)
     mom = moments(spec)
     print(f"valid; rho={float(mom.rho):.4f}")
     return 0
 
 
 def cmd_analyze(args) -> int:
-    spec, _ = load_model(args.path, backend=args.backend)
+    spec = load_model(args.path, backend=args.backend)
     mom = moments(spec)
     rep = analytic.report(mom)
     values = {
@@ -127,7 +124,7 @@ def make_config(cls, **fields):
 
 def cmd_dist(args) -> int:
     config = make_config(NumericConfig, backend=args.backend, k_max=args.kmax)
-    spec, _ = load_model(args.path, backend=args.backend)
+    spec = load_model(args.path, backend=args.backend)
     dist = series.queue_distribution(spec, config)
     table = _distribution_table(dist.p, dist.tail)
     _dist_footer(table, dist, args.backend)
@@ -138,7 +135,7 @@ def cmd_dist(args) -> int:
 def cmd_oracle(args) -> int:
     from . import oracle
 
-    spec, _ = load_model(args.path)
+    spec = load_model(args.path)
     chain = oracle.build_joint_chain(spec, args.qcap)
     pi = oracle.joint_stationary(chain)
     marginal = oracle.queue_marginal(chain, pi).tolist()
@@ -187,7 +184,7 @@ def cmd_simulate(args) -> int:
     from . import simulation as sim
 
     config = _sim_config(args)
-    spec, _ = load_model(args.path)
+    spec = load_model(args.path)
     report = sim.simulate(spec, config)
     table = OutputTable(columns=("k", "p_hat", "ci_low", "ci_high"))
     for k, p in enumerate(report.p_hat):
@@ -204,7 +201,7 @@ def cmd_compare(args) -> int:
 
     config = make_config(NumericConfig, backend=args.backend, k_max=args.kmax)
     sim_config = _sim_config(args)
-    spec, _ = load_model(args.path, backend=args.backend)
+    spec = load_model(args.path, backend=args.backend)
     dist = series.queue_distribution(spec, config)
     report = sim.simulate(spec, sim_config)
     table = OutputTable(

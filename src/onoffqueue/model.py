@@ -187,21 +187,24 @@ def validate(spec: ModelSpec, config: NumericConfig = NumericConfig()) -> ModelS
         f, f_ok = _check_vector("f", f, exact, violations)
     if g is not None:
         g, g_ok = _check_vector("g", g, exact, violations)
-    if f_ok:
-        f0 = f[0]
-        if not 0 < f0 < 1:
-            violations.append(
-                NotErgodic(f"f[0] = {float(f0):.6g} must lie strictly between 0 and 1")
-            )
+    if f_ok and not 0 < f[0] < 1:
+        violations.append(
+            NotErgodic(f"f[0] = {float(f[0]):.6g} must lie strictly between 0 and 1")
+        )
     if f_ok and g_ok:
-        rho = moments(ModelSpec(f, g)).rho
-        if rho >= 1:
-            violations.append(
-                Unstable(f"utilization rho = {float(rho):.6g} must be below 1")
-            )
+        try:
+            check_stable(moments(ModelSpec(f, g)).rho)
+        except Unstable as exc:
+            violations.append(exc)
     if violations:
         raise ValidationError(violations)
     return ModelSpec(f, g)
+
+
+def check_stable(rho) -> None:
+    """Raise Unstable unless the utilization rho is below 1."""
+    if rho >= 1:
+        raise Unstable(f"utilization rho = {float(rho):.6g} must be below 1")
 
 
 def from_strings(f: Sequence, g: Sequence, backend: str = FLOAT64) -> ModelSpec:

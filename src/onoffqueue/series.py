@@ -32,8 +32,7 @@ from numbers import Rational
 from typing import NamedTuple, Optional, Sequence
 
 from .config import NumericConfig, Scalar, check_count
-from .errors import Unstable
-from .model import ModelSpec, coerce, moments, suffix_sums, validate
+from .model import ModelSpec, check_stable, coerce, moments, suffix_sums, validate
 
 # Slack on the cumulative-probability guard in float mode.
 MASS_EXCESS_TOL = 1e-9
@@ -96,7 +95,7 @@ def series_coefficients(spec: ModelSpec, G: Sequence) -> tuple:
 
     One coefficient per row of the G table:
     D[i] = delta_{i-1} - sum_j f[j] * G[i][j]
-    N[0] = -sum_j G[0][j] * F[j],  N[i>0] = sum_j (G[i-1][j] - G[i][j]) * F[j]
+    N[i] = sum_j (G[i-1][j] - G[i][j]) * F[j],  with G[-1] = 0
     where F = suffix_sums(f).
     """
     f = spec.f
@@ -104,21 +103,13 @@ def series_coefficients(spec: ModelSpec, G: Sequence) -> tuple:
     zero = f[0] * 0
     N = []
     D = []
+    prev = (zero,) * len(F)
     for i, row in enumerate(G):
         d = (1 if i == 1 else 0) - sum(p * c for p, c in zip(f, row))
-        if i == 0:
-            nu = -sum(c * s for c, s in zip(row, F))
-        else:
-            nu = sum((a - c) * s for a, c, s in zip(G[i - 1], row, F))
         D.append(d + zero)
-        N.append(nu + zero)
+        N.append(sum((a - c) * s for a, c, s in zip(prev, row, F)) + zero)
+        prev = row
     return tuple(N), tuple(D)
-
-
-def _wrap_distribution(p, running, breakdown=()):
-    one = (p[0] * 0 + 1) if p else 1
-    tail = tuple(one - cum for cum in accumulate(p))
-    return QueueDistribution(tuple(p), tail, running, *breakdown)
 
 
 def _divide_series(b0, N, D, k_max: int) -> QueueDistribution:
@@ -147,7 +138,8 @@ def _divide_series(b0, N, D, k_max: int) -> QueueDistribution:
             break
         p.append(pk)
         running = running + pk
-    return _wrap_distribution(p, running, breakdown)
+    tail = tuple(1.0 - cum for cum in accumulate(p))
+    return QueueDistribution(tuple(p), tail, running, *breakdown)
 
 
 class _Reduced(NamedTuple):
@@ -237,11 +229,6 @@ def _divide_exact(b0: Fraction, N, D, k_max: int) -> QueueDistribution:
     return QueueDistribution(tuple(p), tuple(tail), 1 - tail[-1])
 
 
-def _check_stable(rho):
-    if rho >= 1:
-        raise Unstable(f"utilization rho = {float(rho):.6g} must be below 1")
-
-
 def queue_distribution(spec: ModelSpec, config: NumericConfig = NumericConfig()) -> QueueDistribution:
     """Full queue-length distribution up to config.k_max.
 
@@ -250,7 +237,7 @@ def queue_distribution(spec: ModelSpec, config: NumericConfig = NumericConfig())
     """
     spec = coerce(spec, config.backend)
     mom = moments(spec)
-    _check_stable(mom.rho)
+    check_stable(mom.rho)
     degree = spec.n * (spec.m - 1) + 1  # of N(z); D(z) has no higher term
     N, D = series_coefficients(spec, g_coefficients(spec, min(config.k_max, degree)))
     if config.is_exact:
@@ -263,8 +250,10 @@ def queue_distribution_constant_batch(
 ) -> QueueDistribution:
     """Queue-length distribution when every batch has the same size r.
 
-    Runs the specialized recurrence (the general one with g degenerate at r,
-    where G[i][j] collapses to a single Kronecker delta per column):
+    The general division with g degenerate at r, where G[i][j] collapses to
+    one Kronecker delta per column: with F = suffix_sums(f),
+    D(z) = z - sum_j f[j] * z^(j*(r-1)) and
+    N(z) = sum_j F[j] * (z^(j*(r-1)+1) - z^(j*(r-1))), so
 
         P(Q=0) = b0 / f[0]
         P(Q=k) = (1/f[0]) * [ P(Q=k-1)
@@ -272,46 +261,31 @@ def queue_distribution_constant_batch(
                               - b0 * F[(k-1)/(r-1)]   (when r-1 divides k-1)
                               + b0 * F[k/(r-1)] ]     (when r-1 divides k)
 
-    with F[J] = sum(f[J:]) and every out-of-range term zero.  Matches the
-    general path term for term; r = 1 yields the trivial distribution.
+    with every out-of-range term zero.  Matches the general path term for
+    term; r = 1 yields the trivial distribution.
     """
     check_count(r, "batch size r", 1)
     spec = validate(coerce(ModelSpec(tuple(f), (1,)), config.backend), config)
     fv = spec.f
-    n = spec.n
     zero = fv[0] * 0
     one = zero + 1
     f_bar = sum(i * p for i, p in enumerate(fv))
-    rho = r * f_bar / (1 + f_bar)
-    _check_stable(rho)
+    check_stable(r * f_bar / (1 + f_bar))
     if r == 1:
-        return _wrap_distribution([one] + [zero] * config.k_max, one)
+        zeros = (zero,) * config.k_max
+        return QueueDistribution((one,) + zeros, zeros + (zero,), one)
     b0 = (1 + f_bar - r * f_bar) / (1 + f_bar)
     step = r - 1
-    F = suffix_sums(fv) + (zero,) * (config.k_max // step)  # F[J] = 0 past J = n
-    float_mode = not config.is_exact
-    p = [b0 / fv[0]]
-    running = p[0]
-    breakdown = ()
-    for k in range(1, config.k_max + 1):
-        acc = p[k - 1]
-        for j in range(1, min(n, k // step) + 1):
-            acc -= fv[j] * p[k - j * step]
-        if (k - 1) % step == 0:
-            acc -= b0 * F[(k - 1) // step]
-        if k % step == 0:
-            acc += b0 * F[k // step]
-        pk = acc / fv[0]
-        if float_mode:
-            if pk < zero:
-                breakdown = (k, pk, "negative")
-                break
-            if running + pk > 1 + MASS_EXCESS_TOL:
-                breakdown = (k, pk, "mass")
-                break
-        p.append(pk)
-        running = running + pk
-    return _wrap_distribution(p, running, breakdown)
+    N = [zero] * (spec.n * step + 2)
+    D = [zero] * len(N)
+    D[1] = one
+    for j, (fj, Fj) in enumerate(zip(fv, suffix_sums(fv))):
+        D[j * step] -= fj
+        N[j * step] -= Fj
+        N[j * step + 1] += Fj
+    if config.is_exact:
+        return _divide_exact(b0, N, D, config.k_max)
+    return _divide_series(b0, N, D, config.k_max)
 
 
 def pgf_eval(spec: ModelSpec, z) -> Scalar:
@@ -332,7 +306,7 @@ def pgf_eval(spec: ModelSpec, z) -> Scalar:
     if not 0 <= z <= 1:  # also refuses NaN
         raise ValueError("z must lie in [0, 1]")
     mom = moments(spec)
-    _check_stable(mom.rho)
+    check_stable(mom.rho)
     F = suffix_sums(spec.f)
     h = sum(p * z ** (s - 1) for s, p in enumerate(spec.g, start=1))
     c = sum(p * sum(z**i for i in range(s - 1)) for s, p in enumerate(spec.g, start=1))

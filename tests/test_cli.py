@@ -280,6 +280,12 @@ class TestOracleCommand:
         assert meta["truncation_bias"] == "true"
         assert "expected_queue" not in meta
 
+    def test_model_error_is_one_line_exit_1(self, capsys, table1_path):
+        code, out, err = run_cli(capsys, "oracle", table1_path, "--qcap", "2")
+        assert code == 1
+        assert out == ""
+        assert err == "error: q_cap = 2 must be at least the largest batch m = 3\n"
+
 
 class TestSimulateCommand:
     def test_schema_and_determinism(self, capsys, table1_path):

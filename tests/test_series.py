@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import light_f_vectors, model_specs, reference_distribution
+from helpers import TABLE1_F, light_f_vectors, model_specs, reference_distribution
 from onoffqueue import (
     ModelSpec,
     NumericConfig,
@@ -266,7 +266,20 @@ class TestConstantBatchDistribution:
         special = queue_distribution_constant_batch(f, r, cfg)
         g = tuple([Fraction(0)] * (r - 1) + [Fraction(1)])
         general = queue_distribution(validate(ModelSpec(f, g), cfg), cfg)
-        assert special.p == general.p
+        assert special == general
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_float_breakdown_and_head(self, r):
+        f = tuple(float(x) for x in TABLE1_F)
+        dist = queue_distribution_constant_batch(f, r, NumericConfig(k_max=400))
+        assert dist.breakdown_reason == "negative"
+        exact = queue_distribution_constant_batch(
+            tuple(Fraction(x) for x in TABLE1_F), r,
+            NumericConfig(backend="exact", k_max=dist.breakdown_index),
+        )
+        assert dist.breakdown_index == len(dist.p)
+        for got, want in zip(dist.p, exact.p):
+            assert abs(got - float(want)) <= 1e-14
 
     def test_mean_from_distribution_matches_closed_form(self):
         cfg = NumericConfig(backend="exact", k_max=300)
