@@ -13,11 +13,19 @@ block with array operations.  One uniform u_t gives both X_t and Y_t - 1
 as the number of cumulative-probability steps at or below it.  The off
 slots of the block are the path from the first one under
 hop(t) = t + 1 + X_t, found by pointer doubling; the queue after slot t is
-S_t - min(-Q_0, min_{s<=t} S_s), with S the running sum of a.  The queue
-length and the first off slot past the block carry into the next block,
-and across the burn-in/tally boundary.  Runs are independent streams of a
-named generator (PCG64) with run r seeded by seed XOR r, and the integer
-arithmetic is exact, so every report is bitwise reproducible.
+S_t - min(-Q_0, min_{s<=t} S_s), with S the running sum of a.  The bin
+indices are held in the narrowest integer type that also holds -1 (int8
+for up to 128 steps), and the Lindley step runs in place in one int64
+buffer besides S.  The queue length and the first off slot past the block
+carry into the next block, and across the burn-in/tally boundary.  Runs
+are independent streams of a named generator (PCG64) with run r seeded by
+seed XOR r, and the integer arithmetic is exact, so every report is
+bitwise reproducible.
+
+`simulate` runs the replications concurrently on a thread pool (numpy
+releases the GIL in the gathers, running sums and counts that dominate a
+block) and pools their tallies in run order, so its report does not depend
+on the number of workers.
 
 Confidence intervals are computed across runs with the t distribution,
 since within-run samples are autocorrelated; its quantile comes from
@@ -29,6 +37,8 @@ set against the spread between runs.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional, Sequence
@@ -142,8 +152,10 @@ def _bin_indices(cums: list, u: np.ndarray) -> np.ndarray:
 
     One comparison pass per step: for the few steps of f and g that is
     several times cheaper than np.searchsorted, with the same integers.
+    The result has the narrowest integer type that holds -len(cums), so a
+    caller may also store -1 in it.
     """
-    index = np.zeros(len(u), dtype=np.int64)
+    index = np.zeros(len(u), dtype=np.min_scalar_type(-len(cums)))
     for c in cums[:-1]:  # u < 1.0 == cums[-1]
         index += u >= c
     return index
@@ -194,19 +206,27 @@ def simulate_run(spec: ModelSpec, config: SimulationConfig, run_index: int) -> R
         done = start
         while done < stop:
             u = rng.random(min(_CHUNK, stop - done))
-            done += len(u)
-            off, first = _off_slots(_bin_indices(f_cum, u), first)
+            size = len(u)
+            done += size
+            on_period = _bin_indices(f_cum, u)
             step = _bin_indices(g_cum, u)  # batch size - 1
+            del u  # the widest array; _off_slots allocates the most
+            off, first = _off_slots(on_period, first)
             step[off] = -1
-            level = np.cumsum(step)
             # Lindley: the queue after slot t is S_t - min(-q, min_{s<=t} S_s)
-            after = level - np.minimum(np.minimum.accumulate(level), -q)
-            seen = np.concatenate(([q], after[:-1]))  # queue as each slot starts
-            q = int(after[-1])
-            counts += np.bincount(np.minimum(seen, lump), minlength=lump + 1)
-            block_sum = int(seen.sum())
+            after = np.cumsum(step, dtype=np.int64)
+            low = np.minimum.accumulate(after)
+            np.minimum(low, -q, out=low)
+            np.subtract(after, low, out=after)
+            # the queue as each slot starts is q, then after[:-1]
+            q_start, q = q, int(after[-1])
+            block_sum = q_start + int(after.sum()) - q
+            counts += np.bincount(np.minimum(after, lump, out=low), minlength=lump + 1)
+            counts[min(q_start, lump)] += 1
+            counts[min(q, lump)] -= 1
+            del after, low, off  # before the next block's arrays are made
             queue_sum += block_sum
-            if len(u) == _CHUNK:
+            if size == _CHUNK:
                 batch_sums.append(block_sum)
     return RunTally(
         run_index=run_index,
@@ -282,7 +302,30 @@ def aggregate(tallies: Sequence[RunTally], seed: int = 0) -> SimulationReport:
     )
 
 
+def _worker_count(runs: int) -> int:
+    """Threads for `runs` replications: one per CPU this process may run on."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(runs, cpus)
+
+
 def simulate(spec: ModelSpec, config: SimulationConfig = SimulationConfig()) -> SimulationReport:
-    """Run all replications and aggregate; deterministic given (spec, config)."""
-    tallies = [simulate_run(spec, config, r) for r in range(config.runs)]
+    """Run all replications and aggregate; deterministic given (spec, config).
+
+    The runs go to a thread pool of `_worker_count(config.runs)` threads,
+    and their tallies are pooled in run order, so the report is the same
+    for any number of workers.  If a run raises, or the wait is interrupted
+    (Ctrl-C), the runs not yet started are cancelled, the runs already
+    started finish, and the exception propagates.  Threads rather than
+    processes: nothing is forked or pickled, and no worker can outlive
+    the call.
+    """
+    pool = ThreadPoolExecutor(max_workers=_worker_count(config.runs))
+    try:
+        futures = [pool.submit(simulate_run, spec, config, r) for r in range(config.runs)]
+        tallies = [future.result() for future in futures]
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
     return aggregate(tallies, seed=config.seed)

@@ -1,6 +1,8 @@
 """Monte Carlo engine: determinism, conservation, CIs, statistical sanity."""
 
 import statistics
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import t as t_dist
 
-from helpers import model_specs, reference_run
+from helpers import build_model, model_specs, reference_run
 from onoffqueue import (
     ModelSpec,
     SimulationConfig,
@@ -20,11 +22,19 @@ from onoffqueue import (
     simulate_run,
     validate,
 )
-from onoffqueue.simulation import _CHUNK
+from onoffqueue import simulation
+from onoffqueue.simulation import _CHUNK, _bin_indices, _cumulative
 
 FAST = SimulationConfig(iterations=20_000, runs=3, burn_in=1_000, seed=7, k_max=10)
 # three full batches plus a partial one in the tally phase
 BATCHED = SimulationConfig(iterations=3 * _CHUNK + 1_500, runs=3, burn_in=1_000, seed=5, k_max=10)
+# one block edge in the tally phase
+EDGE = SimulationConfig(iterations=_CHUNK + 600, runs=1, burn_in=100, seed=13, k_max=60)
+
+
+def serial(spec, config):
+    """The report `simulate` must give: every run in order, then aggregate."""
+    return aggregate([simulate_run(spec, config, r) for r in range(config.runs)], config.seed)
 
 
 class TestSimulateRun:
@@ -112,6 +122,75 @@ class TestBlockEqualsReference:
         config = SimulationConfig(iterations=2 * _CHUNK + 2, runs=1, burn_in=_CHUNK - 1,
                                   seed=3, k_max=4)
         assert simulate_run(spec, config, 1) == reference_run(spec, config, 1)
+
+    @pytest.mark.parametrize("width", [127, 128, 129])
+    @pytest.mark.parametrize("side", ["f", "g"])
+    def test_index_width_boundaries(self, side, width):
+        # 128 steps is the most an int8 index holds along with -1; 129 needs
+        # int16.  The heaviest weight is on the longest on-period or largest
+        # batch, so the top index is drawn in the short run.
+        if side == "f":  # f has the off state's 0 besides on-periods 1..width-1
+            spec = build_model([1] * (width - 2) + [200], [2, 2, 1], 50)
+        else:
+            spec = build_model([1, 1, 1], [1] * (width - 1) + [200], 50)
+        cums = _cumulative(getattr(spec, side))
+        assert len(cums) == width
+        assert _bin_indices(cums, np.zeros(1)).dtype == (np.int8 if width <= 128 else np.int16)
+        config = SimulationConfig(iterations=_CHUNK + 600, runs=1, burn_in=_CHUNK - 300,
+                                  seed=17, k_max=60)
+        assert simulate_run(spec, config, 3) == reference_run(spec, config, 3)
+
+
+class TestConcurrentRuns:
+    """`simulate` pools its runs in run order whatever the number of workers."""
+
+    @pytest.mark.parametrize("workers", [None, 1, 3])
+    @pytest.mark.parametrize("runs", [1, 2, 3, 5])
+    @pytest.mark.parametrize("model", ["table1", "table2"])
+    def test_report_independent_of_workers(self, request, monkeypatch, model, runs, workers):
+        spec = request.getfixturevalue(model)
+        config = replace(EDGE, runs=runs)
+        if workers is not None:
+            monkeypatch.setattr(simulation, "_worker_count", lambda runs: workers)
+        assert simulate(spec, config) == serial(spec, config)
+
+    @given(
+        spec=model_specs(),
+        runs=st.integers(1, 4),
+        workers=st.sampled_from([None, 1, 3]),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=5, deadline=None)
+    def test_random_models(self, spec, runs, workers, seed):
+        config = SimulationConfig(iterations=_CHUNK + 50, runs=runs, burn_in=_CHUNK - 50,
+                                  seed=seed, k_max=20)
+        with pytest.MonkeyPatch.context() as patch:
+            if workers is not None:
+                patch.setattr(simulation, "_worker_count", lambda runs: workers)
+            assert simulate(spec, config) == serial(spec, config)
+
+    def test_worker_count_bounded_by_runs_and_cpus(self):
+        assert simulation._worker_count(1) == 1
+        assert 1 <= simulation._worker_count(64) <= 64
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_failed_run_raises_and_leaves_no_threads(self, table1, monkeypatch, workers):
+        class RunFailed(Exception):
+            pass
+
+        run = simulation.simulate_run
+
+        def failing(spec, config, run_index):
+            if run_index == 2:
+                raise RunFailed(run_index)
+            return run(spec, config, run_index)
+
+        monkeypatch.setattr(simulation, "simulate_run", failing)
+        monkeypatch.setattr(simulation, "_worker_count", lambda runs: workers)
+        before = threading.active_count()
+        with pytest.raises(RunFailed):
+            simulate(table1, replace(EDGE, runs=6))
+        assert threading.active_count() == before
 
 
 class TestBatchHealth:
