@@ -53,6 +53,14 @@ GENERATOR_NAME = "pcg64"
 
 _CHUNK = 1 << 16
 
+# A run settles its blocks by the walk of `_off_slots` when at least this
+# share of slots is unskippable, and by pointer doubling otherwise or from
+# the first block whose walk takes more than _WALK_ROUNDS rounds.  On a
+# 65,536-slot block, either limit is where the walk costs about as much as
+# doubling's ~16 full-block gathers.
+_WALK_MIN_SYNC = 0.01
+_WALK_ROUNDS = 400
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -161,28 +169,60 @@ def _bin_indices(cums: list, u: np.ndarray) -> np.ndarray:
     return index
 
 
-def _off_slots(on_period: np.ndarray, first: int) -> tuple:
+def _off_slots(on_period: np.ndarray, first: int, base: np.ndarray, walk: bool) -> tuple:
     """Off slots of one block, given on-period draws and the first off slot.
 
     The off slots are first, hop(first), hop(hop(first)), ... with
-    hop(t) = t + 1 + on_period[t].  Pointer doubling finds them in about
-    log2(block length) rounds: each round appends hop^(2^r) of the path so
-    far and squares hop.  Slots past the block all map to len(on_period),
-    which maps to itself.  Returns the off slots inside the block and the
-    first one past it, counted from the block's end.
+    hop(t) = t + 1 + on_period[t]; slots past the block all map to
+    len(on_period), which maps to itself.  base must hold t + 1 for every
+    slot t of the block and one more.
+
+    With walk set, the slots t > first that no slot in [first, t) hops
+    past (the running max of hop is t) are marked first: the path cannot
+    jump over them, so they are all off slots.  One walker per marked slot
+    then follows hop, all in lockstep, until each lands on a marked slot;
+    the slots they visit complete the path.  If walkers are left after
+    `_WALK_ROUNDS` rounds, or walk is not set, pointer doubling finds the
+    path in about log2(block length) rounds: each round appends hop^(2^r)
+    of the path so far and squares hop.
+
+    Returns a boolean mask of the off slots inside the block, the first
+    one past it counted from the block's end, and whether the walk
+    settled the block.
     """
     size = len(on_period)
-    hop = np.arange(1, size + 2, dtype=np.int64)
-    hop[:size] += on_period
+    if first >= size:
+        return np.zeros(size, dtype=bool), first - size, walk
+    hop = np.empty(size + 1, dtype=np.int64)
+    np.add(base[:size], on_period, out=hop[:size])
+    hop[size] = size
     np.minimum(hop, size, out=hop)
-    path = np.array([min(first, size)], dtype=np.int64)
-    while path[-1] < size:
-        path = np.concatenate((path, hop[path]))
-        hop = hop[hop]
-    off = path[path < size]
-    if len(off):
-        first = int(off[-1] + 1 + on_period[off[-1]])
-    return off, first - size
+    off = np.zeros(size + 1, dtype=bool)
+    if walk:
+        reach = np.maximum.accumulate(hop[first:size])
+        np.equal(reach, base[first:size], out=off[first + 1 :])
+        del reach
+        off[first] = True
+        # a marked slot with no on-period hops onto the next slot, also marked
+        cur = np.flatnonzero(off[:size] & (on_period > 0))
+        for _ in range(_WALK_ROUNDS):
+            if not len(cur):
+                break
+            off[cur] = True
+            cur = hop[cur]
+            cur = cur[~off[cur]]
+        walk = not len(cur)
+    if not walk:  # any slots a walk marked are off slots, and stay marked
+        path = np.array([first], dtype=np.int64)
+        while path[-1] < size:
+            path = np.concatenate((path, hop[path]))
+            hop = hop[hop]
+        off[path] = True
+    # the last off slot hops past the block, so it is no further from the
+    # end than the longest on-period on_period's type can hold
+    tail = off[max(0, size - 1 - int(np.iinfo(on_period.dtype).max)) : size]
+    last = size - 1 - int(np.argmax(tail[::-1]))
+    return off[:size], last + 1 + int(on_period[last]) - size, walk
 
 
 def simulate_run(spec: ModelSpec, config: SimulationConfig, run_index: int) -> RunTally:
@@ -194,6 +234,9 @@ def simulate_run(spec: ModelSpec, config: SimulationConfig, run_index: int) -> R
     f_cum = _cumulative(spec.f)
     g_cum = _cumulative(spec.g)
     rng = np.random.Generator(np.random.PCG64(config.seed ^ run_index))
+    # the share of slots no on-period can jump over
+    walk = float(np.prod(f_cum[:-1])) >= _WALK_MIN_SYNC
+    base = np.arange(1, _CHUNK + 2, dtype=np.int64)
     lump = config.k_max + 1
     q = 0  # queue length at the start of the next block
     first = 0  # first off slot of the next block, counted from its start
@@ -211,8 +254,11 @@ def simulate_run(spec: ModelSpec, config: SimulationConfig, run_index: int) -> R
             on_period = _bin_indices(f_cum, u)
             step = _bin_indices(g_cum, u)  # batch size - 1
             del u  # the widest array; _off_slots allocates the most
-            off, first = _off_slots(on_period, first)
-            step[off] = -1
+            off, first, walk = _off_slots(on_period, first, base, walk)
+            # step = -1 at off slots, in two passes: boolean-mask assignment
+            # branches on every slot and is several times slower
+            step *= ~off
+            step -= off
             # Lindley: the queue after slot t is S_t - min(-q, min_{s<=t} S_s)
             after = np.cumsum(step, dtype=np.int64)
             low = np.minimum.accumulate(after)

@@ -203,6 +203,23 @@ def reference_run(spec: ModelSpec, config: SimulationConfig, run_index: int) -> 
     )
 
 
+def sequential_off_slots(on_period: np.ndarray, first: int) -> tuple:
+    """Off slots of one block, followed one hop at a time.
+
+    The straightforward form of `simulation._off_slots`: from the first off
+    slot, the next is t + 1 + on_period[t].  Returns the off slots inside
+    the block, in order, and the first one past it counted from the
+    block's end.
+    """
+    on = on_period.tolist()
+    off = []
+    t = first
+    while t < len(on):
+        off.append(t)
+        t += 1 + on[t]
+    return off, t - len(on)
+
+
 def transition_matrix(spec: ModelSpec) -> tuple:
     """Row-stochastic transition matrix of the on/off chain.
 

@@ -6,11 +6,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import t as t_dist
 
-from helpers import build_model, model_specs, reference_run
+from helpers import build_model, model_specs, reference_run, sequential_off_slots
 from onoffqueue import (
     ModelSpec,
     SimulationConfig,
@@ -23,13 +23,21 @@ from onoffqueue import (
     validate,
 )
 from onoffqueue import simulation
-from onoffqueue.simulation import _CHUNK, _bin_indices, _cumulative
+from onoffqueue.simulation import _CHUNK, _bin_indices, _cumulative, _off_slots
 
 FAST = SimulationConfig(iterations=20_000, runs=3, burn_in=1_000, seed=7, k_max=10)
 # three full batches plus a partial one in the tally phase
 BATCHED = SimulationConfig(iterations=3 * _CHUNK + 1_500, runs=3, burn_in=1_000, seed=5, k_max=10)
 # one block edge in the tally phase
 EDGE = SimulationConfig(iterations=_CHUNK + 600, runs=1, burn_in=100, seed=13, k_max=60)
+
+# On-period laws (off state first).  Under LONG_ON almost no slot is
+# unskippable (p_sync 1.5e-6), so runs settle their blocks by pointer
+# doubling.  Under RARE_LONG_ON 3.8% are, but the rare long on-periods
+# overlap into gaps that take a full block's walk past _WALK_ROUNDS.
+TABLE2_ON = (0.6, 0.2, 0.1, 0.05, 0.05)
+LONG_ON = (0.05, 0.01, 0.01, 0.01, 0.01, 0.91)
+RARE_LONG_ON = (0.9, 0.075) + (0.0,) * 124 + (0.025,)
 
 
 def serial(spec, config):
@@ -115,6 +123,9 @@ class TestBlockEqualsReference:
             (("0.6", "0.2", "0.1", "0.05", "0.05"), ("0.2", "0.6", "0.1", "0.1")),
             # never off for two slots running, rho = 1: the queue grows without bound
             (("0", "0", "1"), ("0.5", "0.5")),
+            # settled by pointer doubling, and by a walk that gives up
+            (LONG_ON, ("0.9", "0.1")),
+            (RARE_LONG_ON, ("0.9", "0.1")),
         ],
     )
     def test_models_across_phase_boundary(self, f, g):
@@ -139,6 +150,67 @@ class TestBlockEqualsReference:
         config = SimulationConfig(iterations=_CHUNK + 600, runs=1, burn_in=_CHUNK - 300,
                                   seed=17, k_max=60)
         assert simulate_run(spec, config, 3) == reference_run(spec, config, 3)
+
+
+@st.composite
+def on_period_laws(draw, n_max=8):
+    """f laws whose share of unskippable slots falls on either side of _WALK_MIN_SYNC."""
+    n = draw(st.integers(1, n_max))
+    weights = [draw(st.integers(1, 1000)) * draw(st.sampled_from([1, 1000]))]
+    weights += draw(st.lists(st.integers(0, 1000), min_size=n, max_size=n))
+    return tuple(w / sum(weights) for w in weights)
+
+
+class TestOffSlots:
+    """Both ways of settling a block's off slots follow the renewal path exactly."""
+
+    @given(
+        f=on_period_laws(),
+        length=st.integers(0, 3),
+        seed=st.integers(0, 2**32),
+        rounds=st.sampled_from([0, 1, 2, 10**9]),
+    )
+    @example(f=TABLE2_ON, length=3, seed=0, rounds=10**9)
+    @example(f=LONG_ON, length=3, seed=0, rounds=10**9)
+    @settings(max_examples=30, deadline=None)
+    def test_matches_sequential_walk(self, f, length, seed, rounds):
+        n = len(f) - 1
+        size = (1, 2, n + 2, _CHUNK)[length]
+        on_period = _bin_indices(_cumulative(f), np.random.default_rng(seed).random(size))
+        base = np.arange(1, _CHUNK + 2, dtype=np.int64)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulation, "_WALK_ROUNDS", rounds)
+            # a carried first off slot is at most n slots into the block
+            for first in [*range(n + 1), size]:
+                expected = sequential_off_slots(on_period, first)
+                for walk in (False, True):
+                    off, carried, walked = _off_slots(on_period, first, base, walk)
+                    assert off.dtype == bool and len(off) == size
+                    assert (np.flatnonzero(off).tolist(), carried) == expected
+                    # the walk finishes unless it runs out of rounds
+                    assert walked == walk if rounds == 10**9 else walked <= walk
+
+    @pytest.mark.parametrize(
+        "f, settled",
+        [
+            (TABLE2_ON, [(True, True)] * 3),
+            (LONG_ON, [(False, False)] * 3),
+            # the walk gives up on the first block, and the run with it
+            (RARE_LONG_ON, [(True, False), (False, False), (False, False)]),
+        ],
+    )
+    def test_run_chooses_walk_or_doubling(self, monkeypatch, f, settled):
+        calls = []
+
+        def spy(on_period, first, base, walk):
+            result = _off_slots(on_period, first, base, walk)
+            calls.append((walk, result[2]))
+            return result
+
+        monkeypatch.setattr(simulation, "_off_slots", spy)
+        config = SimulationConfig(iterations=3 * _CHUNK, runs=1, burn_in=0, seed=2, k_max=4)
+        simulate_run(ModelSpec(f, (0.5, 0.5)), config, 0)
+        assert calls == settled
 
 
 class TestConcurrentRuns:
