@@ -197,8 +197,8 @@ def _off_slots(on_period: np.ndarray, first: int, base: np.ndarray, walk: bool) 
     np.add(base[:size], on_period, out=hop[:size])
     hop[size] = size
     np.minimum(hop, size, out=hop)
-    off = np.zeros(size + 1, dtype=bool)
     if walk:
+        off = np.zeros(size + 1, dtype=bool)
         reach = np.maximum.accumulate(hop[first:size])
         np.equal(reach, base[first:size], out=off[first + 1 :])
         del reach
@@ -212,11 +212,12 @@ def _off_slots(on_period: np.ndarray, first: int, base: np.ndarray, walk: bool) 
             cur = hop[cur]
             cur = cur[~off[cur]]
         walk = not len(cur)
-    if not walk:  # any slots a walk marked are off slots, and stay marked
+    if not walk:
         path = np.array([first], dtype=np.int64)
         while path[-1] < size:
             path = np.concatenate((path, hop[path]))
             hop = hop[hop]
+        off = np.zeros(size + 1, dtype=bool)
         off[path] = True
     # the last off slot hops past the block, so it is no further from the
     # end than the longest on-period on_period's type can hold
