@@ -12,15 +12,24 @@ A run draws one uniform per slot, in blocks of `_CHUNK`, and settles each
 block with array operations.  One uniform u_t gives both X_t and Y_t - 1
 as the number of cumulative-probability steps at or below it.  The off
 slots of the block are the path from the first one under
-hop(t) = t + 1 + X_t, found by pointer doubling; the queue after slot t is
-S_t - min(-Q_0, min_{s<=t} S_s), with S the running sum of a.  The bin
-indices are held in the narrowest integer type that also holds -1 (int8
-for up to 128 steps), and the Lindley step runs in place in one int64
-buffer besides S.  The queue length and the first off slot past the block
-carry into the next block, and across the burn-in/tally boundary.  Runs
-are independent streams of a named generator (PCG64) with run r seeded by
-seed XOR r, and the integer arithmetic is exact, so every report is
-bitwise reproducible.
+hop(t) = t + 1 + X_t.  Call a slot t unskippable when no slot between the
+first off slot and t hops past it, that is when the running max of hop
+equals t: the path lands on every such slot.  Under short on-periods they
+are dense (68% of `table1`'s slots, 41% of `table2`'s), so one walker per
+unskippable slot, all following hop in lockstep, fills in the path in
+about ten rounds.  Their share is prod_k P(X <= k); a run whose f puts it
+below 1%, or that meets a block the walk cannot settle in 400 rounds
+(long gaps between unskippable slots), settles its blocks by pointer
+doubling instead, about log2(block length) full-block rounds whatever f
+is.  The queue after slot t is S_t - min(-Q_0, min_{s<=t} S_s), with S the
+running sum of a.  The bin indices are held in the narrowest integer type
+that also holds -1 (int8 for up to 128 steps), and the Lindley step runs
+in place in one int64 buffer besides S.  The queue length and the first
+off slot past the block carry into the next block, and across the
+burn-in/tally boundary.  Runs are independent streams of a named
+generator (PCG64) with run r seeded by seed XOR r (so nearby seeds share
+runs: seeds 0-3 at 4 runs pool the same four), and the integer
+arithmetic is exact, so every report is bitwise reproducible.
 
 `simulate` runs the replications concurrently on a thread pool (numpy
 releases the GIL in the gathers, running sums and counts that dominate a
