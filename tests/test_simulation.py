@@ -166,16 +166,16 @@ class TestOffSlots:
 
     @given(
         f=on_period_laws(),
-        length=st.integers(0, 3),
+        size_index=st.integers(0, 3),
         seed=st.integers(0, 2**32),
         rounds=st.sampled_from([0, 1, 2, 10**9]),
     )
-    @example(f=TABLE2_ON, length=3, seed=0, rounds=10**9)
-    @example(f=LONG_ON, length=3, seed=0, rounds=10**9)
+    @example(f=TABLE2_ON, size_index=3, seed=0, rounds=10**9)
+    @example(f=LONG_ON, size_index=3, seed=0, rounds=10**9)
     @settings(max_examples=30, deadline=None)
-    def test_matches_sequential_walk(self, f, length, seed, rounds):
+    def test_matches_sequential_walk(self, f, size_index, seed, rounds):
         n = len(f) - 1
-        size = (1, 2, n + 2, _CHUNK)[length]
+        size = (1, 2, n + 2, _CHUNK)[size_index]
         on_period = _bin_indices(_cumulative(f), np.random.default_rng(seed).random(size))
         base = np.arange(1, _CHUNK + 2, dtype=np.int64)
         with pytest.MonkeyPatch.context() as patch:
