@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import operator
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isfinite
 from typing import Union
 
 Scalar = Union[float, Fraction]
 
 FLOAT64 = "float64"
 EXACT = "exact"
+
+_DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)")
 
 
 def canonical_backend(name: str) -> str:
@@ -22,10 +27,12 @@ def canonical_backend(name: str) -> str:
 def check_count(value, name: str, minimum: int = 0) -> None:
     """Raise ValueError unless value is an integer (int-like) >= minimum.
 
-    `operator.index` refuses floats and Fractions, so 2.0 is reported here
-    instead of failing later inside a loop.
+    `operator.index` refuses floats and Fractions, and bools are refused too,
+    so 2.0 and True are reported here instead of failing later inside a loop.
     """
     try:
+        if isinstance(value, bool):
+            raise TypeError
         operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
@@ -39,11 +46,20 @@ def to_number(value, backend: str) -> Scalar:
 
     In exact mode decimal strings parse to exact rationals ("0.05" -> 1/20);
     floats convert by their exact binary value, so prefer strings or Fractions
-    when exactness of decimal inputs matters.
+    when exactness of decimal inputs matters.  In float64 mode a plain decimal
+    within the int-to-str digit limit is read by float(), which rounds
+    correctly; zero (Fraction has no -0.0), overflow and any other string go
+    through float(Fraction(value)), refusals included.
     """
     if canonical_backend(backend) == EXACT:
         return Fraction(value)
-    return float(Fraction(value)) if isinstance(value, str) else float(value)
+    if not isinstance(value, str):
+        return float(value)
+    if _DECIMAL.fullmatch(value) and not 0 < sys.get_int_max_str_digits() < len(value):
+        number = float(value)
+        if number and isfinite(number):
+            return number
+    return float(Fraction(value))
 
 
 @dataclass(frozen=True)

@@ -86,7 +86,10 @@ def coerce(spec: ModelSpec, backend: str = FLOAT64) -> ModelSpec:
     vectors convert to rationals summing to 1 +- 1e-17, and running the
     exact recurrences on such a sub-stochastic model would poison the far
     tail.  For inputs that already sum to exactly 1 this is the identity.
+    A float64 spec whose entries are all floats is returned as it is.
     """
+    if backend == FLOAT64 and all(type(v) is float for v in spec.f + spec.g):
+        return spec
     f = tuple(to_number(v, backend) for v in spec.f)
     g = tuple(to_number(v, backend) for v in spec.g)
     if canonical_backend(backend) == EXACT:

@@ -14,9 +14,11 @@ the division treats every later coefficient as zero.
 
 Binary floats are fast but the recurrence eventually produces negative
 values once the true coefficients sink below accumulated rounding error
-(expected behavior, reported as breakdown diagnostics).  Exact rationals
-never break down: N and D are scaled to integers and divided with an
-integer-only recurrence.  Each emitted value is an integer over
+(expected behavior, reported as breakdown diagnostics).  The float division
+slides a window over the last w values, w the last nonzero index of D, and
+subtracts them in the order of the plain convolution, bit for bit.  Exact
+rationals never break down: N and D are scaled to integers and divided
+with an integer-only recurrence.  Each emitted value is an integer over
 den*d0^(k+1), whose primes all divide the small integer den*d0, so it is
 reduced over those primes alone; a full-width gcd runs only when an odd
 prime of den*d0 cancels more than once.
@@ -24,11 +26,13 @@ prime of den*d0 cancels more than once.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
 from numbers import Rational
+from operator import mul, sub
 from typing import NamedTuple, Optional, Sequence
 
 from .config import NumericConfig, Scalar, check_count
@@ -70,24 +74,22 @@ def g_coefficients(spec: ModelSpec, k_max: int) -> tuple:
 
     Column 0 is the delta seed (1 at i = 0); each next column convolves the
     previous one with the shifted batch distribution:
-    G[i][j+1] = sum_k G[k][j] * g_{i+1-k}.
+    G[i][j+1] = sum_k G[k][j] * g_{i+1-k}, added to row i in order of k.
+    Column j has degree j*(m-1): its later rows are left zero.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    n, m = spec.n, spec.m
     g = spec.g
     zero = g[0] * 0
-    one = zero + 1
-    G = [[zero] * (n + 1) for _ in range(k_max + 1)]
-    G[0][0] = one
-    for j in range(n):
-        for i in range(k_max + 1):
-            # g_{i+1-k} is stored at g[i-k]; nonzero only for i+1-k in 1..m
-            acc = zero
-            for k in range(max(0, i + 1 - m), i + 1):
-                acc += G[k][j] * g[i - k]
-            G[i][j + 1] = acc
-    return tuple(tuple(row) for row in G)
+    cols = [[zero + 1]]
+    for j in range(1, spec.n + 1):
+        top = min(j * (spec.m - 1), k_max)
+        col = [zero] * (top + 1)
+        for k, a in enumerate(cols[-1]):
+            for i, c in enumerate(g[:top + 1 - k], start=k):
+                col[i] += a * c
+        cols.append(col)
+    return tuple(zip(*(col + [zero] * (k_max + 1 - len(col)) for col in cols)))
 
 
 def series_coefficients(spec: ModelSpec, G: Sequence) -> tuple:
@@ -105,9 +107,9 @@ def series_coefficients(spec: ModelSpec, G: Sequence) -> tuple:
     D = []
     prev = (zero,) * len(F)
     for i, row in enumerate(G):
-        d = (1 if i == 1 else 0) - sum(p * c for p, c in zip(f, row))
+        d = (1 if i == 1 else 0) - sum(map(mul, f, row))
         D.append(d + zero)
-        N.append(sum((a - c) * s for a, c, s in zip(prev, row, F)) + zero)
+        N.append(sum(map(mul, map(sub, prev, row), F)) + zero)
         prev = row
     return tuple(N), tuple(D)
 
@@ -117,18 +119,21 @@ def _divide_series(b0, N, D, k_max: int) -> QueueDistribution:
 
     P(Q=k) = (1/D[0]) * [N[k]*b0 - sum_{i<k} P(Q=i)*D[k-i]], seeded by
     P(Q=0) = b0*N[0]/D[0], with N[k] = 0 past the end of N.  The
-    convolution only needs the trailing nonzero window of D.
+    convolution only needs the trailing nonzero window of D: the last
+    `window` values of P, zipped against D[window], ..., D[1] (or its tail).
     """
     d0 = D[0]
     zero = d0 * 0
     window = max(1, max(i for i, c in enumerate(D) if c))
+    weights = D[window:0:-1]
+    last = deque(maxlen=window)
     p = []
     running = zero
     breakdown = ()
     for k in range(k_max + 1):
         acc = N[k] * b0 if k < len(N) else 0.0
-        for i in range(max(0, k - window), k):
-            acc -= p[i] * D[k - i]
+        for a, c in zip(last, weights if k >= window else weights[window - k:]):
+            acc -= a * c
         pk = acc / d0
         if pk < zero:
             breakdown = (k, pk, "negative")
@@ -137,8 +142,9 @@ def _divide_series(b0, N, D, k_max: int) -> QueueDistribution:
             breakdown = (k, pk, "mass")
             break
         p.append(pk)
+        last.append(pk)
         running = running + pk
-    tail = tuple(1.0 - cum for cum in accumulate(p))
+    tail = tuple(map((1.0).__sub__, accumulate(p)))
     return QueueDistribution(tuple(p), tail, running, *breakdown)
 
 

@@ -30,8 +30,9 @@ from onoffqueue import (
     moments,
     validate,
 )
+from onoffqueue.model import suffix_sums
 from onoffqueue.oracle import residual
-from onoffqueue.series import MASS_EXCESS_TOL, g_coefficients, series_coefficients
+from onoffqueue.series import MASS_EXCESS_TOL
 from onoffqueue.simulation import _CHUNK, _cumulative
 
 TABLE1_F = ("0.8", "0.1", "0.05", "0.05")
@@ -109,6 +110,41 @@ def light_f_vectors(draw, n_max=5):
     return light_f_vector(on_w, f_bar_pct)
 
 
+def reference_tables(spec: ModelSpec, k_max: int) -> tuple:
+    """The tables (G, N, D) of `series` built one term at a time, rows 0..k_max.
+
+    The straightforward form of `g_coefficients` and `series_coefficients`:
+    every cell of G[i][j+1] = sum_k G[k][j] * g_{i+1-k} summed in order of
+    k from zero, then one generator-expression `sum()` per coefficient of
+    D[i] = delta_{i-1} - sum_j f[j] * G[i][j] and
+    N[i] = sum_j (G[i-1][j] - G[i][j]) * F[j].  Their results must match
+    exactly (bitwise in float mode).
+    """
+    n, m = spec.n, spec.m
+    g = spec.g
+    zero = g[0] * 0
+    G = [[zero] * (n + 1) for _ in range(k_max + 1)]
+    G[0][0] = zero + 1
+    for j in range(n):
+        for i in range(k_max + 1):
+            acc = zero
+            for k in range(max(0, i + 1 - m), i + 1):
+                acc += G[k][j] * g[i - k]
+            G[i][j + 1] = acc
+    f = spec.f
+    F = suffix_sums(f)
+    zero = f[0] * 0
+    N = []
+    D = []
+    prev = (zero,) * len(F)
+    for i, row in enumerate(G):
+        d = (1 if i == 1 else 0) - sum(p * c for p, c in zip(f, row))
+        D.append(d + zero)
+        N.append(sum((a - c) * s for a, c, s in zip(prev, row, F)) + zero)
+        prev = row
+    return tuple(tuple(row) for row in G), tuple(N), tuple(D)
+
+
 def reference_distribution(spec: ModelSpec, config: NumericConfig) -> QueueDistribution:
     """The division recurrence on full k_max-row tables, in the backend's own numbers.
 
@@ -120,7 +156,7 @@ def reference_distribution(spec: ModelSpec, config: NumericConfig) -> QueueDistr
     """
     spec = coerce(spec, config.backend)
     b0 = moments(spec).b0
-    N, D = series_coefficients(spec, g_coefficients(spec, config.k_max))
+    _, N, D = reference_tables(spec, config.k_max)
     d0 = D[0]
     zero = d0 * 0
     window = 1

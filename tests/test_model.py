@@ -1,10 +1,15 @@
 """Validation, moments, and chain structure of the arrival model."""
 
+import math
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import model_specs, transition_matrix
 from onoffqueue import (
@@ -20,6 +25,7 @@ from onoffqueue import (
     stationary_distribution,
     validate,
 )
+from onoffqueue.config import to_number
 
 
 class TestValidate:
@@ -127,6 +133,113 @@ class TestValidate:
     def test_spec_is_immutable(self, table1):
         with pytest.raises(AttributeError):
             table1.f = (1.0,)
+
+
+def fraction_to_float(value, backend):
+    """The float64 conversion through Fraction, which `to_number` must match."""
+    return float(Fraction(value)) if isinstance(value, str) else float(value)
+
+
+def outcome(parse, text):
+    """The bits of parse(text), or the type of what it raised."""
+    try:
+        return parse(text, "float64").hex()
+    except (ValueError, TypeError, ArithmeticError) as exc:
+        return type(exc)
+
+
+def validated(f):
+    """repr of from_strings(f, ["1"]), or its violation messages."""
+    try:
+        return repr(from_strings(f, ("1",)))
+    except ValidationError as err:
+        return [str(v) for v in err.violations]
+
+
+@st.composite
+def digit_runs(draw):
+    """0 to 6000 digits: a short drawn pattern repeated, often with leading zeros."""
+    length = draw(st.integers(0, 25) | st.integers(0, 6000))
+    pattern = draw(st.text("0123456789", min_size=1, max_size=12))
+    return (pattern * (length // len(pattern) + 1))[:length]
+
+
+@st.composite
+def near_halfway(draw):
+    """A plain decimal at, just above or just below the midpoint of two floats."""
+    x = draw(st.floats(min_value=0, max_value=1e300, exclude_min=True))
+    with localcontext() as ctx:
+        ctx.prec = 2000
+        mid = (Decimal(x) + Decimal(math.nextafter(x, math.inf))) / 2
+        text = format(mid, "f")
+        eps = Decimal(1).scaleb(-len(text) - 2)
+        return format(mid + draw(st.sampled_from([0, eps, -eps])), "f")
+
+
+@st.composite
+def number_strings(draw):
+    """Signs, dots, leading zeros, whitespace, underscores, exponents and long runs."""
+    digits = draw(digit_runs())
+    if digits and draw(st.booleans()):
+        cut = draw(st.integers(0, len(digits)))
+        digits = digits[:cut] + "_" + digits[cut:]
+    return "".join((
+        draw(st.sampled_from(["", "", "", " ", "\t"])),
+        draw(st.sampled_from(["", "", "+", "-"])),
+        draw(st.sampled_from(["", "", "0", "00"])),
+        digits,
+        draw(st.sampled_from(["", ".", "."])),
+        draw(digit_runs()),
+        draw(st.sampled_from(["", "", "", "e5", "E-3", "e+0", "e-400", "e400", "e", "/3"])),
+        draw(st.sampled_from(["", "", "", " ", "\n"])),
+    ))
+
+
+SPECIAL_STRINGS = st.sampled_from([
+    "nan", "-nan", "inf", "-inf", "Infinity", "1/3", "-2/7", "1/0", "", ".", "+", "-.",
+    "1__0", "1_0", "_1", "\u0661", "\u0663.\u0665", "0x10", "1e", "e5", "1.2.3", "--1",
+    "0", "-0", "-0.000", "+0.", "0.", ".0", "1" * 400, "-" + "9" * 309, "0." + "1" * 5000,
+    "0." + "0" * 400 + "1", "-0." + "0" * 400 + "1",
+])
+
+
+class TestDecimalParsing:
+    """`to_number` reads plain decimals with float(), bit for bit as through Fraction."""
+
+    @given(number_strings() | near_halfway() | SPECIAL_STRINGS)
+    @settings(max_examples=400, deadline=None)
+    def test_float_parse_equals_fraction(self, text):
+        assert outcome(to_number, text) == outcome(fraction_to_float, text)
+
+    @given(number_strings() | near_halfway() | SPECIAL_STRINGS)
+    @settings(max_examples=100, deadline=None)
+    def test_from_strings_reports_the_same(self, text):
+        f = ("0.5", text)
+        with mock.patch("onoffqueue.model.to_number", fraction_to_float):
+            expected = validated(f)
+        assert validated(f) == expected
+
+    def test_digit_limit_refusal_kept(self):
+        # float() reads any length, but Fraction refuses more digits than
+        # the int-to-str limit (4300 by default), and so must to_number
+        text = "0." + "1" * 5000
+        assert float(text) == pytest.approx(1 / 9)
+        if 0 < sys.get_int_max_str_digits() < 5000:
+            with pytest.raises(ValueError):
+                to_number(text, "float64")
+            assert validated(("0.5", text)) == [f"f[1] = {text!r} is not a finite number"]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert to_number(text, "float64") == float(Fraction(text)) == float(text)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_strings_at_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits() or 4300
+        for size in (limit - 1, limit, limit + 1):
+            for text in ("1" * size, "0." + "1" * (size - 2), "-." + "0" * (size - 3) + "7"):
+                assert outcome(to_number, text) == outcome(fraction_to_float, text)
 
 
 class TestMoments:
@@ -244,3 +357,9 @@ class TestCoerce:
     def test_float_coercion(self, table1_exact):
         spec = coerce(table1_exact, "float64")
         assert isinstance(spec.f[0], float)
+
+    def test_float_coercion_of_floats_is_identity(self, table1):
+        assert coerce(table1, "float64") is table1
+        spec = coerce(ModelSpec((np.float64(0.5), 0.5), (1, True)), "float64")
+        assert spec == ModelSpec((0.5, 0.5), (1.0, 1.0))
+        assert all(type(v) is float for v in spec.f + spec.g)

@@ -1,13 +1,20 @@
 """Power-series recursion: coefficient tables, division, breakdown, pgf."""
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import TABLE1_F, light_f_vectors, model_specs, reference_distribution
+from helpers import (
+    TABLE1_F,
+    light_f_vectors,
+    model_specs,
+    reference_distribution,
+    reference_tables,
+)
 from onoffqueue import (
     ModelSpec,
     NumericConfig,
@@ -199,6 +206,13 @@ def bits(value):
     return value.hex() if isinstance(value, float) else value
 
 
+# Below, at and above the degree n*(m-1)+1 of N and D, where the tables stop.
+DEGREE_OFFSETS = st.integers(-3, 3) | st.integers(4, 60)
+
+# Negative zeros in both vectors: a float spec taken as given keeps them.
+SIGNED_ZEROS = validate(ModelSpec((0.8, -0.0, 0.1, 0.1), (-0.0, 0.75, 0.25)))
+
+
 class TestReferenceEquality:
     """Degree-bounded tables and integer exact division change no result."""
 
@@ -227,12 +241,43 @@ class TestReferenceEquality:
 
     @given(model_specs(), st.integers(0, 60))
     @settings(max_examples=150, deadline=None)
+    @example(SIGNED_ZEROS, 60)
     def test_float_bitwise_equals_full_table_recurrence(self, spec, k_max):
         config = NumericConfig(k_max=k_max)
         dist = queue_distribution(spec, config)
         ref = reference_distribution(spec, config)
         for name in QueueDistribution.__dataclass_fields__:
             assert bits(getattr(dist, name)) == bits(getattr(ref, name)), name
+
+    @staticmethod
+    def assert_tables_match(spec, offset):
+        """The library's G, N and D against `reference_tables`, k_max near the degree."""
+        k_max = max(0, spec.n * (spec.m - 1) + 1 + offset)
+        G = g_coefficients(spec, k_max)
+        N, D = series_coefficients(spec, G)
+        assert bits((G, N, D)) == bits(reference_tables(spec, k_max))
+        number = type(spec.f[0])
+        assert all(type(v) is number for v in chain(*G, N, D))
+
+    @given(model_specs(), DEGREE_OFFSETS)
+    @settings(max_examples=100, deadline=None)
+    def test_float_tables_bitwise_equal_reference(self, spec, offset):
+        self.assert_tables_match(spec, offset)
+
+    def test_signed_zero_entries(self):
+        # With g[0] = -0.0 the zero cells of G may differ in sign, since the
+        # reference also sums the terms past each column's degree; N and D,
+        # whose sums start from +0, and every distribution stay bitwise equal.
+        for k_max in (0, 3, 7, 60):
+            G = g_coefficients(SIGNED_ZEROS, k_max)
+            ref_G, ref_N, ref_D = reference_tables(SIGNED_ZEROS, k_max)
+            assert G == ref_G
+            assert bits(series_coefficients(SIGNED_ZEROS, G)) == bits((ref_N, ref_D))
+
+    @given(model_specs(backend="exact"), DEGREE_OFFSETS)
+    @settings(max_examples=40, deadline=None)
+    def test_exact_tables_equal_reference(self, spec, offset):
+        self.assert_tables_match(spec, offset)
 
     def test_float_bitwise_through_breakdown(self, table1, table2):
         for spec in (table1, table2):
@@ -368,6 +413,30 @@ class TestMeanConsistency:
 def test_non_integer_count_rejected(make):
     with pytest.raises(ValueError, match="must be an integer, got "):
         make()
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: NumericConfig(k_max=True), "k_max must be an integer, got True"),
+        (lambda: SimulationConfig(iterations=20000, runs=True), "runs must be an integer, got True"),
+        (lambda: SimulationConfig(iterations=20000, burn_in=False),
+         "burn_in must be an integer, got False"),
+        (lambda: SimulationConfig(k_max=False), "k_max must be an integer, got False"),
+        (lambda: SimulationConfig(seed=True), "seed must be an integer, got True"),
+        (lambda: queue_distribution_constant_batch((0.5, 0.5), True),
+         "batch size r must be an integer, got True"),
+        (lambda: expected_queue_constant_batch(0.5, 0.5, True),
+         "batch size r must be an integer, got True"),
+    ],
+    ids=["config_kmax", "sim_runs", "sim_burn_in", "sim_kmax", "sim_seed",
+         "constant_batch_r", "expected_queue_r"],
+)
+def test_boolean_count_rejected(make, message):
+    # bool is an int subclass, so operator.index alone would take True as 1
+    with pytest.raises(ValueError) as error:
+        make()
+    assert str(error.value) == message
 
 
 class TestNumericConfig:
