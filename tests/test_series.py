@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 
 from helpers import (
     TABLE1_F,
+    TABLE1_G,
+    TABLE2_F,
+    TABLE2_G,
     light_f_vectors,
     model_specs,
     reference_distribution,
@@ -230,6 +233,12 @@ class TestReferenceEquality:
     # all-zero rows
     @example(from_strings(["0.5", "0.5"], ["1"], backend="exact"), 150)
     @example(from_strings(["0.5", "0.5"], ["0", "1"], backend="exact"), 150)
+    # the bundled models, rows far past the width of D
+    @example(from_strings(TABLE1_F, TABLE1_G, backend="exact"), 150)
+    @example(from_strings(TABLE2_F, TABLE2_G, backend="exact"), 150)
+    # light load: every numerator stays under 30 bits, so no value takes
+    # the prime-stripping path
+    @example(from_strings(["0.68", "0.24", "0.08"], ["0.90", "0.10"], backend="exact"), 150)
     def test_exact_equals_fraction_recurrence(self, spec, k_max):
         config = NumericConfig(backend="exact", k_max=k_max)
         dist = queue_distribution(spec, config)

@@ -1,14 +1,16 @@
 """Monte Carlo engine: determinism, conservation, CIs, statistical sanity."""
 
+import math
 import statistics
 import threading
 from dataclasses import replace
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.stats import t as t_dist
 
 from helpers import build_model, model_specs, reference_run, sequential_off_slots
 from onoffqueue import (
@@ -23,7 +25,7 @@ from onoffqueue import (
     validate,
 )
 from onoffqueue import simulation
-from onoffqueue.simulation import _CHUNK, _bin_indices, _cumulative, _off_slots
+from onoffqueue.simulation import _CHUNK, _T975, _bin_indices, _cumulative, _off_slots, _t975
 
 FAST = SimulationConfig(iterations=20_000, runs=3, burn_in=1_000, seed=7, k_max=10)
 # three full batches plus a partial one in the tally phase
@@ -308,6 +310,64 @@ class TestBatchHealth:
         assert report.between_within_ratio is None
 
 
+# Student's t quantile at p = float(0.975), to 45 digits, by degrees of freedom
+T975_45_DIGITS = {
+    1: "12.7062047361746933141016412189772475533216048",
+    2: "4.30265272974946178942037599663934927614428861",
+    4: "2.77644510519779348979096219548722142224111416",
+    9: "2.26215716279820499920285271724719493299329824",
+}
+
+
+def t975_reference(df):
+    """The t quantile at p = float(0.975) to ~60 digits, as an mpf.
+
+    The root in t of the two-sided tail I_x(df/2, 1/2) = 2(1 - p) with
+    x = df/(df + t^2), the regularised incomplete beta form of the t law.
+    """
+    with mpmath.workdps(60):
+        nu = mpmath.mpf(df)
+        two_tails = 2 * (1 - mpmath.mpf(0.975))  # mpf(float) is exact
+        return +mpmath.findroot(
+            lambda t: mpmath.betainc(nu / 2, 0.5, 0, nu / (nu + t * t), regularized=True)
+            - two_tails,
+            mpmath.mpf(2),
+        )
+
+
+def nearest_double(value):
+    man, exp = value.man_exp
+    return float(man * Fraction(2) ** exp)
+
+
+class TestTQuantile:
+    def test_reference_matches_closed_forms(self):
+        p = mpmath.mpf(0.975)
+        with mpmath.workdps(60):
+            assert abs(t975_reference(1) - mpmath.tan(mpmath.pi * (p - 0.5))) < 1e-50
+            assert abs(t975_reference(2) - (2 * p - 1) / mpmath.sqrt(2 * p * (1 - p))) < 1e-50
+
+    @pytest.mark.parametrize("df", range(1, len(_T975) + 1))
+    def test_table_is_correctly_rounded(self, df):
+        ref = t975_reference(df)
+        # the 60-digit value pins the nearest double: both sides round alike
+        with mpmath.workdps(60):
+            low, high = nearest_double(ref * (1 - 1e-45)), nearest_double(ref * (1 + 1e-45))
+        assert low == high
+        assert _t975(df) == low
+
+    # dense just past the table, where truncating the series costs most,
+    # then spread geometrically up to 10^6
+    @pytest.mark.parametrize(
+        "df",
+        list(range(len(_T975) + 1, 61))
+        + sorted({round(61 * (10**6 / 61) ** (i / 24)) for i in range(1, 25)}),
+    )
+    def test_series_within_one_ulp(self, df):
+        ref = nearest_double(t975_reference(df))
+        assert abs(_t975(df) - ref) <= math.ulp(ref)
+
+
 class TestAggregate:
     def test_identical_runs_zero_width(self, table1):
         tally = simulate_run(table1, FAST, 0)
@@ -324,11 +384,13 @@ class TestAggregate:
             assert report.p_ci_low[k] <= report.p_hat[k] <= report.p_ci_high[k]
 
     @pytest.mark.parametrize("runs", [2, 3, 5, 10])
-    def test_intervals_match_scipy_stats_t(self, table1, runs):
-        # the quantile comes from scipy.special.stdtrit; the intervals must
-        # equal, bitwise, those built on scipy.stats.t.ppf
+    def test_intervals_match_high_precision_t(self, table1, runs):
+        # the intervals must equal, bitwise, those built on the correctly
+        # rounded quantile, here from a 45-digit value
+        quantile = float(T975_45_DIGITS[runs - 1])
+
         def interval(values, center):
-            half = float(t_dist.ppf(0.975, runs - 1)) * float(np.std(values, ddof=1))
+            half = quantile * float(np.std(values, ddof=1))
             half /= runs**0.5
             return center - half, center + half
 
