@@ -8,31 +8,27 @@ server completes one unit per slot, so the queue follows the Lindley
 recursion Q <- max(Q + a_t, 0) with a_t = Y_t - 1 at on slots and -1 at
 off slots.
 
-A run draws one uniform per slot, in blocks of `_CHUNK`, and settles each
-block with array operations.  One uniform u_t gives both X_t and Y_t - 1
-as the number of cumulative-probability steps at or below it.  The off
-slots of the block are the path from the first one under
-hop(t) = t + 1 + X_t.  Call a slot t unskippable when no slot between the
-first off slot and t hops past it, that is when the running max of hop
-equals t: the path lands on every such slot.  Under short on-periods they
-are dense (68% of `table1`'s slots, 41% of `table2`'s), so one walker per
-unskippable slot, all following hop in lockstep, fills in the path in
-about ten rounds.  Their share is prod_k P(X <= k); a run whose f puts it
-below 1%, or that meets a block the walk cannot settle in 400 rounds
-(long gaps between unskippable slots), settles its blocks by pointer
-doubling instead, about log2(block length) full-block rounds whatever f
-is.  The queue after slot t is S_t - min(-Q_0, min_{s<=t} S_s), with S the
-running sum of a.  The bin indices are held in the narrowest integer type
-that also holds -1 (int8 for up to 128 steps), and the Lindley step runs
-in place in one int64 buffer besides S.  The queue length and the first
-off slot past the block carry into the next block, and across the
-burn-in/tally boundary.  Runs are independent streams of a named
-generator (PCG64) with run r seeded by seed XOR r (so nearby seeds share
-runs: seeds 0-3 at 4 runs pool the same four), and the integer
-arithmetic is exact, so every report is bitwise reproducible.
+Run r draws from two independent PCG64 streams,
+SeedSequence(seed, spawn_key=(r, 0)) for the on-periods and spawn_key
+(r, 1) for the batches, so no two (seed, run) pairs share a stream.  The
+chain is drawn period by period: one on-period per off slot and one
+batch per slot, the latter `_CHUNK` at a time, and each block is settled
+with array operations.  A draw gives its on-period or batch size - 1 as
+the number of cumulative-probability steps at or below it.  The off slots
+of a block are first, first + 1 + X_0, first + 2 + X_0 + X_1, ...: one
+running sum over on-periods drawn ahead, and those the block does not use
+carry into the next, so no draw is discarded and the tallies do not
+depend on how many are drawn ahead.  The queue after slot t is
+S_t - min(-Q_0, min_{s<=t} S_s), with S the running sum of a.  Draws are
+binned into the narrowest integer type that also holds -1 (int8 for up
+to 128 steps), and the Lindley step runs in place in one int64 buffer
+besides S.  The queue length, the first off slot past the block and the
+unused on-periods carry into the next block, and across the
+burn-in/tally boundary.  The integer arithmetic is exact, so every report
+is bitwise reproducible.
 
 `simulate` runs the replications concurrently on a thread pool (numpy
-releases the GIL in the gathers, running sums and counts that dominate a
+releases the GIL in the draws, running sums and counts that dominate a
 block) and pools their tallies in run order, so its report does not depend
 on the number of workers.
 
@@ -62,14 +58,6 @@ from .model import ModelSpec
 GENERATOR_NAME = "pcg64"
 
 _CHUNK = 1 << 16
-
-# A run settles its blocks by the walk of `_off_slots` when at least this
-# share of slots is unskippable, and by pointer doubling otherwise or from
-# the first block whose walk takes more than _WALK_ROUNDS rounds.  On
-# 65,536-slot blocks the walk mostly loses to doubling's ~16 full-block
-# gathers below a share of ~0.005, and 400 rounds cost about as much.
-_WALK_MIN_SYNC = 0.01
-_WALK_ROUNDS = 400
 
 # Student's t quantile at p = float(0.975) = 0.97499999999999997779...,
 # correctly rounded, for df = 1, 2, ..., 32.
@@ -202,75 +190,22 @@ def _bin_indices(cums: list, u: np.ndarray) -> np.ndarray:
     return index
 
 
-def _off_slots(on_period: np.ndarray, first: int, base: np.ndarray, walk: bool) -> tuple:
-    """Off slots of one block, given on-period draws and the first off slot.
-
-    The off slots are first, hop(first), hop(hop(first)), ... with
-    hop(t) = t + 1 + on_period[t]; slots past the block all map to
-    len(on_period), which maps to itself.  base must hold t + 1 for every
-    slot t of the block and one more.
-
-    With walk set, the slots t > first that no slot in [first, t) hops
-    past (the running max of hop is t) are marked first: the path cannot
-    jump over them, so they are all off slots.  One walker per marked slot
-    then follows hop, all in lockstep, until each lands on a marked slot;
-    the slots they visit complete the path.  If walkers are left after
-    `_WALK_ROUNDS` rounds, or walk is not set, pointer doubling finds the
-    path in about log2(block length) rounds: each round appends hop^(2^r)
-    of the path so far and squares hop.
-
-    Returns a boolean mask of the off slots inside the block, the first
-    one past it counted from the block's end, and whether the walk
-    settled the block.
-    """
-    size = len(on_period)
-    if first >= size:
-        return np.zeros(size, dtype=bool), first - size, walk
-    hop = np.empty(size + 1, dtype=np.int64)
-    np.add(base[:size], on_period, out=hop[:size])
-    hop[size] = size
-    np.minimum(hop, size, out=hop)
-    if walk:
-        off = np.zeros(size + 1, dtype=bool)
-        reach = np.maximum.accumulate(hop[first:size])
-        np.equal(reach, base[first:size], out=off[first + 1 :])
-        del reach
-        off[first] = True
-        # a marked slot with no on-period hops onto the next slot, also marked
-        cur = np.flatnonzero(off[:size] & (on_period > 0))
-        for _ in range(_WALK_ROUNDS):
-            if not len(cur):
-                break
-            off[cur] = True
-            cur = hop[cur]
-            cur = cur[~off[cur]]
-        walk = not len(cur)
-    if not walk:
-        path = np.array([first], dtype=np.int64)
-        while path[-1] < size:
-            path = np.concatenate((path, hop[path]))
-            hop = hop[hop]
-        off = np.zeros(size + 1, dtype=bool)
-        off[path] = True
-    # the last off slot hops past the block, so it is no further from the
-    # end than the longest on-period on_period's type can hold
-    tail = off[max(0, size - 1 - int(np.iinfo(on_period.dtype).max)) : size]
-    last = size - 1 - int(np.argmax(tail[::-1]))
-    return off[:size], last + 1 + int(on_period[last]) - size, walk
-
-
 def simulate_run(spec: ModelSpec, config: SimulationConfig, run_index: int) -> RunTally:
-    """One deterministic run; consumes exactly one uniform per step.
+    """One deterministic run: a batch draw per slot, an on-period draw per off slot.
 
     The slots are settled a `_CHUNK` block at a time (see the module
-    docstring); the queue length and the first off slot carry over.
+    docstring); the queue length, the first off slot and the on-periods
+    drawn ahead carry over.
     """
     f_cum = _cumulative(spec.f)
     g_cum = _cumulative(spec.g)
-    rng = np.random.Generator(np.random.PCG64(config.seed ^ run_index))
-    # the share of slots no on-period can jump over
-    walk = float(np.prod(f_cum[:-1])) >= _WALK_MIN_SYNC
-    base = np.arange(1, _CHUNK + 2, dtype=np.int64)
+    on_rng, batch_rng = (
+        np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(run_index, part)))
+        )
+        for part in (0, 1)
+    )
+    ahead = _bin_indices(f_cum, np.empty(0))  # on-periods drawn but not yet used
     lump = config.k_max + 1
     q = 0  # queue length at the start of the next block
     first = 0  # first off slot of the next block, counted from its start
@@ -282,17 +217,29 @@ def simulate_run(spec: ModelSpec, config: SimulationConfig, run_index: int) -> R
         batch_sums = []
         done = start
         while done < stop:
-            u = rng.random(min(_CHUNK, stop - done))
-            size = len(u)
+            size = min(_CHUNK, stop - done)
             done += size
-            on_period = _bin_indices(f_cum, u)
-            step = _bin_indices(g_cum, u)  # batch size - 1
-            del u  # the widest array; _off_slots allocates the most
-            off, first, walk = _off_slots(on_period, first, base, walk)
-            # step = -1 at off slots, in two passes: boolean-mask assignment
-            # branches on every slot and is several times slower
-            step *= ~off
-            step -= off
+            step = _bin_indices(g_cum, batch_rng.random(size))  # batch size - 1
+            if first < size:
+                # size - first on-periods reach past the block even if all are 0
+                want = size - first
+                if len(ahead) < want:
+                    drawn = _bin_indices(f_cum, on_rng.random(want - len(ahead)))
+                    ahead = np.concatenate((ahead, drawn))
+                # ends[i] = first + sum_{j<=i} (1 + ahead[j]), the off slot
+                # after the one that draws ahead[i]
+                ends = ahead[:want].astype(np.int64)
+                ends += 1
+                ends[0] += first
+                np.cumsum(ends, out=ends)
+                inside = int(np.searchsorted(ends, size))
+                step[first] = -1
+                step[ends[:inside]] = -1
+                first = int(ends[inside]) - size
+                ahead = ahead[inside + 1 :]
+                del ends  # before the Lindley buffers are made
+            else:
+                first -= size
             # Lindley: the queue after slot t is S_t - min(-q, min_{s<=t} S_s)
             after = np.cumsum(step, dtype=np.int64)
             low = np.minimum.accumulate(after)
@@ -304,7 +251,7 @@ def simulate_run(spec: ModelSpec, config: SimulationConfig, run_index: int) -> R
             counts += np.bincount(np.minimum(after, lump, out=low), minlength=lump + 1)
             counts[min(q_start, lump)] += 1
             counts[min(q, lump)] -= 1
-            del after, low, off  # before the next block's arrays are made
+            del after, low  # before the next block's arrays are made
             queue_sum += block_sum
             if size == _CHUNK:
                 batch_sums.append(block_sum)

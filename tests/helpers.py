@@ -191,14 +191,20 @@ def reference_distribution(spec: ModelSpec, config: NumericConfig) -> QueueDistr
 def reference_run(spec: ModelSpec, config: SimulationConfig, run_index: int) -> RunTally:
     """One run of the chain and queue, replayed slot by slot.
 
-    The straightforward form of `simulate_run`'s block computation: the
-    same uniforms in the same blocks, one `bisect_right` per slot for the
-    on-period (off state) or the batch size (on state).  Its tallies must
-    match exactly.
+    The straightforward form of `simulate_run`'s block computation, from
+    the same two streams: the batch stream gives one uniform per slot, in
+    the same blocks, and the on-period stream one uniform at each off slot,
+    when the off slot is reached.  Each uniform that is used takes one
+    `bisect_right`.  Its tallies must match exactly.
     """
     f_cum = _cumulative(spec.f)
     g_cum = _cumulative(spec.g)
-    rng = np.random.Generator(np.random.PCG64(config.seed ^ run_index))
+    on_rng = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(run_index, 0)))
+    )
+    batch_rng = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(run_index, 1)))
+    )
     bis = bisect_right
     k_cap = config.k_max
     x = 0
@@ -210,7 +216,7 @@ def reference_run(spec: ModelSpec, config: SimulationConfig, run_index: int) -> 
         batch_sums = []
         done = start
         while done < stop:
-            block = rng.random(min(_CHUNK, stop - done)).tolist()
+            block = batch_rng.random(min(_CHUNK, stop - done)).tolist()
             done += len(block)
             block_start = queue_sum
             for u in block:
@@ -222,11 +228,10 @@ def reference_run(spec: ModelSpec, config: SimulationConfig, run_index: int) -> 
                 if x:
                     q += bis(g_cum, u)  # bisect index equals batch size - 1
                     x -= 1
-                elif q:
-                    q -= 1
-                    x = bis(f_cum, u)
                 else:
-                    x = bis(f_cum, u)
+                    if q:
+                        q -= 1
+                    x = bis(f_cum, on_rng.random())
             if len(block) == _CHUNK:
                 batch_sums.append(queue_sum - block_start)
     return RunTally(
@@ -237,23 +242,6 @@ def reference_run(spec: ModelSpec, config: SimulationConfig, run_index: int) -> 
         steps=config.iterations - config.burn_in,
         batch_sums=tuple(batch_sums),
     )
-
-
-def sequential_off_slots(on_period: np.ndarray, first: int) -> tuple:
-    """Off slots of one block, followed one hop at a time.
-
-    The straightforward form of `simulation._off_slots`: from the first off
-    slot, the next is t + 1 + on_period[t].  Returns the off slots inside
-    the block, in order, and the first one past it counted from the
-    block's end.
-    """
-    on = on_period.tolist()
-    off = []
-    t = first
-    while t < len(on):
-        off.append(t)
-        t += 1 + on[t]
-    return off, t - len(on)
 
 
 def transition_matrix(spec: ModelSpec) -> tuple:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import build_model, model_specs, reference_run, sequential_off_slots
+from helpers import build_model, model_specs, reference_run
 from onoffqueue import (
     ModelSpec,
     SimulationConfig,
@@ -25,7 +25,7 @@ from onoffqueue import (
     validate,
 )
 from onoffqueue import simulation
-from onoffqueue.simulation import _CHUNK, _T975, _bin_indices, _cumulative, _off_slots, _t975
+from onoffqueue.simulation import _CHUNK, _T975, _bin_indices, _cumulative, _t975
 
 FAST = SimulationConfig(iterations=20_000, runs=3, burn_in=1_000, seed=7, k_max=10)
 # three full batches plus a partial one in the tally phase
@@ -33,11 +33,8 @@ BATCHED = SimulationConfig(iterations=3 * _CHUNK + 1_500, runs=3, burn_in=1_000,
 # one block edge in the tally phase
 EDGE = SimulationConfig(iterations=_CHUNK + 600, runs=1, burn_in=100, seed=13, k_max=60)
 
-# On-period laws (off state first).  Under LONG_ON almost no slot is
-# unskippable (p_sync 1.5e-6), so runs settle their blocks by pointer
-# doubling.  Under RARE_LONG_ON 3.8% are, but the rare long on-periods
-# overlap into gaps that take a full block's walk past _WALK_ROUNDS.
-TABLE2_ON = (0.6, 0.2, 0.1, 0.05, 0.05)
+# On-period laws (off state first) whose on-periods often span a block
+# edge: mostly 5 slots under LONG_ON, now and then 126 under RARE_LONG_ON.
 LONG_ON = (0.05, 0.01, 0.01, 0.01, 0.01, 0.91)
 RARE_LONG_ON = (0.9, 0.075) + (0.0,) * 124 + (0.025,)
 
@@ -63,17 +60,14 @@ class TestSimulateRun:
     def test_runs_differ(self, table1):
         assert simulate_run(table1, FAST, 0) != simulate_run(table1, FAST, 1)
 
-    def test_seed_xor_run_rule(self, table1):
-        # run r under seed s consumes the same stream as run 0 under s XOR r
-        direct = simulate_run(table1, FAST, 5)
-        rebased = simulate_run(
-            table1,
-            SimulationConfig(iterations=20_000, runs=3, burn_in=1_000,
-                             seed=FAST.seed ^ 5, k_max=10),
-            0,
-        )
-        assert direct.counts == rebased.counts
-        assert direct.queue_sum == rebased.queue_sum
+    def test_nearby_seeds_share_no_run(self, table1):
+        # every (seed, run) pair has streams of its own
+        runs = [
+            p
+            for seed in range(4)
+            for p in simulate(table1, replace(FAST, runs=4, seed=seed)).p_hat_runs
+        ]
+        assert len(set(runs)) == 16
 
     def test_conservation(self, table2):
         tally = simulate_run(table2, FAST, 0)
@@ -83,8 +77,8 @@ class TestSimulateRun:
     @pytest.mark.parametrize(
         "burn_in, counts, lumped, queue_sum",
         [
-            (1234, (1253, 249, 150, 79, 26), 9, 940),
-            (0, (2185, 399, 231, 118, 45), 22, 1513),
+            (1234, (1190, 242, 179, 91, 45), 19, 1155),
+            (0, (2024, 418, 305, 148, 64), 41, 1952),
         ],
     )
     def test_pinned_stream(self, table1, burn_in, counts, lumped, queue_sum):
@@ -112,6 +106,10 @@ class TestBlockEqualsReference:
         seed=st.integers(0, 2**32),
         run_index=st.integers(0, 9),
     )
+    @example(spec=ModelSpec(LONG_ON, (0.9, 0.1)), burn_in=_CHUNK - 1, length=2 * _CHUNK + 1,
+             k_max=4, seed=0, run_index=0)
+    @example(spec=ModelSpec(RARE_LONG_ON, (0.9, 0.1)), burn_in=_CHUNK - 1,
+             length=2 * _CHUNK + 1, k_max=4, seed=0, run_index=0)
     @settings(max_examples=25, deadline=None)
     def test_random_models_around_block_edges(self, spec, burn_in, length, k_max, seed, run_index):
         config = SimulationConfig(iterations=burn_in + length, runs=1, burn_in=burn_in,
@@ -125,7 +123,7 @@ class TestBlockEqualsReference:
             (("0.6", "0.2", "0.1", "0.05", "0.05"), ("0.2", "0.6", "0.1", "0.1")),
             # never off for two slots running, rho = 1: the queue grows without bound
             (("0", "0", "1"), ("0.5", "0.5")),
-            # settled by pointer doubling, and by a walk that gives up
+            # on-periods that carry over block edges and the phase boundary
             (LONG_ON, ("0.9", "0.1")),
             (RARE_LONG_ON, ("0.9", "0.1")),
         ],
@@ -152,67 +150,6 @@ class TestBlockEqualsReference:
         config = SimulationConfig(iterations=_CHUNK + 600, runs=1, burn_in=_CHUNK - 300,
                                   seed=17, k_max=60)
         assert simulate_run(spec, config, 3) == reference_run(spec, config, 3)
-
-
-@st.composite
-def on_period_laws(draw, n_max=8):
-    """f laws whose share of unskippable slots falls on either side of _WALK_MIN_SYNC."""
-    n = draw(st.integers(1, n_max))
-    weights = [draw(st.integers(1, 1000)) * draw(st.sampled_from([1, 1000]))]
-    weights += draw(st.lists(st.integers(0, 1000), min_size=n, max_size=n))
-    return tuple(w / sum(weights) for w in weights)
-
-
-class TestOffSlots:
-    """Both ways of settling a block's off slots follow the renewal path exactly."""
-
-    @given(
-        f=on_period_laws(),
-        size_index=st.integers(0, 3),
-        seed=st.integers(0, 2**32),
-        rounds=st.sampled_from([0, 1, 2, 10**9]),
-    )
-    @example(f=TABLE2_ON, size_index=3, seed=0, rounds=10**9)
-    @example(f=LONG_ON, size_index=3, seed=0, rounds=10**9)
-    @settings(max_examples=30, deadline=None)
-    def test_matches_sequential_walk(self, f, size_index, seed, rounds):
-        n = len(f) - 1
-        size = (1, 2, n + 2, _CHUNK)[size_index]
-        on_period = _bin_indices(_cumulative(f), np.random.default_rng(seed).random(size))
-        base = np.arange(1, _CHUNK + 2, dtype=np.int64)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(simulation, "_WALK_ROUNDS", rounds)
-            # a carried first off slot is at most n slots into the block
-            for first in [*range(n + 1), size]:
-                expected = sequential_off_slots(on_period, first)
-                for walk in (False, True):
-                    off, carried, walked = _off_slots(on_period, first, base, walk)
-                    assert off.dtype == bool and len(off) == size
-                    assert (np.flatnonzero(off).tolist(), carried) == expected
-                    # the walk finishes unless it runs out of rounds
-                    assert walked == walk if rounds == 10**9 else walked <= walk
-
-    @pytest.mark.parametrize(
-        "f, settled",
-        [
-            (TABLE2_ON, [(True, True)] * 3),
-            (LONG_ON, [(False, False)] * 3),
-            # the walk gives up on the first block, and the run with it
-            (RARE_LONG_ON, [(True, False), (False, False), (False, False)]),
-        ],
-    )
-    def test_run_chooses_walk_or_doubling(self, monkeypatch, f, settled):
-        calls = []
-
-        def spy(on_period, first, base, walk):
-            result = _off_slots(on_period, first, base, walk)
-            calls.append((walk, result[2]))
-            return result
-
-        monkeypatch.setattr(simulation, "_off_slots", spy)
-        config = SimulationConfig(iterations=3 * _CHUNK, runs=1, burn_in=0, seed=2, k_max=4)
-        simulate_run(ModelSpec(f, (0.5, 0.5)), config, 0)
-        assert calls == settled
 
 
 class TestConcurrentRuns:
@@ -436,9 +373,9 @@ class TestStatisticalBehavior:
         assert low <= truth <= high
 
     def test_ci_width_shrinks_with_iterations(self, table1):
-        short = SimulationConfig(iterations=20_000, runs=8, burn_in=1_000,
+        short = SimulationConfig(iterations=20_000, runs=32, burn_in=1_000,
                                  seed=29, k_max=20)
-        long = SimulationConfig(iterations=191_000, runs=8, burn_in=1_000,
+        long = SimulationConfig(iterations=191_000, runs=32, burn_in=1_000,
                                 seed=29, k_max=20)
         w_short = (lambda r: r.mean_queue_ci[1] - r.mean_queue_ci[0])(
             simulate(table1, short)
