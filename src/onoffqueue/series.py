@@ -18,10 +18,8 @@ values once the true coefficients sink below accumulated rounding error
 slides a window over the last w values, w the last nonzero index of D, and
 subtracts them in the order of the plain convolution, bit for bit.  Exact
 rationals never break down: N and D are scaled to integers and divided
-with an integer-only recurrence.  Each emitted value is an integer over
-den*d0^(k+1), whose primes all divide the small integer den*d0, so it is
-reduced over those primes alone; a full-width gcd runs only when an odd
-prime of den*d0 cancels more than once.
+with an integer-only recurrence, whose values are reduced over the few
+primes of den*d0 alone (see `_divide_exact`).
 """
 
 from __future__ import annotations
@@ -162,25 +160,17 @@ class _Reduced(NamedTuple):
 
 Rational.register(_Reduced)
 
-# Fraction(y, M) and its one gcd beat _reduce_over's stripping while y, the
-# smaller operand (|y| <= |M|), has fewer bits: ~0.5x the time at 64-192
-# bits, ~1x at 384-448.
-_PLAIN_BITS = 384
-
 
 def _reduce_over(y: int, M: int, odd_base: int) -> Fraction:
-    """The Fraction y / M, given M != 0 and every odd prime of M dividing odd_base.
+    """The Fraction y / M, given y >= 0, M > 0 and every odd prime of M dividing odd_base.
 
-    A y of fewer than `_PLAIN_BITS` bits is left to `Fraction(y, M)`.
-    Otherwise the common power of 2 is stripped with bit operations and
-    the odd primes with t = gcd(gcd(y, odd_base), M), which is cheap
-    because odd_base is small.  Only when an odd prime of t still divides
-    both (a prime repeated in y and M) does one full gcd(y, M) run.
+    The common power of 2 is stripped with bit operations and the odd
+    primes with t = gcd(gcd(y, odd_base), M), which is cheap because
+    odd_base is small.  Only when an odd prime of t still divides both
+    (a prime repeated in y and M) does one full gcd(y, M) run.
     """
-    if y.bit_length() < _PLAIN_BITS:
-        return Fraction(y, M)
-    if M < 0:
-        y, M = -y, -M
+    if not y:
+        return Fraction(0)
     shift = min((y & -y).bit_length(), (M & -M).bit_length()) - 1
     y >>= shift
     M >>= shift
@@ -199,29 +189,28 @@ def _divide_exact(b0: Fraction, N, D, k_max: int) -> QueueDistribution:
     """Exact division recurrence over integers, reduced over the primes of b0 and d0.
 
     With N and D scaled by the lcm of their denominators to integers n_k
-    and d_k, the content c = gcd(d) divided out of d (and folded into
-    b0' = b0/c = num/den), and w the last nonzero index of d, the integers
-    R_k = d0^(k+1) * P(Q=k) / b0' satisfy
+    and d_k, the content c = -gcd(d) divided out of d (and folded into
+    b0' = b0/c = num/den; D[0] < 0 as f[0] > 0, so d0 > 0), and w the last
+    nonzero index of d, the integers R_k = d0^(k+1) * P(Q=k) / b0' satisfy
 
         R_k = n_k*d0^k - sum_{j=1..w} R_{k-j} * d_j*d0^(j-1)
 
     (n_k = 0 past the end of N; the sum is taken by Horner's rule in d0,
     from j = min(k, w) down), and C_k = C_{k-1}*d0 + R_k carries the
     cumulative sum, so P(Q=k) = num*R_k/M and P(Q>k) = (M - num*C_k)/M
-    with M = den*d0^(k+1).  Every prime of M divides den*d0, so each value
-    is reduced by `_reduce_over` without a full-width gcd unless an odd
-    prime of den*d0 cancels more than once.
+    with M = den*d0^(k+1) > 0.  Every prime of M divides den*d0, so each
+    value is reduced by `_reduce_over` without a full-width gcd unless an
+    odd prime of den*d0 cancels more than once.
     """
     scale = lcm(*(c.denominator for c in N + D))
     n = [c.numerator * (scale // c.denominator) for c in N]
     d = [c.numerator * (scale // c.denominator) for c in D]
-    content = gcd(*d)
+    content = -gcd(*d)
     d = [c // content for c in d]
     d0 = d[0]
     w = max(i for i, c in enumerate(d) if c)
-    b0 = b0 / content
-    num, den = b0.numerator, b0.denominator
-    base = den * abs(d0)
+    num, den = (b0 / content).as_integer_ratio()
+    base = den * d0
     odd_base = base >> ((base & -base).bit_length() - 1)
     R = []
     p = []
@@ -242,6 +231,12 @@ def _divide_exact(b0: Fraction, N, D, k_max: int) -> QueueDistribution:
     return QueueDistribution(tuple(p), tuple(tail), 1 - tail[-1])
 
 
+def _divide(b0, N, D, config: NumericConfig) -> QueueDistribution:
+    """b0 * N(z) / D(z) to config.k_max, by the division of config's backend."""
+    divide = _divide_exact if config.is_exact else _divide_series
+    return divide(b0, N, D, config.k_max)
+
+
 def queue_distribution(spec: ModelSpec, config: NumericConfig = NumericConfig()) -> QueueDistribution:
     """Full queue-length distribution up to config.k_max.
 
@@ -253,9 +248,7 @@ def queue_distribution(spec: ModelSpec, config: NumericConfig = NumericConfig())
     check_stable(mom.rho)
     degree = spec.n * (spec.m - 1) + 1  # of N(z); D(z) has no higher term
     N, D = series_coefficients(spec, g_coefficients(spec, min(config.k_max, degree)))
-    if config.is_exact:
-        return _divide_exact(mom.b0, N, D, config.k_max)
-    return _divide_series(mom.b0, N, D, config.k_max)
+    return _divide(mom.b0, N, D, config)
 
 
 def queue_distribution_constant_batch(
@@ -296,9 +289,7 @@ def queue_distribution_constant_batch(
         D[j * step] -= fj
         N[j * step] -= Fj
         N[j * step + 1] += Fj
-    if config.is_exact:
-        return _divide_exact(b0, N, D, config.k_max)
-    return _divide_series(b0, N, D, config.k_max)
+    return _divide(b0, N, D, config)
 
 
 def pgf_eval(spec: ModelSpec, z) -> Scalar:

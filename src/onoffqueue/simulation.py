@@ -148,9 +148,9 @@ class SimulationReport:
     batches.  between_within_ratio divides the standard error the runs'
     spread gives by it.  With runs - 1 degrees of freedom (+-24% at 10
     runs) that is mostly sampling noise: over seeds 100-115 (10 runs of
-    10^6 slots, both bundled models) it has median 1.10 and range
-    0.68-1.38, so it cannot flag anything below about 1.5.  It is None for
-    a single run or when the batch means never vary.
+    10^6 slots) it has median 1.04, range 0.58-1.61 on table1 and 0.91,
+    0.64-1.28 on table2, so it cannot flag anything below about 1.7.  It
+    is None for a single run or when the batch means never vary.
     """
 
     runs: int

@@ -93,8 +93,12 @@ class TestValidateCommand:
 
     @pytest.mark.parametrize(
         "content, message",
-        [(b'\xff{"f": ["1"]}', "cannot read"), (b"[" * 100_000, "nested too deeply")],
-        ids=["undecodable", "too_deep"],
+        [
+            (b'\xff{"f": ["1"]}', "cannot read"),
+            (b"[" * 100_000, "nested too deeply"),
+            (b'{"f": "0.5", "g": ["1"]}', "'f' must be an array"),
+        ],
+        ids=["undecodable", "too_deep", "string_for_array"],
     )
     def test_unreadable_document(self, capsys, tmp_path, content, message):
         path = tmp_path / "odd.json"
@@ -480,3 +484,7 @@ class TestTables:
         again = parse_csv(text)
         assert render_csv(again) == text
         assert dict(again.footer)["note"] == "x=1"
+
+    def test_parse_empty_text_rejected(self):
+        with pytest.raises(ValueError):
+            parse_csv("")

@@ -33,7 +33,7 @@ from onoffqueue import (
     queue_distribution_constant_batch,
     validate,
 )
-from onoffqueue.series import g_coefficients, series_coefficients
+from onoffqueue.series import _divide_series, g_coefficients, series_coefficients
 
 EXACT = NumericConfig(backend="exact", k_max=60)
 
@@ -48,6 +48,10 @@ def naive_convolve(a, b):
 
 
 class TestGCoefficients:
+    def test_negative_kmax_rejected(self, table1):
+        with pytest.raises(ValueError):
+            g_coefficients(table1, -1)
+
     def test_column_zero_is_delta(self, table1):
         G = g_coefficients(table1, 6)
         assert [G[i][0] for i in range(7)] == [1.0, 0, 0, 0, 0, 0, 0]
@@ -145,6 +149,14 @@ class TestQueueDistribution:
         assert dist.breakdown_index == dist.k_effective + 1
         assert abs(dist.breakdown_value) < 1e-12
         assert dist.breakdown_reason == "negative"
+
+    def test_float_mass_breakdown(self):
+        # never seen on a real model; kept as a fault check on the division:
+        # N = -0.6, D = z - 1 gives p = 0.6 for every k, so row 1 takes the
+        # cumulative mass to 1.2
+        dist = _divide_series(1.0, (-0.6, 0.0), (-1.0, 1.0), 5)
+        assert dist.p == (0.6,)
+        assert (dist.breakdown_index, dist.breakdown_value, dist.breakdown_reason) == (1, 0.6, "mass")
 
     def test_table2_float_reaches_deep(self, table2):
         # this environment's rounding keeps the tail positive well past the

@@ -184,6 +184,15 @@ class TestConcurrentRuns:
         assert simulation._worker_count(1) == 1
         assert 1 <= simulation._worker_count(64) <= 64
 
+    @pytest.mark.parametrize("cpus, expected", [(3, 3), (None, 1)])
+    def test_worker_count_without_affinity(self, monkeypatch, cpus, expected):
+        # platforms without sched_getaffinity fall back to os.cpu_count(),
+        # which may return None
+        monkeypatch.delattr(simulation.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(simulation.os, "cpu_count", lambda: cpus)
+        assert simulation._worker_count(8) == expected
+        assert simulation._worker_count(2) == min(2, expected)
+
     @pytest.mark.parametrize("workers", [1, 3])
     def test_failed_run_raises_and_leaves_no_threads(self, table1, monkeypatch, workers):
         class RunFailed(Exception):
@@ -339,6 +348,10 @@ class TestAggregate:
         ]
         assert report.p_ci_low == tuple(lo for lo, _ in bounds)
         assert report.p_ci_high == tuple(hi for _, hi in bounds)
+
+    def test_no_runs_rejected(self):
+        with pytest.raises(ValueError):
+            aggregate([])
 
     def test_single_run_has_no_ci(self, table1):
         config = SimulationConfig(iterations=5_000, runs=1, burn_in=100, seed=3, k_max=5)

@@ -81,12 +81,13 @@ class TestDistributionCells:
 
     def test_float_and_mixed_rows(self, conversions):
         base = 3**200
-        p = [0.5, -0.0, Fraction(1, base), 0.25, Fraction(1, 3 * base)]
-        tail = [0.5, 0.5, 1 - p[2], 0.25, 1 - p[2] - p[4]]
+        p = [0.5, -0.0, Fraction(1, base), 0.25, Fraction(1, 7), 1, Fraction(1, 3 * base)]
+        tail = [0.5, 0.5, 1 - p[2], 0.25, 0.125, Fraction(2, 5), 1 - p[2] - p[6]]
         cells = distribution_cells(p, tail)
         assert cells == per_cell(p, tail)
         assert cells[1] == ("0", "0.5")
-        # the last row follows on from row 2, past the float row between them
+        assert cells[4:6] == [("1/7", "0.125"), ("1", "2/5")]
+        # the last row follows on from row 2, past the float and mixed rows
         assert conversions[-1] == 1
 
     def test_float_rows_match_format_scalar(self):
