@@ -3,9 +3,10 @@
 Model files are JSON documents with two arrays of decimal strings, `f`
 (index 0..n) and `g` (index 1..m), plus an optional `name`.  Numbers are
 kept as literal strings while parsing so the exact backend sees the
-decimals the user wrote.  Exit status is 0 iff no error occurred; float
-breakdown in `dist`/`compare` is expected behavior and reported as footer
-metadata, not as an error.
+decimals the user wrote.  Exit status is 0 iff no error occurred: 1 for a
+model error, 2 for a file or argument error, an unwritable `--output`
+included.  Float breakdown in `dist`/`compare` is expected behavior and
+reported as footer metadata, not as an error.
 """
 
 from __future__ import annotations
@@ -50,17 +51,8 @@ def load_model(path: str, backend: str = FLOAT64):
     return from_strings(doc["f"], doc["g"], backend=backend)
 
 
-def write_output(text: str, output):
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        # newline="" keeps the documented LF line endings on every platform
-        Path(output).write_text(text, newline="")
-
-
-def emit(table: OutputTable, fmt: str, output):
-    render = render_structured if fmt == "structured" else render_csv
-    write_output(render(table), output)
+def render(table: OutputTable, fmt: str) -> str:
+    return (render_structured if fmt == "structured" else render_csv)(table)
 
 
 def _dist_footer(table, dist, backend):
@@ -82,14 +74,12 @@ def _distribution_table(p, tail) -> OutputTable:
     return table
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> str:
     spec = load_model(args.path)
-    mom = moments(spec)
-    print(f"valid; rho={float(mom.rho):.4f}")
-    return 0
+    return f"valid; rho={float(moments(spec).rho):.4f}\n"
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> str:
     spec = load_model(args.path, backend=args.backend)
     mom = moments(spec)
     rep = analytic.report(mom)
@@ -107,11 +97,8 @@ def cmd_analyze(args) -> int:
     }
     if args.format == "structured":
         payload = {key: format_scalar(value) for key, value in values.items()}
-        write_output(json.dumps(payload, indent=2) + "\n", args.output)
-    else:
-        lines = [f"{key} = {format_scalar(value)}" for key, value in values.items()]
-        write_output("\n".join(lines) + "\n", args.output)
-    return 0
+        return json.dumps(payload, indent=2) + "\n"
+    return "".join(f"{key} = {format_scalar(value)}\n" for key, value in values.items())
 
 
 def make_config(cls, **fields):
@@ -122,17 +109,16 @@ def make_config(cls, **fields):
         raise CliInputError(f"invalid argument: {exc}") from exc
 
 
-def cmd_dist(args) -> int:
+def cmd_dist(args) -> str:
     config = make_config(NumericConfig, backend=args.backend, k_max=args.kmax)
     spec = load_model(args.path, backend=args.backend)
     dist = series.queue_distribution(spec, config)
     table = _distribution_table(dist.p, dist.tail)
     _dist_footer(table, dist, args.backend)
-    emit(table, args.format, args.output)
-    return 0
+    return render(table, args.format)
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> str:
     from . import oracle
 
     spec = load_model(args.path)
@@ -152,8 +138,7 @@ def cmd_oracle(args) -> int:
         table.add_footer("truncation_bias", False)
     except TruncationBias:
         table.add_footer("truncation_bias", True)
-    emit(table, args.format, args.output)
-    return 0
+    return render(table, args.format)
 
 
 def _sim_config(args):
@@ -180,23 +165,22 @@ def _sim_footer(table, report):
     table.add_footer("generator", report.generator)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> str:
     from . import simulation as sim
 
     config = _sim_config(args)
     spec = load_model(args.path)
     report = sim.simulate(spec, config)
     table = OutputTable(columns=("k", "p_hat", "ci_low", "ci_high"))
-    for k, p in enumerate(report.p_hat):
-        lo = report.p_ci_low[k] if report.p_ci_low is not None else None
-        hi = report.p_ci_high[k] if report.p_ci_high is not None else None
-        table.add_row(k, p, lo, hi)
+    lows = report.p_ci_low or (None,) * len(report.p_hat)
+    highs = report.p_ci_high or (None,) * len(report.p_hat)
+    for k, row in enumerate(zip(report.p_hat, lows, highs)):
+        table.add_row(k, *row)
     _sim_footer(table, report)
-    emit(table, args.format, args.output)
-    return 0
+    return render(table, args.format)
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> str:
     from . import simulation as sim
 
     config = make_config(NumericConfig, backend=args.backend, k_max=args.kmax)
@@ -207,31 +191,27 @@ def cmd_compare(args) -> int:
     table = OutputTable(
         columns=("k", "theory", "sim_mean", "ci_low", "ci_high", "within_ci")
     )
-    upto = min(dist.k_effective, args.kmax)
     inside_all = 0
     inside_resolvable = 0
     resolvable = 0
     floor = 10.0 * report.min_resolvable
-    for k in range(upto + 1):
-        theory = dist.p[k]
-        lo = report.p_ci_low[k] if report.p_ci_low is not None else None
-        hi = report.p_ci_high[k] if report.p_ci_high is not None else None
+    lows = report.p_ci_low or (None,) * len(report.p_hat)
+    highs = report.p_ci_high or (None,) * len(report.p_hat)
+    for k, (theory, p_hat, lo, hi) in enumerate(zip(dist.p, report.p_hat, lows, highs)):
         within = lo is not None and lo <= float(theory) <= hi
         inside_all += within
         if float(theory) >= floor:
             resolvable += 1
             inside_resolvable += within
-        table.add_row(k, theory, report.p_hat[k], lo, hi, within)
-    rows = upto + 1
-    table.add_footer("rows", rows)
-    table.add_footer("within_ci_fraction", inside_all / rows)
+        table.add_row(k, theory, p_hat, lo, hi, within)
+    table.add_footer("rows", len(dist.p))
+    table.add_footer("within_ci_fraction", inside_all / len(dist.p))
     table.add_footer("resolvable_rows", resolvable)
     if resolvable:
         table.add_footer("within_ci_fraction_resolvable", inside_resolvable / resolvable)
     _dist_footer(table, dist, args.backend)
     _sim_footer(table, report)
-    emit(table, args.format, args.output)
-    return 0
+    return render(table, args.format)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -295,13 +275,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(command, args) -> int:
-    """Call command(args) and turn the package's errors into an exit status.
+    """Write command(args)'s text and turn the package's errors into an exit status.
 
-    A model error prints its message (every violation, for an invalid
-    model) and gives 1; a file or argument error gives 2.
+    The text goes to stdout, or to the file named by args.output with LF
+    line endings.  A model error prints its message (every violation, for
+    an invalid model) and gives 1; a file or argument error, a failed
+    write included, gives 2.
     """
+    output = getattr(args, "output", None)
     try:
-        return command(args)
+        text = command(args)
+        if output is None:
+            sys.stdout.write(text)
+        else:
+            try:
+                Path(output).write_text(text, newline="")
+            except OSError as exc:
+                raise CliInputError(f"cannot write {output}: {exc}") from exc
     except ValidationError as exc:
         print("invalid model:", file=sys.stderr)
         for violation in exc.violations:
@@ -313,6 +303,7 @@ def run(command, args) -> int:
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def main(argv=None) -> int:

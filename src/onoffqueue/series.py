@@ -212,14 +212,14 @@ def _divide_exact(b0: Fraction, N, D, k_max: int) -> QueueDistribution:
     num, den = (b0 / content).as_integer_ratio()
     base = den * d0
     odd_base = base >> ((base & -base).bit_length() - 1)
-    R = []
+    R = deque(maxlen=w)  # R_{k-w} .. R_{k-1}
     p = []
     tail = []
     cum = 0
     power = 1  # d0^k
     for k in range(k_max + 1):
         acc = 0
-        for r, dj in zip(R[max(0, k - w) :], d[min(k, w) : 0 : -1]):
+        for r, dj in zip(R, d[len(R) : 0 : -1]):
             acc = acc * d0 + r * dj
         acc = (n[k] * power if k < len(n) else 0) - acc
         R.append(acc)
@@ -268,10 +268,14 @@ def queue_distribution_constant_batch(
                               + b0 * F[k/(r-1)] ]     (when r-1 divides k)
 
     with every out-of-range term zero.  Matches the general path term for
-    term; r = 1 yields the trivial distribution.
+    term; r = 1 yields the trivial distribution.  f is checked in float64
+    tolerance as given before exact mode renormalises it, so a vector that
+    does not sum to 1 is rejected in either mode.
     """
     check_count(r, "batch size r", 1)
-    spec = validate(coerce(ModelSpec(tuple(f), (1,)), config.backend), config)
+    spec = ModelSpec(tuple(f), (1,))
+    validate(spec)
+    spec = validate(coerce(spec, config.backend), config)
     fv = spec.f
     zero = fv[0] * 0
     one = zero + 1

@@ -3,6 +3,8 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -11,12 +13,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import REPO_ROOT
 from helpers import TABLE1_F, TABLE1_G
 from onoffqueue import build_joint_chain, from_strings
 from onoffqueue.cli import main
 from onoffqueue.tables import OutputTable, parse_csv, render_csv
 
 SIM_FLAGS = ["--iterations", "20000", "--burn-in", "1000", "--runs", "3", "--kmax", "4"]
+SMALL_SIM = ["--iterations", "2000", "--burn-in", "100", "--runs", "2"]
+# The commands that take --output, with flags that keep them quick.
+OUTPUT_COMMANDS = {
+    "analyze": [],
+    "dist": ["--kmax", "5"],
+    "oracle": ["--qcap", "50"],
+    "simulate": SMALL_SIM,
+    "compare": [*SMALL_SIM, "--kmax", "5"],
+}
 
 
 def run_cli(capsys, *argv):
@@ -383,6 +395,23 @@ class TestCompareCommand:
         assert int(meta["k_effective"]) < 60
 
 
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
+    @pytest.mark.parametrize("missing_parent", [False, True])
+    def test_one_line_exit_2_no_file(
+        self, capsys, tmp_path, table1_path, command, missing_parent
+    ):
+        target = tmp_path / "missing" / "out.csv" if missing_parent else tmp_path
+        code, out, err = run_cli(
+            capsys, command, table1_path, *OUTPUT_COMMANDS[command], "--output", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestNumericArguments:
     @pytest.mark.parametrize(
         "argv",
@@ -400,6 +429,29 @@ class TestNumericArguments:
         assert out == ""
         assert err.startswith("error: invalid argument:")
         assert err.count("\n") == 1
+
+
+def run_process(*argv):
+    """`python -m onoffqueue` with argv, in a child process."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    return subprocess.run([sys.executable, "-m", "onoffqueue", *argv],
+                          env=env, capture_output=True, text=True)
+
+
+class TestProcessBoundary:
+    def test_stdout_matches_in_process_main(self, capsys, table1_path):
+        done = run_process("dist", table1_path, "--kmax", "5")
+        code, out, _ = run_cli(capsys, "dist", table1_path, "--kmax", "5")
+        assert code == 0
+        assert (done.returncode, done.stdout, done.stderr) == (0, out, "")
+
+    def test_unwritable_output_is_one_line_exit_2(self, tmp_path, table1_path):
+        done = run_process("dist", table1_path, "--kmax", "5", "--output", str(tmp_path))
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: cannot write")
+        assert done.stderr.count("\n") == 1
+        assert "Traceback" not in done.stderr
 
 
 # Entries of a model document: plausible decimals, malformed numbers and
@@ -441,9 +493,14 @@ _SMALL = {"simulate": ["--iterations", "2000", "--burn-in", "100", "--runs", "2"
 _SMALL["compare"] = _SMALL["simulate"] + ["--kmax", "5"]
 
 
+# --output targets, relative to the draw's temporary directory: a writable
+# file, the directory itself, and a file under a missing directory.
+_OUTPUTS = {"file": "out.txt", "directory": ".", "missing parent": "missing/out.txt"}
+
+
 @st.composite
 def _cli_calls(draw):
-    """(argv without the model path, file content) for one of the six commands."""
+    """(argv without the model path, file content, --output target or None)."""
     command = draw(st.sampled_from(sorted(_FLAGS)))
     argv = [command, *_SMALL.get(command, [])]
     for flag, values in _FLAGS[command].items():
@@ -451,22 +508,32 @@ def _cli_calls(draw):
             argv += [flag, str(draw(values))]
     if draw(st.integers(0, 7)) == 0:
         argv += [draw(st.sampled_from(["--kmax", "--runs", "--format"])), "1.5"]
-    return argv, draw(_CONTENT)
+    output = None
+    if command in OUTPUT_COMMANDS and draw(st.booleans()):
+        output = draw(st.sampled_from(sorted(_OUTPUTS)))
+    return argv, draw(_CONTENT), output
 
 
 class TestFuzz:
     @given(_cli_calls())
     @settings(max_examples=60, deadline=None)
     def test_exit_status_is_0_1_or_2(self, tmp_path_factory, call):
-        argv, content = call
-        path = tmp_path_factory.mktemp("fuzz") / "model.json"
+        argv, content, output = call
+        folder = tmp_path_factory.mktemp("fuzz")
+        path = folder / "model.json"
         path.write_bytes(content)
+        if output is not None:
+            argv += ["--output", str(folder / _OUTPUTS[output])]
+        stdout = io.StringIO()
         try:
-            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
                 code = main([argv[0], str(path), *argv[1:]])
         except SystemExit as exc:  # argparse rejecting a flag value
             code = exc.code
         assert code in (0, 1, 2)
+        if output is not None:
+            assert stdout.getvalue() == ""
+            assert code != 0 or output == "file"
 
 
 class TestTables:

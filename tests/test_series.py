@@ -24,6 +24,7 @@ from onoffqueue import (
     QueueDistribution,
     SimulationConfig,
     Unstable,
+    ValidationError,
     expected_queue,
     expected_queue_constant_batch,
     from_strings,
@@ -324,6 +325,12 @@ class TestConstantBatchDistribution:
     def test_unstable_raises(self):
         with pytest.raises(Unstable):
             queue_distribution_constant_batch((0.2, 0.4, 0.4), 3, EXACT)
+
+    @pytest.mark.parametrize("f", [(Fraction(1, 2), Fraction(1, 4)), ("0.5", "0.25"), (0.5, 0.25)])
+    def test_exact_rejects_non_stochastic_f(self, f):
+        # exact mode renormalises f, so its sum is checked before that
+        with pytest.raises(ValidationError):
+            queue_distribution_constant_batch(f, 2, EXACT)
 
     @given(light_f_vectors(), st.integers(2, 4))
     @settings(max_examples=25, deadline=None)
