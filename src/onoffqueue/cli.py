@@ -5,14 +5,16 @@ Model files are JSON documents with two arrays of decimal strings, `f`
 kept as literal strings while parsing so the exact backend sees the
 decimals the user wrote.  Exit status is 0 iff no error occurred: 1 for a
 model error, 2 for a file or argument error, an unwritable `--output`
-included.  Float breakdown in `dist`/`compare` is expected behavior and
-reported as footer metadata, not as an error.
+or stdout included.  Float breakdown in `dist`/`compare` is expected
+behavior and reported as footer metadata, not as an error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -70,7 +72,7 @@ def _distribution_table(p, tail) -> OutputTable:
     """(k, p, tail) rows, k from 0."""
     table = OutputTable(columns=("k", "p", "tail"))
     for k, cells in enumerate(distribution_cells(p, tail)):
-        table.rows.append((format_scalar(k), *cells))
+        table.rows.append((str(k), *cells))
     return table
 
 
@@ -239,37 +241,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a model file")
     p.add_argument("path")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("analyze", parents=[backend_parent], help="moments and closed-form metrics")
     p.add_argument("path")
     p.add_argument("--format", choices=("text", "structured"), default="text")
     p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("dist", parents=[backend_parent, out_parent],
                        help="queue-length distribution by the series recursion")
     p.add_argument("path")
     p.add_argument("--kmax", type=int, default=200)
-    p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("simulate", parents=[sim_parent, out_parent],
                        help="Monte Carlo estimates with confidence intervals")
     p.add_argument("path")
     p.add_argument("--kmax", type=int, default=50)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("oracle", parents=[out_parent],
                        help="brute-force joint-chain distribution (verification tool)")
     p.add_argument("path")
     p.add_argument("--qcap", type=int, default=500)
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("compare", parents=[backend_parent, sim_parent, out_parent],
                        help="theory versus simulation, row per queue length")
     p.add_argument("path")
     p.add_argument("--kmax", type=int, default=50)
-    p.set_defaults(func=cmd_compare)
 
     return parser
 
@@ -277,21 +273,24 @@ def build_parser() -> argparse.ArgumentParser:
 def run(command, args) -> int:
     """Write command(args)'s text and turn the package's errors into an exit status.
 
-    The text goes to stdout, or to the file named by args.output with LF
-    line endings.  A model error prints its message (every violation, for
-    an invalid model) and gives 1; a file or argument error, a failed
-    write included, gives 2.
+    The text goes to stdout, flushed, or to the file named by args.output
+    with LF line endings.  A model error prints its message (every
+    violation, for an invalid model) and gives 1; a file or argument error,
+    a failed write to either target included, gives 2.
     """
     output = getattr(args, "output", None)
     try:
         text = command(args)
-        if output is None:
-            sys.stdout.write(text)
-        else:
-            try:
+        try:
+            if output is None:
+                sys.stdout.write(text)
+                sys.stdout.flush()
+            else:
                 Path(output).write_text(text, newline="")
-            except OSError as exc:
-                raise CliInputError(f"cannot write {output}: {exc}") from exc
+        except OSError as exc:
+            if output is None:
+                _discard_stdout()
+            raise CliInputError(f"cannot write {output or '<stdout>'}: {exc}") from exc
     except ValidationError as exc:
         print("invalid model:", file=sys.stderr)
         for violation in exc.violations:
@@ -306,9 +305,42 @@ def run(command, args) -> int:
     return 0
 
 
+def _discard_stdout() -> None:
+    """Drop what a failed write left in stdout's buffer.
+
+    Otherwise the flush at interpreter exit retries it, prints an
+    "Exception ignored" report and exits 120.  The buffer is flushed into
+    os.devnull through stdout's own descriptor, which is then restored.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # no descriptor, e.g. io.StringIO
+        return
+    saved, null = os.dup(fd), os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(null, fd)
+        sys.stdout.flush()
+    finally:
+        os.dup2(saved, fd)
+        os.close(saved)
+        os.close(null)
+
+
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on its first call (not at import)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return run(args.func, args)
+    """Parse argv and run the named command; returns the exit status.
+
+    One parser serves every call in a process.  The command is looked up
+    as the module attribute cmd_<name> at each call, so a replaced
+    attribute (a test's patch, a tracer's wrapper) is the one that runs.
+    """
+    args = _shared_parser().parse_args(argv)
+    return run(globals()[f"cmd_{args.command}"], args)
 
 
 if __name__ == "__main__":

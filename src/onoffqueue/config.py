@@ -16,6 +16,9 @@ FLOAT64 = "float64"
 EXACT = "exact"
 
 _DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)")
+# The decimal exponent of a string entry.  Fraction's parse time grows with
+# its magnitude, which (unlike the digit count) Python does not bound.
+_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 def canonical_backend(name: str) -> str:
@@ -41,6 +44,15 @@ def check_count(value, name: str, minimum: int = 0) -> None:
         raise ValueError(f"{name} must be {bound}")
 
 
+def exponent_beyond_limit(value) -> bool:
+    """True for a string whose decimal exponent exceeds the int-to-str digit limit."""
+    if not isinstance(value, str) or ("e" not in value and "E" not in value):
+        return False
+    limit = sys.get_int_max_str_digits()
+    match = _EXPONENT.search(value) if limit else None
+    return match is not None and (len(match[1]) > limit or int(match[1]) > limit)
+
+
 def to_number(value, backend: str) -> Scalar:
     """Convert a raw parameter (string, int, float, Fraction) to the backend type.
 
@@ -49,8 +61,13 @@ def to_number(value, backend: str) -> Scalar:
     when exactness of decimal inputs matters.  In float64 mode a plain decimal
     within the int-to-str digit limit is read by float(), which rounds
     correctly; zero (Fraction has no -0.0), overflow and any other string go
-    through float(Fraction(value)), refusals included.
+    through float(Fraction(value)), refusals included.  A string whose
+    decimal exponent exceeds the int-to-str digit limit is refused on either
+    backend before it is parsed, since the parse time grows with the exponent.
     """
+    if exponent_beyond_limit(value):
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"{value!r} has a decimal exponent above {limit} in magnitude")
     if canonical_backend(backend) == EXACT:
         return Fraction(value)
     if not isinstance(value, str):

@@ -9,23 +9,20 @@ f[i].  Every on slot delivers a batch of work with size drawn from g
 
 from __future__ import annotations
 
-import re
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from itertools import accumulate
 from typing import Sequence
 
-from .config import EXACT, FLOAT64, NumericConfig, Scalar, canonical_backend, to_number
+from .config import (
+    EXACT, FLOAT64, NumericConfig, Scalar, canonical_backend, exponent_beyond_limit, to_number,
+)
 from .errors import NonStochasticVector, NotErgodic, Unstable, ValidationError
 
 # Float-mode slack for user-entered decimals; vectors inside it are
 # renormalized so downstream identities hold tightly.
 PROB_SUM_TOL = 1e-9
-
-# The decimal exponent of a string entry.  Fraction's parse time grows with
-# its magnitude, which (unlike the digit count) Python does not bound.
-_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -101,15 +98,6 @@ def coerce(spec: ModelSpec, backend: str = FLOAT64) -> ModelSpec:
     return ModelSpec(f, g)
 
 
-def _exponent_beyond_limit(value) -> bool:
-    """True for a string whose decimal exponent exceeds the int-to-str digit limit."""
-    if not isinstance(value, str) or ("e" not in value and "E" not in value):
-        return False
-    limit = sys.get_int_max_str_digits()
-    match = _EXPONENT.search(value) if limit else None
-    return match is not None and (len(match[1]) > limit or int(match[1]) > limit)
-
-
 def _parse_vector(name, values, backend, violations):
     """Convert every entry to the backend type; None if any entry is malformed.
 
@@ -119,18 +107,15 @@ def _parse_vector(name, values, backend, violations):
     """
     out = []
     for i, v in enumerate(values):
-        if _exponent_beyond_limit(v):
-            limit = sys.get_int_max_str_digits()
-            violations.append(NonStochasticVector(
-                f"{name}[{i}] = {v!r} has a decimal exponent above {limit} in magnitude"
-            ))
-            continue
         try:
             if isinstance(v, bool):
                 raise TypeError("a boolean is not a probability")
             out.append(to_number(v, backend))
         except (ValueError, TypeError, ArithmeticError):
-            violations.append(NonStochasticVector(f"{name}[{i}] = {v!r} is not a finite number"))
+            problem = "is not a finite number"
+            if exponent_beyond_limit(v):  # refused by to_number before parsing
+                problem = f"has a decimal exponent above {sys.get_int_max_str_digits()} in magnitude"
+            violations.append(NonStochasticVector(f"{name}[{i}] = {v!r} {problem}"))
     return tuple(out) if len(out) == len(values) else None
 
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -13,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import REPO_ROOT
+from conftest import MODELS_DIR, REPO_ROOT
 from helpers import TABLE1_F, TABLE1_G
-from onoffqueue import build_joint_chain, from_strings
+from onoffqueue import build_joint_chain, cli, from_strings
 from onoffqueue.cli import main
 from onoffqueue.tables import OutputTable, parse_csv, render_csv
 
@@ -32,7 +33,11 @@ OUTPUT_COMMANDS = {
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """main(argv)'s exit status, stdout and stderr, an argparse exit included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -452,6 +457,112 @@ class TestProcessBoundary:
         assert done.stderr.startswith("error: cannot write")
         assert done.stderr.count("\n") == 1
         assert "Traceback" not in done.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [
+        ["validate", "table2"],
+        ["dist", "table2", "--backend", "exact", "--kmax", "100"],
+    ], ids=["short", "long"])
+    def test_failed_stdout_write_is_one_line_exit_2(self, argv, unbuffered):
+        # a short text fails only at the flush; nothing may be retried at exit
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), PYTHONUNBUFFERED=unbuffered)
+        argv = [argv[0], str(MODELS_DIR / f"{argv[1]}.json"), *argv[2:]]
+        with open("/dev/full", "w") as full:
+            done = subprocess.run([sys.executable, "-m", "onoffqueue", *argv],
+                                  env=env, stdout=full, stderr=subprocess.PIPE, text=True)
+        assert (done.returncode, done.stderr) == (
+            2, "error: cannot write <stdout>: [Errno 28] No space left on device\n"
+        )
+
+
+class TestSharedParser:
+    """main builds its parser once per process and looks up cmd_<name> per call."""
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+        table1, table2 = (str(MODELS_DIR / f"{name}.json") for name in ("table1", "table2"))
+        sequence = [
+            ["dist", table2, "--backend", "exact", "--kmax", "30"],
+            ["oracle", table1, "--qcap", "50"],
+            ["dist", table1, "--format", "structured", "--kmax", "20"],
+            ["simulate", table1, "--runs", "2", *SMALL_SIM[:4]],
+            ["dist", table1, "--kmax", "1.5"],
+            ["validate", table1],
+        ]
+        in_process = [run_cli(capsys, *argv) for argv in sequence]
+        fresh = [run_process(*argv) for argv in sequence]
+        assert [code for code, _, _ in in_process] == [0, 0, 0, 0, 2, 0]
+        assert in_process == [(p.returncode, p.stdout, p.stderr) for p in fresh]
+
+    def test_help_twice_gives_the_same_text(self, capsys):
+        first = run_cli(capsys, "--help")
+        assert first[0] == 0
+        assert first[1].startswith("usage: onoffqueue")
+        assert run_cli(capsys, "--help") == first
+
+    def test_replaced_command_attribute_runs(self, capsys, monkeypatch, table1_path):
+        run_cli(capsys, "validate", table1_path)
+        calls = []
+        original = cli.cmd_dist
+
+        def counting(args):
+            calls.append(args.command)
+            return original(args)
+
+        monkeypatch.setattr(cli, "cmd_dist", counting)
+        code, out, _ = run_cli(capsys, "dist", table1_path, "--kmax", "5")
+        assert (code, calls) == (0, ["dist"])
+        assert out.startswith("k,p,tail\n")
+
+    def test_parser_built_on_first_call_not_at_import(self, table1_path):
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        done = subprocess.run([sys.executable, "-c", LAZY_PARSER, table1_path],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        at_import, by_two_calls, by_one_build = map(int, done.stdout.split())
+        assert at_import == 0
+        assert by_two_calls == by_one_build > 0
+
+    def test_tracer_installed_after_first_call_records_the_command(
+        self, capsys, monkeypatch, table1_path
+    ):
+        monkeypatch.syspath_prepend(str(REPO_ROOT / "bench"))
+        from tracer import Tracer
+
+        argv = ["dist", table1_path, "--kmax", "5"]
+        untraced = run_cli(capsys, *argv)
+        tracer = Tracer()
+        tracer.install(time.perf_counter)
+        try:
+            traced = run_cli(capsys, *argv)
+        finally:
+            tracer.uninstall()
+        spans = len(tracer.spans)
+        assert run_cli(capsys, *argv) == traced == untraced
+        assert [span[0] for span in tracer.spans].count("cli.cmd_dist") == 1
+        assert len(tracer.spans) == spans  # nothing traced once uninstalled
+
+
+# Counts ArgumentParser constructions: at import, over two main calls, and
+# in one build_parser() call.
+LAZY_PARSER = """
+import argparse, contextlib, io, sys
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(None)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+from onoffqueue import cli
+at_import = len(built)
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["validate", sys.argv[1]]) == 0
+by_main = len(built) - at_import
+cli.build_parser()
+print(at_import, by_main, len(built) - at_import - by_main)
+"""
 
 
 # Entries of a model document: plausible decimals, malformed numbers and

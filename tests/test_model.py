@@ -2,6 +2,7 @@
 
 import math
 import sys
+import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from unittest import mock
@@ -22,6 +23,7 @@ from onoffqueue import (
     coerce,
     from_strings,
     moments,
+    queue_distribution,
     stationary_distribution,
     validate,
 )
@@ -357,6 +359,20 @@ class TestCoerce:
     def test_float_coercion(self, table1_exact):
         spec = coerce(table1_exact, "float64")
         assert isinstance(spec.f[0], float)
+
+    @pytest.mark.parametrize("backend", ["float64", "exact"])
+    def test_decimal_exponent_beyond_digit_limit_refused(self, backend):
+        # parsing 1e-1000000 would take ~0.3 s, and longer as the exponent grows
+        spec = ModelSpec(("1e-1000000", "0.5"), ("1",))
+        limit = sys.get_int_max_str_digits()
+        message = f"'1e-1000000' has a decimal exponent above {limit} in magnitude"
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as coerced:
+            coerce(spec, backend)
+        with pytest.raises(ValueError) as distributed:
+            queue_distribution(spec, NumericConfig(backend, 10))
+        assert time.perf_counter() - start < 0.1
+        assert str(coerced.value) == str(distributed.value) == message
 
     def test_float_coercion_of_floats_is_identity(self, table1):
         assert coerce(table1, "float64") is table1
