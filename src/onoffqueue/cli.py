@@ -157,8 +157,6 @@ def _sim_footer(table, report):
         table.add_footer("mean_queue_ci_high", report.mean_queue_ci[1])
     if report.mean_queue_batch_se is not None:
         table.add_footer("mean_queue_batch_se", report.mean_queue_batch_se)
-    if report.between_within_ratio is not None:
-        table.add_footer("between_within_ratio", report.between_within_ratio)
     table.add_footer("lumped_mass", report.lumped_mass)
     table.add_footer("min_resolvable", report.min_resolvable)
     table.add_footer("runs", report.runs)

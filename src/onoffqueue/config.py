@@ -85,7 +85,10 @@ class NumericConfig:
 
     backend: "float64" (fast; the recurrence breaks down at the first
         strictly negative value once true coefficients sink below rounding
-        error) or "exact" (rational arithmetic, never breaks down).
+        error) or "exact" (rational arithmetic, never breaks down).  The
+        flag does not mark where the digits end: table1 rows 27-40 are off
+        by >1e-6 relative before it flags 41, and table2 to k_max 200 is
+        off from row 149 with no flag; use `--backend exact` for the tail.
     k_max: largest queue length whose probability is computed.
     """
 

@@ -14,7 +14,10 @@ the division treats every later coefficient as zero.
 
 Binary floats are fast but the recurrence eventually produces negative
 values once the true coefficients sink below accumulated rounding error
-(expected behavior, reported as breakdown diagnostics).  The float division
+(expected behavior, reported as breakdown diagnostics).  The breakdown
+does not mark where the digits end: table1 rows 27-40 are off by >1e-6
+relative before it comes at 41, and table2 to k = 200 is off from row
+149 with none; use `--backend exact` for the tail.  The float division
 slides a window over the last w values, w the last nonzero index of D, and
 subtracts them in the order of the plain convolution, bit for bit.  Exact
 rationals never break down: N and D are scaled to integers and divided

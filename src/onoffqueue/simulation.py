@@ -39,7 +39,7 @@ to 32 degrees of freedom and a fixed polynomial in 1/df above (see
 `_t975`), in plain float arithmetic, so a fixed-seed report has the same
 bits under every interpreter, platform and scipy version.  The queue sum
 of each full block also serves as a batch mean, which gives a within-run
-standard error to set against the spread between runs.
+standard error of the mean queue.
 """
 
 from __future__ import annotations
@@ -145,12 +145,7 @@ class SimulationReport:
 
     mean_queue_batch_se is the standard error of mean_queue from the batch
     means within each run; it is None when a run has fewer than 2 full
-    batches.  between_within_ratio divides the standard error the runs'
-    spread gives by it.  With runs - 1 degrees of freedom (+-24% at 10
-    runs) that is mostly sampling noise: over seeds 100-115 (10 runs of
-    10^6 slots) it has median 1.04, range 0.58-1.61 on table1 and 0.91,
-    0.64-1.28 on table2, so it cannot flag anything below about 1.7.  It
-    is None for a single run or when the batch means never vary.
+    batches.
     """
 
     runs: int
@@ -159,7 +154,6 @@ class SimulationReport:
     mean_queue_runs: tuple
     mean_queue_ci: Optional[tuple]
     mean_queue_batch_se: Optional[float]
-    between_within_ratio: Optional[float]
     p_hat: tuple
     p_hat_runs: tuple
     p_ci_low: Optional[tuple]
@@ -281,56 +275,39 @@ def _t975(df: int) -> float:
     return q
 
 
-def _t_interval(values, center, quantile):
-    """center -+ quantile * (sample standard deviation) / sqrt(len(values))."""
-    n = len(values)
-    spread = float(np.std(values, ddof=1))
-    half = quantile * spread / n**0.5
-    return center - half, center + half
-
-
-def _batch_health(tallies: Sequence[RunTally], mean_queue_runs: tuple) -> tuple:
-    """(mean_queue_batch_se, between_within_ratio), as SimulationReport defines them."""
-    runs = len(tallies)
-    if min(len(t.batch_sums) for t in tallies) < 2:
-        return None, None
-    # the pooled mean averages the run means, so their variances add / runs^2
-    within = sum(
-        float(np.var(np.array(t.batch_sums, dtype=float) / _CHUNK, ddof=1)) / len(t.batch_sums)
-        for t in tallies
-    )
-    batch_se = within**0.5 / runs
-    if runs < 2 or batch_se == 0:
-        return batch_se, None
-    between_se = float(np.std(mean_queue_runs, ddof=1)) / runs**0.5
-    return batch_se, between_se / batch_se
-
-
 def aggregate(tallies: Sequence[RunTally], seed: int = 0) -> SimulationReport:
     """Pool per-run tallies into tally-weighted estimates plus t-based CIs."""
     runs = len(tallies)
     if runs < 1:
         raise ValueError("at least one run is required")
+    if len({(t.steps, len(t.counts)) for t in tallies}) > 1:
+        raise ValueError("runs must have the same steps and number of counts")
     steps = tallies[0].steps
-    total_steps = sum(t.steps for t in tallies)
-    k_cap = len(tallies[0].counts) - 1
+    total_steps = runs * steps
+    counts = np.array([t.counts for t in tallies], dtype=np.int64)
     mean_queue = sum(t.queue_sum for t in tallies) / total_steps
     mean_queue_runs = tuple(t.mean_queue for t in tallies)
-    p_hat = tuple(
-        sum(t.counts[k] for t in tallies) / total_steps for k in range(k_cap + 1)
-    )
-    p_hat_runs = tuple(t.p_hat for t in tallies)
-    lumped_mass = sum(t.lumped for t in tallies) / total_steps
+    p_hat = counts.sum(axis=0) / total_steps
+    p_hat_runs = counts / steps
     mean_queue_ci = p_ci_low = p_ci_high = None
     if runs >= 2:
-        quantile = _t975(runs - 1)
-        mean_queue_ci = _t_interval(mean_queue_runs, mean_queue, quantile)
-        bounds = [
-            _t_interval([pr[k] for pr in p_hat_runs], p_hat[k], quantile)
-            for k in range(k_cap + 1)
-        ]
-        p_ci_low, p_ci_high = (tuple(side) for side in zip(*bounds))
-    batch_se, ratio = _batch_health(tallies, mean_queue_runs)
+        # rows p_hat[k] for each k, then the mean queue; C-contiguous (vstack
+        # keeps .T's layout) so np.std sums each row as it would a 1-D array
+        per_run = np.ascontiguousarray(np.vstack((p_hat_runs.T, mean_queue_runs)))
+        half = _t975(runs - 1) * np.std(per_run, axis=-1, ddof=1) / runs**0.5
+        center = np.append(p_hat, mean_queue)
+        low, high = (center - half).tolist(), (center + half).tolist()
+        mean_queue_ci = (low.pop(), high.pop())
+        p_ci_low, p_ci_high = tuple(low), tuple(high)
+    batch_se = None
+    if min(len(t.batch_sums) for t in tallies) >= 2:
+        # the pooled mean averages the run means, so their variances add / runs^2
+        within = sum(
+            float(np.var(np.array(t.batch_sums, dtype=float) / _CHUNK, ddof=1))
+            / len(t.batch_sums)
+            for t in tallies
+        )
+        batch_se = within**0.5 / runs
     return SimulationReport(
         runs=runs,
         steps_per_run=steps,
@@ -338,12 +315,11 @@ def aggregate(tallies: Sequence[RunTally], seed: int = 0) -> SimulationReport:
         mean_queue_runs=mean_queue_runs,
         mean_queue_ci=mean_queue_ci,
         mean_queue_batch_se=batch_se,
-        between_within_ratio=ratio,
-        p_hat=p_hat,
-        p_hat_runs=p_hat_runs,
+        p_hat=tuple(p_hat.tolist()),
+        p_hat_runs=tuple(map(tuple, p_hat_runs.tolist())),
         p_ci_low=p_ci_low,
         p_ci_high=p_ci_high,
-        lumped_mass=lumped_mass,
+        lumped_mass=sum(t.lumped for t in tallies) / total_steps,
         min_resolvable=1.0 / steps,
         seed=seed,
     )

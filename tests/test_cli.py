@@ -345,15 +345,13 @@ class TestSimulateCommand:
         _, out, _ = run_cli(capsys, command, table1_path, *flags, "--runs", "2")
         meta = dict(parse_csv(out).footer)
         assert float(meta["mean_queue_batch_se"]) > 0
-        assert float(meta["between_within_ratio"]) > 0
+        assert "between_within_ratio" not in meta
         _, out, _ = run_cli(capsys, command, table1_path, *flags, "--runs", "1")
         meta = dict(parse_csv(out).footer)
         assert float(meta["mean_queue_batch_se"]) > 0
-        assert "between_within_ratio" not in meta
         _, out, _ = run_cli(capsys, command, table1_path, *SIM_FLAGS)
         meta = dict(parse_csv(out).footer)
         assert "mean_queue_batch_se" not in meta
-        assert "between_within_ratio" not in meta
 
 
 class TestCompareCommand:

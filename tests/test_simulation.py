@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from helpers import build_model, model_specs, reference_run
 from onoffqueue import (
     ModelSpec,
+    RunTally,
     SimulationConfig,
     aggregate,
     expected_queue,
@@ -32,6 +33,8 @@ FAST = SimulationConfig(iterations=20_000, runs=3, burn_in=1_000, seed=7, k_max=
 BATCHED = SimulationConfig(iterations=3 * _CHUNK + 1_500, runs=3, burn_in=1_000, seed=5, k_max=10)
 # one block edge in the tally phase
 EDGE = SimulationConfig(iterations=_CHUNK + 600, runs=1, burn_in=100, seed=13, k_max=60)
+# a run of 10 slots tallied into 3 bins and 1 lumped
+THREE_BINS = RunTally(run_index=0, counts=(5, 3, 1), lumped=1, queue_sum=8, steps=10, batch_sums=())
 
 # On-period laws (off state first) whose on-periods often span a block
 # edge: mostly 5 slots under LONG_ON, now and then 126 under RARE_LONG_ON.
@@ -228,7 +231,6 @@ class TestBatchHealth:
         means = [s / _CHUNK for s in tally.batch_sums]
         expected = statistics.stdev(means) / len(means) ** 0.5
         assert report.mean_queue_batch_se == pytest.approx(expected, rel=1e-12)
-        assert report.between_within_ratio is None
 
     def test_pooled_over_runs(self, table2):
         tallies = [simulate_run(table2, BATCHED, r) for r in range(BATCHED.runs)]
@@ -236,24 +238,15 @@ class TestBatchHealth:
         singles = [aggregate([t]).mean_queue_batch_se for t in tallies]
         pooled = sum(se**2 for se in singles) ** 0.5 / len(tallies)
         assert report.mean_queue_batch_se == pytest.approx(pooled, rel=1e-12)
-        between = statistics.stdev(report.mean_queue_runs) / len(tallies) ** 0.5
-        assert report.between_within_ratio == pytest.approx(between / pooled, rel=1e-12)
-
-    def test_identical_runs_have_no_spread(self, table1):
-        tally = simulate_run(table1, BATCHED, 0)
-        report = aggregate([tally, tally])
-        assert report.between_within_ratio == 0.0
 
     def test_omitted_below_two_batches(self, table1):
         report = simulate(table1, FAST)
         assert report.mean_queue_batch_se is None
-        assert report.between_within_ratio is None
 
-    def test_ratio_omitted_when_batches_never_vary(self):
+    def test_zero_when_batches_never_vary(self):
         spec = from_strings(("0.5", "0.5"), ("1.0",))
         report = simulate(spec, BATCHED)
         assert report.mean_queue_batch_se == 0.0
-        assert report.between_within_ratio is None
 
 
 # Student's t quantile at p = float(0.975), to 45 digits, by degrees of freedom
@@ -261,6 +254,7 @@ T975_45_DIGITS = {
     1: "12.7062047361746933141016412189772475533216048",
     2: "4.30265272974946178942037599663934927614428861",
     4: "2.77644510519779348979096219548722142224111416",
+    8: "2.30600413520416611432803667341252729002878953",
     9: "2.26215716279820499920285271724719493299329824",
 }
 
@@ -329,11 +323,18 @@ class TestAggregate:
         for k in range(len(report.p_hat)):
             assert report.p_ci_low[k] <= report.p_hat[k] <= report.p_ci_high[k]
 
-    @pytest.mark.parametrize("runs", [2, 3, 5, 10])
+    # numpy sums 8 or more contiguous values in interleaved partial sums,
+    # but down axis 0 one by one; at 9 and 34 runs the two differ here
+    @pytest.mark.parametrize("runs", [2, 3, 5, 9, 10, 34])
     def test_intervals_match_high_precision_t(self, table1, runs):
         # the intervals must equal, bitwise, those built on the correctly
-        # rounded quantile, here from a 45-digit value
-        quantile = float(T975_45_DIGITS[runs - 1])
+        # rounded quantile, here from a 45-digit value; df 33 is past the
+        # table, so there the quantile is _t975's own and only the
+        # reduction order is checked
+        if runs - 1 in T975_45_DIGITS:
+            quantile = float(T975_45_DIGITS[runs - 1])
+        else:
+            quantile = _t975(runs - 1)
 
         def interval(values, center):
             half = quantile * float(np.std(values, ddof=1))
@@ -352,6 +353,19 @@ class TestAggregate:
     def test_no_runs_rejected(self):
         with pytest.raises(ValueError):
             aggregate([])
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            replace(THREE_BINS, counts=(6, 3)),
+            replace(THREE_BINS, counts=(5, 3, 1, 0)),
+            replace(THREE_BINS, counts=(10, 6, 2), lumped=2, queue_sum=16, steps=20),
+        ],
+        ids=["fewer_bins", "more_bins", "more_steps"],
+    )
+    def test_mismatched_runs_rejected(self, other):
+        with pytest.raises(ValueError, match="same steps and number of counts"):
+            aggregate([THREE_BINS, replace(other, run_index=1)])
 
     def test_single_run_has_no_ci(self, table1):
         config = SimulationConfig(iterations=5_000, runs=1, burn_in=100, seed=3, k_max=5)
