@@ -18,8 +18,10 @@ values once the true coefficients sink below accumulated rounding error
 does not mark where the digits end: table1 rows 27-40 are off by >1e-6
 relative before it comes at 41, and table2 to k = 200 is off from row
 149 with none; use `--backend exact` for the tail.  The float division
-slides a window over the last w values, w the last nonzero index of D, and
-subtracts them in the order of the plain convolution, bit for bit.  Exact
+runs a straight-line kernel compiled for its window width w, the last
+nonzero index of D: the last w values sit in local variables and each row
+subtracts their rounded products oldest first, as the plain convolution
+does, so the bits are the same without its per-term loop.  Exact
 rationals never break down: N and D are scaled to integers and divided
 with an integer-only recurrence, whose values are reduced over the few
 primes of den*d0 alone (see `_divide_exact`).
@@ -30,7 +32,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from functools import lru_cache
+from itertools import accumulate, chain, repeat
 from math import gcd, lcm
 from numbers import Rational
 from operator import mul, sub
@@ -115,36 +118,70 @@ def series_coefficients(spec: ModelSpec, G: Sequence) -> tuple:
     return tuple(N), tuple(D)
 
 
+# Terms per statement of a division kernel: one chained expression of a few
+# thousand terms overflows the compiler's recursion limit.
+_TERMS_PER_LINE = 32
+
+
+@lru_cache(maxsize=64)
+def _division_kernel(w: int):
+    """The float division loop for a window of w terms, as straight-line code.
+
+    The registers x0..x(w-1) hold the last w values of P, oldest first,
+    against the weights c0..c(w-1) = D[w], ..., D[1].  Each row is one
+    chain acc - x0*c0 - x1*c1 - ..., at most _TERMS_PER_LINE terms per
+    statement, then the breakdown checks, then a shift of the registers,
+    one assignment each (a tuple assignment builds a w-tuple per row).
+    The registers start at 0.0, so row k < w first subtracts w - k zero
+    products; each leaves acc as it is unless acc is -0.0, and no row
+    starts there, because b0 > 0 and the tables' sums start from +0.
+    """
+    x = [f"x{i}" for i in range(w)]
+    c = [f"c{i}" for i in range(w)]
+    terms = [f" - {a} * {b}" for a, b in zip(x, c)]
+    lines = ["def kernel(rows, weights, d0, limit):"]
+    if w:
+        lines.append(f"    {', '.join(c)}, = weights")
+        lines.append(f"    {' = '.join(x)} = 0.0")
+    lines += [
+        "    p = []",
+        "    append = p.append",
+        "    running = d0 * 0",
+        "    for acc in rows:",
+    ]
+    for i in range(0, w, _TERMS_PER_LINE):
+        lines.append(f"        acc = acc{''.join(terms[i : i + _TERMS_PER_LINE])}")
+    lines += [
+        "        pk = acc / d0",
+        "        if pk < 0.0:",
+        "            return p, running, (len(p), pk, 'negative')",
+        "        total = running + pk",
+        "        if total > limit:",
+        "            return p, running, (len(p), pk, 'mass')",
+        "        append(pk)",
+        "        running = total",
+    ]
+    lines += [f"        {a} = {b}" for a, b in zip(x, x[1:] + ["pk"])]
+    lines.append("    return p, running, ()")
+    namespace = {}
+    exec(compile("\n".join(lines), f"<division kernel w={w}>", "exec"), namespace)
+    return namespace["kernel"]
+
+
 def _divide_series(b0, N, D, k_max: int) -> QueueDistribution:
     """Float division recurrence with the breakdown scan.
 
     P(Q=k) = (1/D[0]) * [N[k]*b0 - sum_{i<k} P(Q=i)*D[k-i]], seeded by
     P(Q=0) = b0*N[0]/D[0], with N[k] = 0 past the end of N.  The
-    convolution only needs the trailing nonzero window of D: the last
-    `window` values of P, zipped against D[window], ..., D[1] (or its tail).
+    convolution only needs the last w values of P, w = min(k_max, last
+    nonzero index of D), so each row runs the straight-line kernel of
+    `_division_kernel(w)`.  It rounds each product and subtracts them
+    oldest first, as the plain convolution does, so the bits are the same.
     """
-    d0 = D[0]
-    zero = d0 * 0
-    window = max(1, max(i for i, c in enumerate(D) if c))
-    weights = D[window:0:-1]
-    last = deque(maxlen=window)
-    p = []
-    running = zero
-    breakdown = ()
-    for k in range(k_max + 1):
-        acc = N[k] * b0 if k < len(N) else 0.0
-        for a, c in zip(last, weights if k >= window else weights[window - k:]):
-            acc -= a * c
-        pk = acc / d0
-        if pk < zero:
-            breakdown = (k, pk, "negative")
-            break
-        if running + pk > 1 + MASS_EXCESS_TOL:
-            breakdown = (k, pk, "mass")
-            break
-        p.append(pk)
-        last.append(pk)
-        running = running + pk
+    w = min(k_max, max(i for i, c in enumerate(D) if c))
+    head = [c * b0 for c in N[: k_max + 1]]
+    rows = chain(head, repeat(0.0, k_max + 1 - len(head)))
+    p, running, breakdown = _division_kernel(w)(rows, D[w:0:-1], D[0], 1 + MASS_EXCESS_TOL)
     tail = tuple(map((1.0).__sub__, accumulate(p)))
     return QueueDistribution(tuple(p), tail, running, *breakdown)
 
@@ -289,14 +326,16 @@ def queue_distribution_constant_batch(
         return QueueDistribution((one,) + zeros, zeros + (zero,), one)
     b0 = (1 + f_bar - r * f_bar) / (1 + f_bar)
     step = r - 1
-    N = [zero] * (spec.n * step + 2)
-    D = [zero] * len(N)
+    size = min(spec.n * step + 2, config.k_max + 1)  # the terms the division reads
+    N = [zero] * (size + 1)  # one spare entry for N[j * step + 1]
+    D = [zero] * (size + 1)
     D[1] = one
-    for j, (fj, Fj) in enumerate(zip(fv, suffix_sums(fv))):
+    # only the j with j * step < size
+    for j, (fj, Fj) in enumerate(zip(fv[: (size - 1) // step + 1], suffix_sums(fv))):
         D[j * step] -= fj
         N[j * step] -= Fj
         N[j * step + 1] += Fj
-    return _divide(b0, N, D, config)
+    return _divide(b0, N[:size], D[:size], config)
 
 
 def pgf_eval(spec: ModelSpec, z) -> Scalar:

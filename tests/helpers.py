@@ -145,33 +145,30 @@ def reference_tables(spec: ModelSpec, k_max: int) -> tuple:
     return tuple(tuple(row) for row in G), tuple(N), tuple(D)
 
 
-def reference_distribution(spec: ModelSpec, config: NumericConfig) -> QueueDistribution:
-    """The division recurrence on full k_max-row tables, in the backend's own numbers.
+def reference_divide(b0, N, D, k_max: int) -> QueueDistribution:
+    """b0 * N(z) / D(z) to k_max by the plain windowed convolution.
 
-    P(Q=k) = (1/D[0]) * [N[k]*b0 - sum_{i<k} P(Q=i)*D[k-i]], with one
-    Fraction (or float) operation per term and the float breakdown scan.
-    This is the straightforward form of what `queue_distribution` computes
-    with degree-bounded tables and integer-only exact arithmetic, and its
-    results must match exactly (bitwise in float mode).
+    P(Q=k) = (1/D[0]) * [N[k]*b0 - sum_{i<k} P(Q=i)*D[k-i]], with N[k] = 0
+    past the end of N and the sum over the last w values of P, w the last
+    nonzero index of D (0 when there is none), oldest first.  One Fraction
+    (or float) operation per term, and in float mode the breakdown scan.
     """
-    spec = coerce(spec, config.backend)
-    b0 = moments(spec).b0
-    _, N, D = reference_tables(spec, config.k_max)
     d0 = D[0]
     zero = d0 * 0
-    window = 1
+    is_float = isinstance(d0, float)
+    window = 0
     for i in range(1, len(D)):
         if D[i] != zero:
             window = i
     p = []
     running = zero
     breakdown = (None, None, None)
-    for k in range(config.k_max + 1):
-        acc = N[k] * b0
+    for k in range(k_max + 1):
+        acc = N[k] * b0 if k < len(N) else type(d0)(0)
         for i in range(max(0, k - window), k):
             acc -= p[i] * D[k - i]
         pk = acc / d0
-        if not config.is_exact:
+        if is_float:
             if pk < 0:
                 breakdown = (k, pk, "negative")
                 break
@@ -186,6 +183,20 @@ def reference_distribution(spec: ModelSpec, config: NumericConfig) -> QueueDistr
         cum = cum + v
         tail.append(1 - cum)
     return QueueDistribution(tuple(p), tuple(tail), running, *breakdown)
+
+
+def reference_distribution(spec: ModelSpec, config: NumericConfig) -> QueueDistribution:
+    """The division recurrence on full k_max-row tables, in the backend's own numbers.
+
+    `reference_divide` on the tables of `reference_tables`.  This is the
+    straightforward form of what `queue_distribution` computes with
+    degree-bounded tables, a straight-line float kernel and integer-only
+    exact arithmetic, and its results must match exactly (bitwise in float
+    mode).
+    """
+    spec = coerce(spec, config.backend)
+    _, N, D = reference_tables(spec, config.k_max)
+    return reference_divide(moments(spec).b0, N, D, config.k_max)
 
 
 def reference_run(spec: ModelSpec, config: SimulationConfig, run_index: int) -> RunTally:

@@ -78,6 +78,19 @@ def test_simulation_commands_load_no_scipy():
     assert done.stdout.strip() == ""
 
 
+def test_import_builds_no_division_kernel():
+    # float division kernels are compiled on first use, into a bounded cache
+    code = ("import onoffqueue, sys; info = sys.modules['onoffqueue.series']"
+            "._division_kernel.cache_info(); print(info.currsize, info.maxsize)")
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    size, maxsize = done.stdout.split()
+    assert size == "0"
+    assert maxsize.isdigit()
+
+
 @pytest.mark.parametrize(
     "module, name", [(module, name) for module, names in LAZY.items() for name in names]
 )

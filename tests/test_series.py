@@ -1,5 +1,6 @@
 """Power-series recursion: coefficient tables, division, breakdown, pgf."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import chain
 from math import gcd
@@ -16,6 +17,7 @@ from helpers import (
     light_f_vectors,
     model_specs,
     reference_distribution,
+    reference_divide,
     reference_tables,
 )
 from onoffqueue import (
@@ -34,6 +36,7 @@ from onoffqueue import (
     queue_distribution_constant_batch,
     validate,
 )
+from onoffqueue import series
 from onoffqueue.series import _divide_series, g_coefficients, series_coefficients
 
 EXACT = NumericConfig(backend="exact", k_max=60)
@@ -159,6 +162,17 @@ class TestQueueDistribution:
         assert dist.p == (0.6,)
         assert (dist.breakdown_index, dist.breakdown_value, dist.breakdown_reason) == (1, 0.6, "mass")
 
+    def test_huge_k_max_stops_at_breakdown_in_little_memory(self, table1):
+        # rows past the end of N are fed lazily, never as a k_max-long list
+        tracemalloc.start()
+        try:
+            dist = queue_distribution(table1, NumericConfig(k_max=10**9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dist.breakdown_index == 41
+        assert peak < 2**20
+
     def test_table2_float_reaches_deep(self, table2):
         # this environment's rounding keeps the tail positive well past the
         # point where the true coefficients sink under the noise floor
@@ -220,6 +234,39 @@ def bits(value):
     if isinstance(value, tuple):
         return tuple(bits(v) for v in value)
     return value.hex() if isinstance(value, float) else value
+
+
+# Entries of a random division input, zeros of both signs included.
+SIGNED_UNITS = st.floats(-0.25, 1.0) | st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def division_inputs(draw):
+    """(b0, N, D, k_max) with D[0] < 0 and D's last nonzero index in 0..100.
+
+    D[1:] is scaled so its sum stays near |D[0]|: about two thirds of the
+    cases run to k_max, the rest break down on a negative value.
+    """
+    window = draw(st.integers(0, 100))
+    k_max = draw(st.integers(0, 150))
+    d0 = -draw(st.floats(0.5, 2.0))
+    scale = draw(st.floats(1 / 64, 1.5)) / max(window, 1)
+    body = draw(st.lists(SIGNED_UNITS, min_size=window, max_size=window))
+    if window:
+        body[-1] = draw(st.floats(1 / 64, 1.0))
+    D = [d0] + [u * scale for u in body] + [0.0] * draw(st.integers(0, 3))
+    n_scale = draw(st.floats(1 / 1024, 0.5))
+    # 0.0 - x is never -0.0: like the tables' sums, which start from +0, N
+    # has no -0.0 entry for the kernel's leading zero products to turn to +0.0
+    N = [0.0 - u * n_scale for u in draw(st.lists(SIGNED_UNITS, max_size=k_max + 2))]
+    return draw(st.floats(1 / 64, 1.0)), N, D, k_max
+
+
+def windowed_case(window, k_max):
+    """A division input whose D ends at index `window`, with unequal weights
+    summing to 0.9 |D[0]|, so every row to k_max is computed."""
+    weights = [1.8 * j / (window * (window + 1)) for j in range(1, window + 1)]
+    return 0.5, [-0.1, -0.02], [-1.0] + weights, k_max
 
 
 # Below, at and above the degree n*(m-1)+1 of N and D, where the tables stop.
@@ -301,6 +348,27 @@ class TestReferenceEquality:
     def test_exact_tables_equal_reference(self, spec, offset):
         self.assert_tables_match(spec, offset)
 
+    @given(division_inputs())
+    @settings(max_examples=150, deadline=None)
+    # windows across the 32-term statements of the kernel
+    @example(windowed_case(31, 150))
+    @example(windowed_case(32, 150))
+    @example(windowed_case(33, 150))
+    @example(windowed_case(64, 150))
+    @example(windowed_case(65, 150))
+    # k_max below the window, and no row but the first
+    @example(windowed_case(65, 40))
+    @example(windowed_case(3, 1))
+    @example(windowed_case(33, 0))
+    @example((1.0, [-0.5], [-1.0], 0))
+    # a breakdown on mass at row 1
+    @example((1.0, [-0.6], [-1.0, 1.0], 5))
+    def test_float_division_bitwise_equals_reference(self, case):
+        dist = _divide_series(*case)
+        ref = reference_divide(*case)
+        for name in QueueDistribution.__dataclass_fields__:
+            assert bits(getattr(dist, name)) == bits(getattr(ref, name)), name
+
     def test_float_bitwise_through_breakdown(self, table1, table2):
         for spec in (table1, table2):
             config = NumericConfig(k_max=400)
@@ -353,6 +421,38 @@ class TestConstantBatchDistribution:
         assert dist.breakdown_index == len(dist.p)
         for got, want in zip(dist.p, exact.p):
             assert abs(got - float(want)) <= 1e-14
+
+    @staticmethod
+    def divide_inputs(monkeypatch, f, r, config):
+        """The result, and the arguments the constant-batch path passes to `_divide`."""
+        seen = []
+        divide = series._divide
+
+        def spy(*args):
+            seen.append(args)
+            return divide(*args)
+
+        monkeypatch.setattr(series, "_divide", spy)
+        dist = queue_distribution_constant_batch(f, r, config)
+        (args,) = seen
+        return dist, args
+
+    def test_float_bitwise_equals_reference_division(self, monkeypatch):
+        # D reaches index 3 * 19 = 57: a window across two kernel statements
+        config = NumericConfig(k_max=150)
+        dist, (b0, N, D, _) = self.divide_inputs(monkeypatch, (0.98, 0.01, 0.005, 0.005), 20, config)
+        assert max(i for i, c in enumerate(D) if c) == 57
+        ref = reference_divide(b0, N, D, config.k_max)
+        for name in QueueDistribution.__dataclass_fields__:
+            assert bits(getattr(dist, name)) == bits(getattr(ref, name)), name
+
+    @pytest.mark.parametrize("backend", ["float64", "exact"])
+    @pytest.mark.parametrize("k_max", [0, 1, 50])
+    def test_tables_stop_at_k_max(self, monkeypatch, backend, k_max):
+        config = NumericConfig(backend=backend, k_max=k_max)
+        dist, (_, N, D, _) = self.divide_inputs(monkeypatch, ("0.9999999", "0.0000001"), 10**6, config)
+        assert len(N) == len(D) <= k_max + 1
+        assert dist.k_effective == k_max
 
     def test_mean_from_distribution_matches_closed_form(self):
         cfg = NumericConfig(backend="exact", k_max=300)
