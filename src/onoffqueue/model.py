@@ -180,13 +180,14 @@ def validate(spec: ModelSpec, config: NumericConfig = NumericConfig()) -> ModelS
             NotErgodic(f"f[0] = {float(f[0]):.6g} must lie strictly between 0 and 1")
         )
     if f_ok and g_ok:
+        checked = ModelSpec(f, g)
         try:
-            check_stable(moments(ModelSpec(f, g)).rho)
+            check_stable(moments(checked).rho)
         except Unstable as exc:
             violations.append(exc)
     if violations:
         raise ValidationError(violations)
-    return ModelSpec(f, g)
+    return checked  # f_ok and g_ok hold here: each way to miss one records a violation
 
 
 def check_stable(rho) -> None:

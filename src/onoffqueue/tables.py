@@ -20,6 +20,11 @@ and v are small.  tail[k]'s numerator comes from tail[k] = tail[k-1] - p[k]
 directly where the ratio is no smaller than the integer itself, where that
 identity fails, and on rows that are not two Fractions.  A row of two
 floats is formatted in place, with `format_scalar`'s float text.
+
+Each rendered text is built by one `str.join` over its pieces, cells and
+separators alike, with no per-row line string and no concatenation of the
+whole text: an exact table's text (about 5 MB for `table2` at k=800) is
+then held only as its cells and the one result.
 """
 
 from __future__ import annotations
@@ -133,10 +138,22 @@ def distribution_cells(p, tail) -> list:
 
 
 def render_csv(table: OutputTable) -> str:
-    lines = [",".join(table.columns)]
-    lines.extend(",".join(row) for row in table.rows)
-    lines.extend(f"# {key}={value}" for key, value in table.footer)
-    return "\n".join(lines) + "\n"
+    """The table as CSV: header, rows, then one "# key=value" line per footer pair.
+
+    One join over a flat list of cells and separators, filled a column at a
+    time; a row whose width differs from the header raises ValueError.
+    """
+    lines = [table.columns, *table.rows]
+    width = len(table.columns)
+    pieces = ([None, ","] * (width - 1) + [None, "\n"] if width else ["\n"]) * len(lines)
+    try:
+        for j, column in enumerate(zip(*lines, strict=True)):
+            pieces[2 * j::2 * width] = column
+    except ValueError:
+        raise ValueError("row width does not match the header") from None
+    for key, value in table.footer:
+        pieces += ("# ", key, "=", value, "\n")
+    return "".join(pieces)
 
 
 def parse_csv(text: str) -> OutputTable:
@@ -149,7 +166,10 @@ def parse_csv(text: str) -> OutputTable:
             key, _, value = line[2:].partition("=")
             table.add_footer(key, value)
         else:
-            table.rows.append(tuple(line.split(",")))
+            row = tuple(line.split(","))
+            if len(row) != len(table.columns):
+                raise ValueError("row width does not match the header")
+            table.rows.append(row)
     return table
 
 
@@ -159,4 +179,4 @@ def render_structured(table: OutputTable) -> str:
         "rows": [list(row) for row in table.rows],
         "metadata": {key: value for key, value in table.footer},
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return "".join([*json.JSONEncoder(indent=2).iterencode(payload), "\n"])

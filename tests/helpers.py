@@ -9,6 +9,7 @@ rounding of the inputs.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from onoffqueue.model import suffix_sums
 from onoffqueue.oracle import residual
 from onoffqueue.series import MASS_EXCESS_TOL
 from onoffqueue.simulation import _CHUNK, _cumulative
+from onoffqueue.tables import OutputTable
 
 TABLE1_F = ("0.8", "0.1", "0.05", "0.05")
 TABLE1_G = ("0.4", "0.4", "0.2")
@@ -353,3 +355,21 @@ def reference_kernel(spec: ModelSpec, q_cap: int) -> sp.csr_matrix:
                 vals.append(g[y - 1])
     size = (n + 1) * width
     return sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
+
+
+def reference_render_csv(table: OutputTable) -> str:
+    """`tables.render_csv` as one string per line, then their join plus a newline."""
+    lines = [",".join(table.columns)]
+    lines.extend(",".join(row) for row in table.rows)
+    lines.extend(f"# {key}={value}" for key, value in table.footer)
+    return "\n".join(lines) + "\n"
+
+
+def reference_render_structured(table: OutputTable) -> str:
+    """`tables.render_structured` through `json.dumps`, then a newline."""
+    payload = {
+        "columns": list(table.columns),
+        "rows": [list(row) for row in table.rows],
+        "metadata": {key: value for key, value in table.footer},
+    }
+    return json.dumps(payload, indent=2) + "\n"

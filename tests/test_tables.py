@@ -1,13 +1,14 @@
-"""Cell texts of p/tail tables: `distribution_cells` against `format_scalar`."""
+"""Cell texts of p/tail tables (`distribution_cells` against `format_scalar`) and rendering."""
 
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import model_specs
+from helpers import model_specs, reference_render_csv, reference_render_structured
 from onoffqueue import (
     NumericConfig,
     build_joint_chain,
@@ -17,9 +18,16 @@ from onoffqueue import (
     queue_marginal,
 )
 from onoffqueue import tables
-from onoffqueue.cli import main
+from onoffqueue.cli import _distribution_table, main
 from onoffqueue.model import suffix_sums
-from onoffqueue.tables import distribution_cells, format_scalar, parse_csv
+from onoffqueue.tables import (
+    OutputTable,
+    distribution_cells,
+    format_scalar,
+    parse_csv,
+    render_csv,
+    render_structured,
+)
 
 
 def per_cell(p, tail):
@@ -129,3 +137,66 @@ class TestDistributionCells:
         assert max(len(text) for row in cells for text in row) > 4300
         assert cells == per_cell(p, tail)
         assert sys.get_int_max_str_digits() == limit
+
+
+_NAMES = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
+_CELLS = st.one_of(
+    st.just(""),
+    st.text("0123456789-./e+", max_size=12),
+    st.builds(  # thousands of digits
+        lambda size, x: (str(x) * size)[:size], st.integers(1000, 3000), st.integers(1, 10**18)
+    ),
+)
+_VALUES = st.text("0123456789=./ab", max_size=12)
+
+
+@st.composite
+def output_tables(draw):
+    """Rectangular tables whose texts hold no separator of the CSV form."""
+    width = draw(st.integers(1, 6))
+    row = st.lists(_CELLS, min_size=width, max_size=width).map(tuple)
+    if width == 1:  # an empty one-cell row prints as a blank line, which parse_csv skips
+        row = row.filter(lambda cells: cells[0] != "")
+    table = OutputTable(columns=tuple(draw(st.lists(_NAMES, min_size=width, max_size=width))))
+    n_rows = draw(st.integers(0, 60))
+    table.rows = draw(st.lists(row, min_size=n_rows, max_size=n_rows))
+    table.footer = draw(st.lists(st.tuples(_NAMES, _VALUES), max_size=5))
+    return table
+
+
+class TestRender:
+    @settings(max_examples=80, deadline=None)
+    @given(output_tables())
+    def test_matches_reference_forms(self, table):
+        text = render_csv(table)
+        assert text == reference_render_csv(table)
+        assert render_structured(table) == reference_render_structured(table)
+        again = parse_csv(text)
+        assert again.columns == table.columns
+        assert (again.rows, again.footer) == (table.rows, table.footer)
+
+    @pytest.mark.parametrize("row", [("1",), ("1", "2", "3")])
+    def test_ragged_row_rejected(self, row):
+        table = OutputTable(columns=("a", "b"))
+        table.add_row(0, 1)
+        table.rows.append(row)
+        with pytest.raises(ValueError, match="row width does not match the header"):
+            render_csv(table)
+
+    @pytest.mark.parametrize("line", ["3", "3,4,5", "3,,"])
+    def test_ragged_line_rejected(self, line):
+        with pytest.raises(ValueError, match="row width does not match the header"):
+            parse_csv(f"a,b\n1,2\n{line}\n# key=value\n")
+
+    def test_exact_render_peak_memory(self, table2_exact):
+        # the cells exist before the call; rendering adds the text and little else
+        dist = queue_distribution(table2_exact, NumericConfig(backend="exact", k_max=400))
+        table = _distribution_table(dist.p, dist.tail)
+        tracemalloc.start()
+        try:
+            text = render_csv(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == reference_render_csv(table)
+        assert peak <= 1.5 * len(text)
