@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import analytic, series
-from .config import EXACT, FLOAT64, NumericConfig
+from .config import EXACT, FLOAT64, NumericConfig, check_size
 from .errors import QueueModelError, TruncationBias, ValidationError
 from .model import from_strings, moments, suffix_sums
 from .tables import OutputTable, distribution_cells, format_scalar, render_csv, render_structured
@@ -103,16 +103,16 @@ def cmd_analyze(args) -> str:
     return "".join(f"{key} = {format_scalar(value)}\n" for key, value in values.items())
 
 
-def make_config(cls, **fields):
-    """cls(**fields), with a rejected value reported as an argument error (exit 2)."""
+def checked(make, **fields):
+    """make(**fields), with a rejected value (ValueError) reported as an argument error (exit 2)."""
     try:
-        return cls(**fields)
+        return make(**fields)
     except ValueError as exc:
         raise CliInputError(f"invalid argument: {exc}") from exc
 
 
 def cmd_dist(args) -> str:
-    config = make_config(NumericConfig, backend=args.backend, k_max=args.kmax)
+    config = checked(NumericConfig, backend=args.backend, k_max=args.kmax)
     spec = load_model(args.path, backend=args.backend)
     dist = series.queue_distribution(spec, config)
     table = _distribution_table(dist.p, dist.tail)
@@ -123,6 +123,7 @@ def cmd_dist(args) -> str:
 def cmd_oracle(args) -> str:
     from . import oracle
 
+    checked(check_size, value=args.qcap, name="q_cap")
     spec = load_model(args.path)
     chain = oracle.build_joint_chain(spec, args.qcap)
     pi = oracle.joint_stationary(chain)
@@ -146,8 +147,8 @@ def cmd_oracle(args) -> str:
 def _sim_config(args):
     from . import simulation as sim
 
-    return make_config(sim.SimulationConfig, iterations=args.iterations, runs=args.runs,
-                       burn_in=args.burn_in, seed=args.seed, k_max=args.kmax)
+    return checked(sim.SimulationConfig, iterations=args.iterations, runs=args.runs,
+                   burn_in=args.burn_in, seed=args.seed, k_max=args.kmax)
 
 
 def _sim_footer(table, report):
@@ -183,7 +184,7 @@ def cmd_simulate(args) -> str:
 def cmd_compare(args) -> str:
     from . import simulation as sim
 
-    config = make_config(NumericConfig, backend=args.backend, k_max=args.kmax)
+    config = checked(NumericConfig, backend=args.backend, k_max=args.kmax)
     sim_config = _sim_config(args)
     spec = load_model(args.path, backend=args.backend)
     dist = series.queue_distribution(spec, config)

@@ -44,6 +44,13 @@ def check_count(value, name: str, minimum: int = 0) -> None:
         raise ValueError(f"{name} must be {bound}")
 
 
+def check_size(value, name: str) -> None:
+    """check_count, and refuse a value above sys.maxsize, the longest a sequence can be."""
+    check_count(value, name)
+    if value > sys.maxsize:
+        raise ValueError(f"{name} must be at most {sys.maxsize}")
+
+
 def exponent_beyond_limit(value) -> bool:
     """True for a string whose decimal exponent exceeds the int-to-str digit limit."""
     if not isinstance(value, str) or ("e" not in value and "E" not in value):
@@ -97,7 +104,7 @@ class NumericConfig:
 
     def __post_init__(self):
         canonical_backend(self.backend)
-        check_count(self.k_max, "k_max")
+        check_size(self.k_max, "k_max")
 
     @property
     def is_exact(self) -> bool:

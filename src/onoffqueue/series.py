@@ -35,9 +35,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from math import gcd, lcm
-from numbers import Rational
 from operator import mul, sub
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .config import NumericConfig, Scalar, check_count
 from .model import ModelSpec, check_stable, coerce, moments, suffix_sums, validate
@@ -186,19 +185,12 @@ def _divide_series(b0, N, D, k_max: int) -> QueueDistribution:
     return QueueDistribution(tuple(p), tail, running, *breakdown)
 
 
-class _Reduced(NamedTuple):
-    """A numerator/denominator pair already in lowest terms, denominator > 0.
-
-    Registered as a `numbers.Rational`, so `Fraction(_Reduced(y, M))` copies
-    the two integers as given (the Rational contract promises lowest terms)
-    instead of normalising them with a full-width gcd.
-    """
-
-    numerator: int
-    denominator: int
-
-
-Rational.register(_Reduced)
+def _fraction(y: int, M: int) -> Fraction:
+    """y / M from integers in lowest terms, M > 0, with no gcd: Fraction's two slots are
+    set as CPython 3.12's private `Fraction._from_coprime_ints` sets them."""
+    value = object.__new__(Fraction)
+    value._numerator, value._denominator = y, M
+    return value
 
 
 def _reduce_over(y: int, M: int, odd_base: int) -> Fraction:
@@ -210,7 +202,7 @@ def _reduce_over(y: int, M: int, odd_base: int) -> Fraction:
     (a prime repeated in y and M) does one full gcd(y, M) run.
     """
     if not y:
-        return Fraction(0)
+        return _fraction(0, 1)
     shift = min((y & -y).bit_length(), (M & -M).bit_length()) - 1
     y >>= shift
     M >>= shift
@@ -222,7 +214,7 @@ def _reduce_over(y: int, M: int, odd_base: int) -> Fraction:
             t = gcd(y, M)
             y //= t
             M //= t
-    return Fraction(_Reduced(y, M))
+    return _fraction(y, M)
 
 
 def _divide_exact(b0: Fraction, N, D, k_max: int) -> QueueDistribution:

@@ -52,7 +52,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import check_count
+from .config import check_count, check_size
 from .model import ModelSpec
 
 GENERATOR_NAME = "pcg64"
@@ -104,7 +104,7 @@ class SimulationConfig:
         if self.iterations <= self.burn_in:
             raise ValueError("iterations must exceed burn_in")
         check_count(self.runs, "runs", 1)
-        check_count(self.k_max, "k_max")
+        check_size(self.k_max, "k_max")
         check_count(self.seed, "seed")
 
 

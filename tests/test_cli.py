@@ -424,6 +424,12 @@ class TestNumericArguments:
             ["simulate", "--runs", "0"],
             ["simulate", "--iterations", "5", "--burn-in", "10"],
             ["simulate", "--seed", "-1"],
+            ["oracle", "--qcap", "-1"],
+            # above sys.maxsize, longer than any sequence can be
+            ["dist", "--kmax", str(10**20)],
+            ["compare", *SMALL_SIM, "--kmax", str(10**20)],
+            ["simulate", *SMALL_SIM, "--kmax", str(10**20)],
+            ["oracle", "--qcap", str(10**20)],
         ],
     )
     def test_out_of_range_is_one_line_exit_2(self, capsys, table1_path, argv):
@@ -432,6 +438,13 @@ class TestNumericArguments:
         assert out == ""
         assert err.startswith("error: invalid argument:")
         assert err.count("\n") == 1
+
+    def test_seed_above_maxsize_runs(self, capsys, table1_path):
+        code, out, _ = run_cli(
+            capsys, "simulate", table1_path, *SMALL_SIM, "--kmax", "2", "--seed", str(10**20)
+        )
+        assert code == 0
+        assert f"# seed={10**20}\n" in out
 
 
 def run_process(*argv):
@@ -590,11 +603,11 @@ _BACKEND = st.sampled_from(["float64", "exact"])
 _FLAGS = {
     "validate": {},
     "analyze": {"--backend": _BACKEND, "--format": st.sampled_from(["text", "structured"])},
-    "dist": {"--backend": _BACKEND, "--kmax": st.integers(-2, 50)},
-    "oracle": {"--qcap": st.integers(-2, 200)},
+    "dist": {"--backend": _BACKEND, "--kmax": st.integers(-2, 50) | st.just(10**20)},
+    "oracle": {"--qcap": st.integers(-2, 200) | st.just(10**20)},
     "simulate": {"--iterations": st.integers(-1, 2000), "--burn-in": st.integers(-1, 500),
                  "--runs": st.integers(-1, 3), "--seed": st.integers(-1, 5),
-                 "--kmax": st.integers(-2, 50)},
+                 "--kmax": st.integers(-2, 50) | st.just(10**20)},
 }
 _FLAGS["compare"] = {**_FLAGS["simulate"], "--backend": _BACKEND}
 # Small sizes for the flags a draw leaves out; argparse keeps the last value.

@@ -1,5 +1,7 @@
 """Power-series recursion: coefficient tables, division, breakdown, pgf."""
 
+import pickle
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import chain
@@ -303,10 +305,21 @@ class TestReferenceEquality:
         config = NumericConfig(backend="exact", k_max=k_max)
         dist = queue_distribution(spec, config)
         assert dist == reference_distribution(spec, config)
-        for value in dist.p + dist.tail + (dist.mass_accounted,):
+        values = dist.p + dist.tail + (dist.mass_accounted,)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # Python 3.10 pickles a Fraction through str()
+        try:
+            copies = pickle.loads(pickle.dumps(values))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        for value, loaded in zip(values, copies, strict=True):
             assert type(value) is Fraction
             assert value.denominator > 0
             assert gcd(value.numerator, value.denominator) == 1
+            # each value is built by setting Fraction's slots: it must act as
+            # a Fraction built by its constructor
+            assert hash(value) == hash(Fraction(value.numerator, value.denominator))
+            assert loaded == value
 
     @given(model_specs(), st.integers(0, 60))
     @settings(max_examples=150, deadline=None)
