@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import analytic, series
-from .config import EXACT, FLOAT64, NumericConfig, check_size
+from .config import EXACT, FLOAT64, NumericConfig
 from .errors import QueueModelError, TruncationBias, ValidationError
 from .model import from_strings, moments, suffix_sums
 from .tables import OutputTable, distribution_cells, format_scalar, render_csv, render_structured
@@ -123,21 +123,21 @@ def cmd_dist(args) -> str:
 def cmd_oracle(args) -> str:
     from . import oracle
 
-    checked(check_size, value=args.qcap, name="q_cap")
     spec = load_model(args.path)
-    chain = oracle.build_joint_chain(spec, args.qcap)
+    chain = checked(oracle.build_joint_chain, spec=spec, q_cap=args.qcap)
     pi = oracle.joint_stationary(chain)
-    marginal = oracle.queue_marginal(chain, pi).tolist()
+    marginal = oracle.queue_marginal(chain, pi)
+    probs = marginal.tolist()
     # P(Q > k) summed from the far end, so small tails do not cancel against 1
-    tails = suffix_sums(marginal)[1:] + (0.0,)
-    table = _distribution_table(marginal, tails)
+    tails = suffix_sums(probs)[1:] + (0.0,)
+    table = _distribution_table(probs, tails)
     table.add_footer("q_cap", args.qcap)
     table.add_footer("states", chain.num_states)
     table.add_footer("kernel_nnz", chain.kernel.nnz)
-    table.add_footer("boundary_mass", marginal[-1])
+    table.add_footer("boundary_mass", probs[-1])
     table.add_footer("residual", oracle.residual(chain, pi))
     try:
-        table.add_footer("expected_queue", oracle.oracle_expected_queue(pi, args.qcap))
+        table.add_footer("expected_queue", oracle.oracle_expected_queue(marginal))
         table.add_footer("truncation_bias", False)
     except TruncationBias:
         table.add_footer("truncation_bias", True)

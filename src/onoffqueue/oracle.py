@@ -20,6 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_banded
 
+from .config import check_size
 from .errors import CapTooSmall, NoConvergence, TruncationBias
 from .model import ModelSpec
 
@@ -50,6 +51,7 @@ def build_joint_chain(spec: ModelSpec, q_cap: int) -> JointChain:
     x > 0; the next queue is min(max(q + y - 1, 0), q_cap); the next chain
     state is drawn from f when x = 0 and is x - 1 otherwise.
     """
+    check_size(q_cap, "q_cap")
     f = np.array([float(v) for v in spec.f])
     g = np.array([float(v) for v in spec.g])
     n, m = spec.n, spec.m
@@ -130,15 +132,13 @@ def queue_marginal(chain: JointChain, pi: np.ndarray) -> np.ndarray:
     return pi.reshape(chain.n + 1, chain.q_cap + 1).sum(axis=0)
 
 
-def oracle_expected_queue(pi: np.ndarray, q_cap: int) -> float:
-    """E[Q] over the truncated support; flags truncation bias.
+def oracle_expected_queue(marginal: np.ndarray) -> float:
+    """E[Q] from the `queue_marginal` P(Q=q) for q = 0..len(marginal) - 1.
 
-    Raises TruncationBias when the lumped mass at q = q_cap exceeds
-    DEFAULT_BOUNDARY_TOL, since the truncated mean would then understate
-    the tail.
+    Raises TruncationBias when the mass lumped at the cap, the last q, exceeds
+    DEFAULT_BOUNDARY_TOL, since the truncated mean would then understate the tail.
     """
-    marginal = pi.reshape(-1, q_cap + 1).sum(axis=0)
     boundary = float(marginal[-1])
     if boundary > DEFAULT_BOUNDARY_TOL:
         raise TruncationBias(boundary, DEFAULT_BOUNDARY_TOL)
-    return float(np.arange(q_cap + 1) @ marginal)
+    return float(np.arange(len(marginal)) @ marginal)

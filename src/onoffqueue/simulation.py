@@ -110,10 +110,11 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class RunTally:
-    """Raw tallies of one run: counts per queue value plus lumped overflow.
+    """Raw integer tallies of one run: counts per queue value plus lumped overflow.
 
     batch_sums holds the queue sum of each full `_CHUNK`-slot block of the
-    tally phase, in order; a shorter last block is left out.
+    tally phase, in order; a shorter last block is left out.  `aggregate`
+    alone turns tallies into estimates.
     """
 
     run_index: int
@@ -122,18 +123,6 @@ class RunTally:
     queue_sum: int
     steps: int
     batch_sums: tuple
-
-    @property
-    def mean_queue(self) -> float:
-        return self.queue_sum / self.steps
-
-    @property
-    def p_hat(self) -> tuple:
-        return tuple(c / self.steps for c in self.counts)
-
-    @property
-    def lumped_mass(self) -> float:
-        return self.lumped / self.steps
 
 
 @dataclass(frozen=True)
@@ -144,7 +133,7 @@ class SimulationReport:
     smallest nonzero probability one run can register.
 
     mean_queue_batch_se is the standard error of mean_queue from the batch
-    means within each run; it is None when a run has fewer than 2 full
+    means within each run; it is None when the runs have fewer than 2 full
     batches.
     """
 
@@ -280,13 +269,13 @@ def aggregate(tallies: Sequence[RunTally], seed: int = 0) -> SimulationReport:
     runs = len(tallies)
     if runs < 1:
         raise ValueError("at least one run is required")
-    if len({(t.steps, len(t.counts)) for t in tallies}) > 1:
-        raise ValueError("runs must have the same steps and number of counts")
-    steps = tallies[0].steps
+    if len({(t.steps, len(t.counts), len(t.batch_sums)) for t in tallies}) > 1:
+        raise ValueError("runs must have the same steps and number of counts and batch sums")
+    steps, batches = tallies[0].steps, len(tallies[0].batch_sums)
     total_steps = runs * steps
     counts = np.array([t.counts for t in tallies], dtype=np.int64)
     mean_queue = sum(t.queue_sum for t in tallies) / total_steps
-    mean_queue_runs = tuple(t.mean_queue for t in tallies)
+    mean_queue_runs = tuple(t.queue_sum / steps for t in tallies)
     p_hat = counts.sum(axis=0) / total_steps
     p_hat_runs = counts / steps
     mean_queue_ci = p_ci_low = p_ci_high = None
@@ -300,14 +289,11 @@ def aggregate(tallies: Sequence[RunTally], seed: int = 0) -> SimulationReport:
         mean_queue_ci = (low.pop(), high.pop())
         p_ci_low, p_ci_high = tuple(low), tuple(high)
     batch_se = None
-    if min(len(t.batch_sums) for t in tallies) >= 2:
-        # the pooled mean averages the run means, so their variances add / runs^2
-        within = sum(
-            float(np.var(np.array(t.batch_sums, dtype=float) / _CHUNK, ddof=1))
-            / len(t.batch_sums)
-            for t in tallies
-        )
-        batch_se = within**0.5 / runs
+    if batches >= 2:
+        # the run means' variances add / runs^2, summed in run order, not pairwise
+        means = np.array([t.batch_sums for t in tallies], dtype=float) / _CHUNK
+        within = np.var(means, axis=1, ddof=1) / batches
+        batch_se = sum(within.tolist()) ** 0.5 / runs
     return SimulationReport(
         runs=runs,
         steps_per_run=steps,

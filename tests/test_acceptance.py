@@ -94,7 +94,7 @@ def test_criterion_2_oracle_equivalence():
         for k in range(21):
             worst_p = max(worst_p, abs(float(dist.p[k]) - marginal[k]))
         mean_diff = abs(
-            oracle_expected_queue(pi, 500) - float(expected_queue(moments(spec)))
+            oracle_expected_queue(marginal) - float(expected_queue(moments(spec)))
         )
         worst_mean = max(worst_mean, mean_diff)
     assert worst_p <= 1e-9

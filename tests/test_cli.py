@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 from conftest import MODELS_DIR, REPO_ROOT
 from helpers import TABLE1_F, TABLE1_G
-from onoffqueue import build_joint_chain, cli, from_strings
+from onoffqueue import (
+    build_joint_chain, cli, from_strings, joint_stationary, oracle_expected_queue, queue_marginal,
+)
 from onoffqueue.cli import main
 from onoffqueue.tables import OutputTable, parse_csv, render_csv
 
@@ -281,7 +283,12 @@ class TestOracleCommand:
         tails = [float(row[2]) for row in table.rows]
         assert min(tails) >= 0
         assert tails[-1] == 0
-        assert float(dict(table.footer)["residual"]) <= 1e-13
+        meta = dict(table.footer)
+        assert float(meta["residual"]) <= 1e-13
+        # the footer's E[Q] is the library's, read off the same marginal
+        chain = build_joint_chain(cli.load_model(path), 500)
+        marginal = queue_marginal(chain, joint_stationary(chain))
+        assert float(meta["expected_queue"]) == oracle_expected_queue(marginal)
         code, out, _ = run_cli(capsys, "dist", path, "--backend", "exact", "--kmax", "300")
         assert code == 0
         rows = parse_csv(out).rows

@@ -91,6 +91,11 @@ class TestBuildJointChain:
         with pytest.raises(CapTooSmall):
             build_joint_chain(table1, 2)  # m = 3
 
+    @pytest.mark.parametrize("q_cap", [10.5, True, "10", -1, 10**20])
+    def test_cap_must_be_a_size(self, table1, q_cap):
+        with pytest.raises(ValueError, match="q_cap"):
+            build_joint_chain(table1, q_cap)
+
     def test_boundary_lumps_mass(self):
         spec = validate(ModelSpec((0.8, 0.2), (0.0, 0.0, 1.0)))
         chain = build_joint_chain(spec, 3)
@@ -198,7 +203,7 @@ class TestJointStationary:
         dist = queue_distribution(exact, NumericConfig(backend="exact", k_max=200))
         for k in range(201):
             assert marginal[k] == pytest.approx(float(dist.p[k]), abs=1e-9)
-        value = oracle_expected_queue(pi, 2000)  # raises TruncationBias if biased
+        value = oracle_expected_queue(marginal)  # raises TruncationBias if biased
         assert value == pytest.approx(float(expected_queue(moments(exact))), abs=1e-8)
 
 
@@ -207,19 +212,19 @@ class TestOracleExpectedQueue:
         spec = validate(ModelSpec((0.5, 0.5), (1.0,)))
         chain = build_joint_chain(spec, 50)
         pi = joint_stationary(chain)
-        assert oracle_expected_queue(pi, 50) == pytest.approx(0.0, abs=1e-12)
+        assert oracle_expected_queue(queue_marginal(chain, pi)) == pytest.approx(0.0, abs=1e-12)
 
     def test_table1_matches_closed_form(self, table1):
         chain = build_joint_chain(table1, 500)
         pi = joint_stationary(chain)
-        value = oracle_expected_queue(pi, 500)
+        value = oracle_expected_queue(queue_marginal(chain, pi))
         assert value == pytest.approx(float(expected_queue(moments(table1))), abs=1e-8)
 
     def test_constant_batch_case(self):
         spec = validate(ModelSpec((0.5, 0.5), (0.0, 1.0)))
         chain = build_joint_chain(spec, 200)
         pi = joint_stationary(chain)
-        value = oracle_expected_queue(pi, 200)
+        value = oracle_expected_queue(queue_marginal(chain, pi))
         assert value == pytest.approx(
             float(expected_queue_constant_batch(0.5, 0.5, 2)), abs=1e-8
         )
@@ -228,7 +233,7 @@ class TestOracleExpectedQueue:
         chain = build_joint_chain(table2, 6)  # far too small for rho = 0.9
         pi = joint_stationary(chain)
         with pytest.raises(TruncationBias) as err:
-            oracle_expected_queue(pi, 6)
+            oracle_expected_queue(queue_marginal(chain, pi))
         assert err.value.boundary_mass > 1e-9
 
 

@@ -95,7 +95,7 @@ class TestSimulateRun:
         config = SimulationConfig(iterations=50_000, runs=1, burn_in=0, seed=1, k_max=2)
         tally = simulate_run(table2, config, 0)
         assert tally.lumped > 0
-        assert sum(tally.p_hat) + tally.lumped_mass == pytest.approx(1.0, abs=1e-12)
+        assert sum(tally.counts) + tally.lumped == tally.steps
 
 
 class TestBlockEqualsReference:
@@ -232,6 +232,19 @@ class TestBatchHealth:
         expected = statistics.stdev(means) / len(means) ** 0.5
         assert report.mean_queue_batch_se == pytest.approx(expected, rel=1e-12)
 
+    # nine full batches per run, so numpy sums each row in interleaved partial
+    # sums; above 8 runs a pairwise sum over runs would change the bits
+    @pytest.mark.parametrize("runs, seed", [(2, 0), (9, 4), (12, 5)])
+    def test_stacked_equals_per_run_formula(self, table2, runs, seed):
+        config = SimulationConfig(iterations=9 * _CHUNK + 100, runs=runs, burn_in=100, seed=seed,
+                                  k_max=10)
+        report = simulate(table2, config)
+        within = 0
+        for r in range(runs):
+            sums = simulate_run(table2, config, r).batch_sums
+            within += float(np.var(np.array(sums, dtype=float) / _CHUNK, ddof=1)) / len(sums)
+        assert report.mean_queue_batch_se == within**0.5 / runs
+
     def test_pooled_over_runs(self, table2):
         tallies = [simulate_run(table2, BATCHED, r) for r in range(BATCHED.runs)]
         report = aggregate(tallies)
@@ -360,8 +373,9 @@ class TestAggregate:
             replace(THREE_BINS, counts=(6, 3)),
             replace(THREE_BINS, counts=(5, 3, 1, 0)),
             replace(THREE_BINS, counts=(10, 6, 2), lumped=2, queue_sum=16, steps=20),
+            replace(THREE_BINS, batch_sums=(8,)),
         ],
-        ids=["fewer_bins", "more_bins", "more_steps"],
+        ids=["fewer_bins", "more_bins", "more_steps", "more_batches"],
     )
     def test_mismatched_runs_rejected(self, other):
         with pytest.raises(ValueError, match="same steps and number of counts"):
