@@ -4,9 +4,9 @@ Model files are JSON documents with two arrays of decimal strings, `f`
 (index 0..n) and `g` (index 1..m), plus an optional `name`.  Numbers are
 kept as literal strings while parsing so the exact backend sees the
 decimals the user wrote.  Exit status is 0 iff no error occurred: 1 for a
-model error, 2 for a file or argument error, an unwritable `--output`
-or stdout included.  Float breakdown in `dist`/`compare` is expected
-behavior and reported as footer metadata, not as an error.
+model error, 2 for a file or argument error (an unwritable `--output` or
+stdout included) or a MemoryError.  Float breakdown in `dist`/`compare`
+is expected behavior and reported as footer metadata, not as an error.
 """
 
 from __future__ import annotations
@@ -275,7 +275,7 @@ def run(command, args) -> int:
     The text goes to stdout, flushed, or to the file named by args.output
     with LF line endings.  A model error prints its message (every
     violation, for an invalid model) and gives 1; a file or argument error,
-    a failed write to either target included, gives 2.
+    a failed write to either target included, gives 2, as does a MemoryError.
     """
     output = getattr(args, "output", None)
     try:
@@ -300,6 +300,11 @@ def run(command, args) -> int:
         return 1
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's names the allocation it failed; Python's is empty
+        if output is None:
+            _discard_stdout()  # a failed write may have left part of the text
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
     return 0
 

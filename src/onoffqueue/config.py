@@ -1,4 +1,4 @@
-"""Arithmetic backend selection for distribution computations."""
+"""Arithmetic backend selection and summation order for distribution computations."""
 
 from __future__ import annotations
 
@@ -25,6 +25,15 @@ def canonical_backend(name: str) -> str:
     if name not in (FLOAT64, EXACT):
         raise ValueError(f"unknown backend {name!r}; expected 'float64' or 'exact'")
     return name
+
+
+def ordered_sum(values, start=0):
+    """start + values[0] + values[1] + ..., strictly left to right, as the builtin sum() was
+    until Python 3.12 made float sums compensated.  Every sum that can see floats uses it, so
+    float output is the same on every interpreter; Fractions add exactly, as with sum()."""
+    for v in values:
+        start = start + v
+    return start
 
 
 def check_count(value, name: str, minimum: int = 0) -> None:
@@ -90,12 +99,10 @@ def to_number(value, backend: str) -> Scalar:
 class NumericConfig:
     """Backend and depth of a distribution computation.
 
-    backend: "float64" (fast; the recurrence breaks down at the first
-        strictly negative value once true coefficients sink below rounding
-        error) or "exact" (rational arithmetic, never breaks down).  The
-        flag does not mark where the digits end: table1 rows 27-40 are off
-        by >1e-6 relative before it flags 41, and table2 to k_max 200 is
-        off from row 149 with no flag; use `--backend exact` for the tail.
+    backend: "float64" (fast, with the same bits on every interpreter; the
+        recurrence breaks down at the first strictly negative value, and
+        its digits can end before that, see `series`) or "exact" (rational
+        arithmetic, never breaks down).
     k_max: largest queue length whose probability is computed.
     """
 

@@ -15,9 +15,8 @@ from decimal import Decimal
 from itertools import accumulate
 from typing import Sequence
 
-from .config import (
-    EXACT, FLOAT64, NumericConfig, Scalar, canonical_backend, exponent_beyond_limit, to_number,
-)
+from .config import (EXACT, FLOAT64, NumericConfig, Scalar, canonical_backend,
+                     exponent_beyond_limit, ordered_sum, to_number)
 from .errors import NonStochasticVector, NotErgodic, Unstable, ValidationError
 
 # Float-mode slack for user-entered decimals; vectors inside it are
@@ -142,7 +141,7 @@ def _check_vector(name, values, exact, violations):
                 NonStochasticVector(f"{name}[{i}] = {_show(v)} is outside [0, 1]")
             )
             ok = False
-    total = sum(values)
+    total = ordered_sum(values)
     if exact:
         if total != 1:
             violations.append(
@@ -203,10 +202,10 @@ def from_strings(f: Sequence, g: Sequence, backend: str = FLOAT64) -> ModelSpec:
 
 def moments(spec: ModelSpec) -> MomentSummary:
     """Derived scalars for a validated spec; pure and deterministic."""
-    f_bar = sum(i * p for i, p in enumerate(spec.f))
-    f2_bar = sum(i * i * p for i, p in enumerate(spec.f))
-    g_bar = sum(i * p for i, p in enumerate(spec.g, start=1))
-    g2_bar = sum(i * i * p for i, p in enumerate(spec.g, start=1))
+    f_bar = ordered_sum(i * p for i, p in enumerate(spec.f))
+    f2_bar = ordered_sum(i * i * p for i, p in enumerate(spec.f))
+    g_bar = ordered_sum(i * p for i, p in enumerate(spec.g, start=1))
+    g2_bar = ordered_sum(i * i * p for i, p in enumerate(spec.g, start=1))
     rho = g_bar * f_bar / (1 + f_bar)
     return MomentSummary(
         f_bar=f_bar,

@@ -18,13 +18,12 @@ values once the true coefficients sink below accumulated rounding error
 does not mark where the digits end: table1 rows 27-40 are off by >1e-6
 relative before it comes at 41, and table2 to k = 200 is off from row
 149 with none; use `--backend exact` for the tail.  The float division
-runs a straight-line kernel compiled for its window width w, the last
-nonzero index of D: the last w values sit in local variables and each row
-subtracts their rounded products oldest first, as the plain convolution
-does, so the bits are the same without its per-term loop.  Exact
-rationals never break down: N and D are scaled to integers and divided
-with an integer-only recurrence, whose values are reduced over the few
-primes of den*d0 alone (see `_divide_exact`).
+runs a straight-line kernel per window width with the bits of the plain
+convolution (see `_division_kernel`), and every other float sum goes
+left to right through `config.ordered_sum`, so the bits are the same on
+every interpreter.  Exact rationals never break down: N and D are scaled
+to integers and divided with an integer-only recurrence, whose values
+are reduced over the few primes of den*d0 alone (see `_divide_exact`).
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from math import gcd, lcm
 from operator import mul, sub
 from typing import Optional, Sequence
 
-from .config import NumericConfig, Scalar, check_count
+from .config import NumericConfig, Scalar, check_count, ordered_sum
 from .model import ModelSpec, check_stable, coerce, moments, suffix_sums, validate
 
 # Slack on the cumulative-probability guard in float mode.
@@ -110,9 +109,9 @@ def series_coefficients(spec: ModelSpec, G: Sequence) -> tuple:
     D = []
     prev = (zero,) * len(F)
     for i, row in enumerate(G):
-        d = (1 if i == 1 else 0) - sum(map(mul, f, row))
+        d = (1 if i == 1 else 0) - ordered_sum(map(mul, f, row))
         D.append(d + zero)
-        N.append(sum(map(mul, map(sub, prev, row), F)) + zero)
+        N.append(ordered_sum(map(mul, map(sub, prev, row), F)) + zero)
         prev = row
     return tuple(N), tuple(D)
 
@@ -311,7 +310,7 @@ def queue_distribution_constant_batch(
     fv = spec.f
     zero = fv[0] * 0
     one = zero + 1
-    f_bar = sum(i * p for i, p in enumerate(fv))
+    f_bar = ordered_sum(i * p for i, p in enumerate(fv))
     check_stable(r * f_bar / (1 + f_bar))
     if r == 1:
         zeros = (zero,) * config.k_max
@@ -350,9 +349,9 @@ def pgf_eval(spec: ModelSpec, z) -> Scalar:
     mom = moments(spec)
     check_stable(mom.rho)
     F = suffix_sums(spec.f)
-    h = sum(p * z ** (s - 1) for s, p in enumerate(spec.g, start=1))
-    c = sum(p * sum(z**i for i in range(s - 1)) for s, p in enumerate(spec.g, start=1))
+    h = ordered_sum(p * z ** (s - 1) for s, p in enumerate(spec.g, start=1))
+    c = ordered_sum(map(mul, spec.g[1:], accumulate(z**i for i in range(spec.m - 1))))
     powers = [h**j for j in range(spec.n + 1)]
-    S = sum(Fj * hj for Fj, hj in zip(F, powers))
-    E = 1 - c * sum(Fj * hj for Fj, hj in zip(F[1:], powers))
+    S = ordered_sum(map(mul, F, powers))
+    E = 1 - c * ordered_sum(map(mul, F[1:], powers))
     return mom.b0 * S / E

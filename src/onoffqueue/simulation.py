@@ -36,9 +36,10 @@ Confidence intervals are computed across runs with the t distribution,
 since within-run samples are autocorrelated.  Its 0.975 quantile comes
 from this module, not from scipy: a table of correctly rounded values up
 to 32 degrees of freedom and a fixed polynomial in 1/df above (see
-`_t975`), in plain float arithmetic, so a fixed-seed report has the same
-bits under every interpreter, platform and scipy version.  The queue sum
-of each full block also serves as a batch mean, which gives a within-run
+`_t975`), in plain float arithmetic, and Python sums of floats go left to
+right through `ordered_sum`, so a fixed-seed report has the same bits
+under every interpreter, platform and scipy version.  The queue sum of
+each full block also serves as a batch mean, which gives a within-run
 standard error of the mean queue.
 """
 
@@ -52,7 +53,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import check_count, check_size
+from .config import check_count, check_size, ordered_sum
 from .model import ModelSpec
 
 GENERATOR_NAME = "pcg64"
@@ -127,7 +128,7 @@ class RunTally:
 
 @dataclass(frozen=True)
 class SimulationReport:
-    """Pooled estimates with per-run values and 95% confidence bounds.
+    """Pooled estimates with 95% confidence bounds across runs.
 
     CI fields are None for single-run reports.  min_resolvable is the
     smallest nonzero probability one run can register.
@@ -140,11 +141,9 @@ class SimulationReport:
     runs: int
     steps_per_run: int
     mean_queue: float
-    mean_queue_runs: tuple
     mean_queue_ci: Optional[tuple]
     mean_queue_batch_se: Optional[float]
     p_hat: tuple
-    p_hat_runs: tuple
     p_ci_low: Optional[tuple]
     p_ci_high: Optional[tuple]
     lumped_mass: float
@@ -275,14 +274,13 @@ def aggregate(tallies: Sequence[RunTally], seed: int = 0) -> SimulationReport:
     total_steps = runs * steps
     counts = np.array([t.counts for t in tallies], dtype=np.int64)
     mean_queue = sum(t.queue_sum for t in tallies) / total_steps
-    mean_queue_runs = tuple(t.queue_sum / steps for t in tallies)
     p_hat = counts.sum(axis=0) / total_steps
-    p_hat_runs = counts / steps
     mean_queue_ci = p_ci_low = p_ci_high = None
     if runs >= 2:
-        # rows p_hat[k] for each k, then the mean queue; C-contiguous (vstack
+        # each run's p_hat[k] for each k, then its mean queue; C-contiguous (vstack
         # keeps .T's layout) so np.std sums each row as it would a 1-D array
-        per_run = np.ascontiguousarray(np.vstack((p_hat_runs.T, mean_queue_runs)))
+        mean_queue_runs = [t.queue_sum / steps for t in tallies]
+        per_run = np.ascontiguousarray(np.vstack(((counts / steps).T, mean_queue_runs)))
         half = _t975(runs - 1) * np.std(per_run, axis=-1, ddof=1) / runs**0.5
         center = np.append(p_hat, mean_queue)
         low, high = (center - half).tolist(), (center + half).tolist()
@@ -293,16 +291,14 @@ def aggregate(tallies: Sequence[RunTally], seed: int = 0) -> SimulationReport:
         # the run means' variances add / runs^2, summed in run order, not pairwise
         means = np.array([t.batch_sums for t in tallies], dtype=float) / _CHUNK
         within = np.var(means, axis=1, ddof=1) / batches
-        batch_se = sum(within.tolist()) ** 0.5 / runs
+        batch_se = ordered_sum(within.tolist()) ** 0.5 / runs
     return SimulationReport(
         runs=runs,
         steps_per_run=steps,
         mean_queue=mean_queue,
-        mean_queue_runs=mean_queue_runs,
         mean_queue_ci=mean_queue_ci,
         mean_queue_batch_se=batch_se,
         p_hat=tuple(p_hat.tolist()),
-        p_hat_runs=tuple(map(tuple, p_hat_runs.tolist())),
         p_ci_low=p_ci_low,
         p_ci_high=p_ci_high,
         lumped_mass=sum(t.lumped for t in tallies) / total_steps,

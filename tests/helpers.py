@@ -31,6 +31,7 @@ from onoffqueue import (
     moments,
     validate,
 )
+from onoffqueue.config import ordered_sum
 from onoffqueue.model import suffix_sums
 from onoffqueue.oracle import residual
 from onoffqueue.series import MASS_EXCESS_TOL
@@ -117,10 +118,11 @@ def reference_tables(spec: ModelSpec, k_max: int) -> tuple:
 
     The straightforward form of `g_coefficients` and `series_coefficients`:
     every cell of G[i][j+1] = sum_k G[k][j] * g_{i+1-k} summed in order of
-    k from zero, then one generator-expression `sum()` per coefficient of
-    D[i] = delta_{i-1} - sum_j f[j] * G[i][j] and
+    k from zero, then one generator-expression `ordered_sum()` per
+    coefficient of D[i] = delta_{i-1} - sum_j f[j] * G[i][j] and
     N[i] = sum_j (G[i-1][j] - G[i][j]) * F[j].  Their results must match
-    exactly (bitwise in float mode).
+    exactly (bitwise in float mode, on every interpreter: the builtin
+    sum() of floats is compensated from Python 3.12).
     """
     n, m = spec.n, spec.m
     g = spec.g
@@ -140,9 +142,9 @@ def reference_tables(spec: ModelSpec, k_max: int) -> tuple:
     D = []
     prev = (zero,) * len(F)
     for i, row in enumerate(G):
-        d = (1 if i == 1 else 0) - sum(p * c for p, c in zip(f, row))
+        d = (1 if i == 1 else 0) - ordered_sum(p * c for p, c in zip(f, row))
         D.append(d + zero)
-        N.append(sum((a - c) * s for a, c, s in zip(prev, row, F)) + zero)
+        N.append(ordered_sum((a - c) * s for a, c, s in zip(prev, row, F)) + zero)
         prev = row
     return tuple(tuple(row) for row in G), tuple(N), tuple(D)
 

@@ -234,6 +234,19 @@ class TestDistCommand:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # float64 prints these bytes on every interpreter: every float sum goes
+    # left to right, not through 3.12's compensated sum()
+    @pytest.mark.parametrize("name, kmax, digest", [
+        ("table1", 300, "7e6c2a6c9a888c5ffaa0c66cdb7bdf6d0372384e79c7f39e9f26b9d45c8d9b4c"),
+        ("table2", 200, "7a60be9b0aa136c220ce969856603face52015d049dfe0779adfb25cd1513504"),
+        ("table2", 300, "9597a4ac33b5af4c01e2d5b96561139372855b839a2040ed99dd3409a8ae795b"),
+    ])
+    def test_float64_output_bytes(self, capsys, request, name, kmax, digest):
+        path = request.getfixturevalue(f"{name}_path")
+        code, out, _ = run_cli(capsys, "dist", path, "--kmax", str(kmax))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_exact_rows_past_int_str_digit_limit(self, capsys, tmp_path):
         # denominators here pass sys.get_int_max_str_digits() near k = 430
         path = tmp_path / "deep.json"
@@ -454,6 +467,26 @@ class TestNumericArguments:
         assert f"# seed={10**20}\n" in out
 
 
+class TestOutOfMemory:
+    # the MemoryError is raised, not provoked, so nothing large is allocated
+    @pytest.mark.parametrize("message, line", [
+        ("", "error: out of memory\n"),
+        ("Unable to allocate 458. MiB", "error: out of memory: Unable to allocate 458. MiB\n"),
+    ], ids=["bare", "numpy"])
+    def test_one_line_exit_2(self, capsys, monkeypatch, table1_path, message, line):
+        def exhausted(args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "cmd_dist", exhausted)
+        assert run_cli(capsys, "dist", table1_path) == (2, "", line)
+
+    def test_failed_stdout_write_leaves_nothing_to_flush(self, table1_path):
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        done = subprocess.run([sys.executable, "-c", FAILING_STDOUT, "dist", table1_path],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")
+
+
 def run_process(*argv):
     """`python -m onoffqueue` with argv, in a child process."""
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
@@ -580,6 +613,20 @@ for _ in range(2):
 by_main = len(built) - at_import
 cli.build_parser()
 print(at_import, by_main, len(built) - at_import - by_main)
+"""
+
+
+# A stdout that buffers part of the text, then raises MemoryError; what it
+# buffered would reach the pipe at exit unless run drops it.
+FAILING_STDOUT = """
+import io, sys
+from onoffqueue import cli
+class Failing(io.TextIOWrapper):
+    def write(self, text):
+        super().write(text[:100])
+        raise MemoryError
+sys.stdout = Failing(sys.stdout.detach(), encoding="utf-8")
+sys.exit(cli.main(sys.argv[1:]))
 """
 
 

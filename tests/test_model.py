@@ -27,7 +27,7 @@ from onoffqueue import (
     stationary_distribution,
     validate,
 )
-from onoffqueue.config import to_number
+from onoffqueue.config import ordered_sum, to_number
 
 
 class TestValidate:
@@ -242,6 +242,28 @@ class TestDecimalParsing:
         for size in (limit - 1, limit, limit + 1):
             for text in ("1" * size, "0." + "1" * (size - 2), "-." + "0" * (size - 3) + "7"):
                 assert outcome(to_number, text) == outcome(fraction_to_float, text)
+
+
+class TestOrderedSum:
+    """`ordered_sum` adds left to right on every interpreter, as sum() did before 3.12."""
+
+    def test_not_compensated(self):
+        # from Python 3.12 the builtin sum() gives 1.0000000000000002 here
+        assert ordered_sum([1.0, 1e-16, 1e-16]) == 1.0
+
+    @given(st.lists(st.floats(allow_nan=False)), st.sampled_from([0, 0.0, -0.0, 1.5]))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_equal_to_a_left_fold(self, values, start):
+        expected = start
+        for v in values:
+            expected = expected + v
+        assert repr(ordered_sum(values, start)) == repr(expected)
+        assert repr(ordered_sum(iter(values), start)) == repr(expected)
+
+    def test_fractions_stay_exact(self):
+        values = [Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)]
+        assert ordered_sum(values) == 1
+        assert type(ordered_sum(values)) is Fraction
 
 
 class TestMoments:

@@ -66,9 +66,9 @@ class TestSimulateRun:
     def test_nearby_seeds_share_no_run(self, table1):
         # every (seed, run) pair has streams of its own
         runs = [
-            p
+            tuple(c / t.steps for c in t.counts)
             for seed in range(4)
-            for p in simulate(table1, replace(FAST, runs=4, seed=seed)).p_hat_runs
+            for t in (simulate_run(table1, replace(FAST, seed=seed), r) for r in range(4))
         ]
         assert len(set(runs)) == 16
 
@@ -354,10 +354,13 @@ class TestAggregate:
             half /= runs**0.5
             return center - half, center + half
 
-        report = aggregate([simulate_run(table1, FAST, r) for r in range(runs)])
-        assert report.mean_queue_ci == interval(report.mean_queue_runs, report.mean_queue)
+        tallies = [simulate_run(table1, FAST, r) for r in range(runs)]
+        report = aggregate(tallies)
+        # each run's values from its tallies, with the bits of numpy's division
+        mean_queue_runs = [t.queue_sum / t.steps for t in tallies]
+        assert report.mean_queue_ci == interval(mean_queue_runs, report.mean_queue)
         bounds = [
-            interval([p[k] for p in report.p_hat_runs], report.p_hat[k])
+            interval([t.counts[k] / t.steps for t in tallies], report.p_hat[k])
             for k in range(len(report.p_hat))
         ]
         assert report.p_ci_low == tuple(lo for lo, _ in bounds)
