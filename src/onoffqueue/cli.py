@@ -7,6 +7,12 @@ decimals the user wrote.  Exit status is 0 iff no error occurred: 1 for a
 model error, 2 for a file or argument error (an unwritable `--output` or
 stdout included) or a MemoryError.  Float breakdown in `dist`/`compare`
 is expected behavior and reported as footer metadata, not as an error.
+
+Each command validates and computes before it returns, so an error opens
+no output; it returns its text as an iterable of pieces, which `run`
+writes as they come.  The rows of a `dist` or `oracle` table are formatted
+as they are written, a chunk at a time, so its whole CSV text is never held
+at once.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from . import analytic, series
 from .config import EXACT, FLOAT64, NumericConfig
 from .errors import QueueModelError, TruncationBias, ValidationError
 from .model import from_strings, moments, suffix_sums
-from .tables import OutputTable, distribution_cells, format_scalar, render_csv, render_structured
+from .tables import OutputTable, csv_chunks, distribution_cells, format_scalar, render_structured
 
 
 class CliInputError(Exception):
@@ -53,8 +59,9 @@ def load_model(path: str, backend: str = FLOAT64):
     return from_strings(doc["f"], doc["g"], backend=backend)
 
 
-def render(table: OutputTable, fmt: str) -> str:
-    return (render_structured if fmt == "structured" else render_csv)(table)
+def render(table: OutputTable, fmt: str):
+    """The table's text in pieces: CSV a chunk of rows at a time, structured whole."""
+    return [render_structured(table)] if fmt == "structured" else csv_chunks(table)
 
 
 def _dist_footer(table, dist, backend):
@@ -69,19 +76,17 @@ def _dist_footer(table, dist, backend):
 
 
 def _distribution_table(p, tail) -> OutputTable:
-    """(k, p, tail) rows, k from 0."""
-    table = OutputTable(columns=("k", "p", "tail"))
-    for k, cells in enumerate(distribution_cells(p, tail)):
-        table.rows.append((str(k), *cells))
-    return table
+    """(k, p, tail) rows, k from 0, formatted as they are read."""
+    rows = ((str(k), *cells) for k, cells in enumerate(distribution_cells(p, tail)))
+    return OutputTable(columns=("k", "p", "tail"), rows=rows)
 
 
-def cmd_validate(args) -> str:
+def cmd_validate(args):
     spec = load_model(args.path)
-    return f"valid; rho={float(moments(spec).rho):.4f}\n"
+    return [f"valid; rho={float(moments(spec).rho):.4f}\n"]
 
 
-def cmd_analyze(args) -> str:
+def cmd_analyze(args):
     spec = load_model(args.path, backend=args.backend)
     mom = moments(spec)
     rep = analytic.report(mom)
@@ -99,8 +104,8 @@ def cmd_analyze(args) -> str:
     }
     if args.format == "structured":
         payload = {key: format_scalar(value) for key, value in values.items()}
-        return json.dumps(payload, indent=2) + "\n"
-    return "".join(f"{key} = {format_scalar(value)}\n" for key, value in values.items())
+        return [json.dumps(payload, indent=2) + "\n"]
+    return ["".join(f"{key} = {format_scalar(value)}\n" for key, value in values.items())]
 
 
 def checked(make, **fields):
@@ -111,7 +116,7 @@ def checked(make, **fields):
         raise CliInputError(f"invalid argument: {exc}") from exc
 
 
-def cmd_dist(args) -> str:
+def cmd_dist(args):
     config = checked(NumericConfig, backend=args.backend, k_max=args.kmax)
     spec = load_model(args.path, backend=args.backend)
     dist = series.queue_distribution(spec, config)
@@ -120,7 +125,7 @@ def cmd_dist(args) -> str:
     return render(table, args.format)
 
 
-def cmd_oracle(args) -> str:
+def cmd_oracle(args):
     from . import oracle
 
     spec = load_model(args.path)
@@ -166,7 +171,7 @@ def _sim_footer(table, report):
     table.add_footer("generator", report.generator)
 
 
-def cmd_simulate(args) -> str:
+def cmd_simulate(args):
     from . import simulation as sim
 
     config = _sim_config(args)
@@ -181,7 +186,7 @@ def cmd_simulate(args) -> str:
     return render(table, args.format)
 
 
-def cmd_compare(args) -> str:
+def cmd_compare(args):
     from . import simulation as sim
 
     config = checked(NumericConfig, backend=args.backend, k_max=args.kmax)
@@ -270,22 +275,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(command, args) -> int:
-    """Write command(args)'s text and turn the package's errors into an exit status.
+    """Write command(args)'s pieces of text and turn the package's errors into an exit status.
 
-    The text goes to stdout, flushed, or to the file named by args.output
-    with LF line endings.  A model error prints its message (every
+    The pieces go to stdout, flushed, or to the file named by args.output
+    with LF line endings, each as it comes; the target is opened once, after
+    the command returns.  A model error prints its message (every
     violation, for an invalid model) and gives 1; a file or argument error,
     a failed write to either target included, gives 2, as does a MemoryError.
+    A write that fails part way leaves what was written before it.
     """
     output = getattr(args, "output", None)
     try:
-        text = command(args)
+        pieces = command(args)
         try:
             if output is None:
-                sys.stdout.write(text)
+                sys.stdout.writelines(pieces)
                 sys.stdout.flush()
             else:
-                Path(output).write_text(text, newline="")
+                with open(output, "w", newline="") as target:
+                    target.writelines(pieces)
         except OSError as exc:
             if output is None:
                 _discard_stdout()

@@ -26,6 +26,11 @@ from .model import ModelSpec
 
 DEFAULT_RESIDUAL_TOL = 1e-13
 DEFAULT_BOUNDARY_TOL = 1e-9
+# The most entries one chain may store.  (m + 1)(n + 1)^2(q_cap + 1) bounds
+# both the band of the pinned solve, m(n + 1) diagonals (2(n + 1) for m = 1)
+# of (n + 1)(q_cap + 1) states, and the kernel's entries; 2**25 float64
+# entries take 256 MiB.
+MAX_ENTRIES = 2**25
 
 
 @dataclass(frozen=True)
@@ -49,12 +54,20 @@ def build_joint_chain(spec: ModelSpec, q_cap: int) -> JointChain:
 
     From (x, q): arrivals y are 0 when x = 0 and batch-distributed when
     x > 0; the next queue is min(max(q + y - 1, 0), q_cap); the next chain
-    state is drawn from f when x = 0 and is x - 1 otherwise.
+    state is drawn from f when x = 0 and is x - 1 otherwise.  A q_cap whose
+    storage would pass MAX_ENTRIES raises ValueError before anything is
+    allocated.
     """
     check_size(q_cap, "q_cap")
+    n, m = spec.n, spec.m
+    largest = MAX_ENTRIES // ((m + 1) * (n + 1) ** 2) - 1
+    if q_cap > largest:
+        raise ValueError(
+            f"q_cap must be at most {largest} for n = {n}, m = {m}: the chain stores up to "
+            f"(m + 1)(n + 1)^2(q_cap + 1) entries, at most {MAX_ENTRIES}"
+        )
     f = np.array([float(v) for v in spec.f])
     g = np.array([float(v) for v in spec.g])
-    n, m = spec.n, spec.m
     if q_cap < m:
         raise CapTooSmall(f"q_cap = {q_cap} must be at least the largest batch m = {m}")
     width = q_cap + 1

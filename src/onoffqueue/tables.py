@@ -23,8 +23,9 @@ floats is formatted in place, with `format_scalar`'s float text.
 
 Each rendered text is built by one `str.join` over its pieces, cells and
 separators alike, with no per-row line string and no concatenation of the
-whole text: an exact table's text (about 5 MB for `table2` at k=800) is
-then held only as its cells and the one result.
+whole text.  `csv_chunks` renders a table CHUNK_ROWS rows at a time, and
+`distribution_cells` yields its rows one by one, so an exact table's text
+(about 5 MB for `table2` at k=800) is never held whole while it is written.
 """
 
 from __future__ import annotations
@@ -33,17 +34,20 @@ import json
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 # Integer arithmetic in this context is exact at any length; the thread's
 # own context is never used.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
+CHUNK_ROWS = 64  # rows per piece of `csv_chunks`
+
 
 @dataclass
 class OutputTable:
     columns: tuple
-    rows: list = field(default_factory=list)
+    rows: list = field(default_factory=list)  # or any iterable of rows, read once
     footer: list = field(default_factory=list)  # ordered (key, value) pairs
 
     def add_row(self, *cells):
@@ -101,22 +105,22 @@ def _from_neighbour(new: int, old: int, old_dec: Decimal):
     return _EXACT.divide_int(_EXACT.multiply(old_dec, u), v), u, v
 
 
-def distribution_cells(p, tail) -> list:
-    """[(format_scalar(p[k]), format_scalar(tail[k])) for each k], for tail[k] = P(Q>k).
+def distribution_cells(p, tail):
+    """Yield (format_scalar(p[k]), format_scalar(tail[k])) for each k, for tail[k] = P(Q>k).
 
     Rows of two floats print inline and rows of two Fractions with one
     full conversion (see the module docstring); any other row formats cell
-    by cell.
+    by cell.  Each row is formatted when it is read, so a table can be
+    written as it is formatted.
     """
-    cells = []
     num, den = 1, 1  # tail[k-1], starting from tail[-1] = 1
     num_dec = den_dec = Decimal(1)
     for pk, tk in zip(p, tail):
         if type(pk) is float and type(tk) is float:
-            cells.append((f"{pk + 0.0:.17g}", f"{tk + 0.0:.17g}"))  # as format_scalar
+            yield f"{pk + 0.0:.17g}", f"{tk + 0.0:.17g}"  # as format_scalar
             continue
         if type(pk) is not Fraction or type(tk) is not Fraction:
-            cells.append((format_scalar(pk), format_scalar(tk)))
+            yield format_scalar(pk), format_scalar(tk)
             continue
         a, b, c, d = pk.numerator, pk.denominator, tk.numerator, tk.denominator
         a_text = format_scalar(a)
@@ -131,20 +135,21 @@ def distribution_cells(p, tail) -> list:
             c_dec = _converted(c)
         b_text, c_text = str(b_dec), str(c_dec)
         d_text = b_text if d == b else str(d_dec)
-        cells.append((a_text if b == 1 else f"{a_text}/{b_text}",
-                      c_text if d == 1 else f"{c_text}/{d_text}"))
+        yield (a_text if b == 1 else f"{a_text}/{b_text}",
+               c_text if d == 1 else f"{c_text}/{d_text}")
         num, den, num_dec, den_dec = c, d, c_dec, d_dec
-    return cells
 
 
 def render_csv(table: OutputTable) -> str:
     """The table as CSV: header, rows, then one "# key=value" line per footer pair.
 
     One join over a flat list of cells and separators, filled a column at a
-    time; a row whose width differs from the header raises ValueError.
+    time; a row whose width differs from the header raises ValueError.  A
+    table with no columns prints no header line, and its rows are checked
+    against each other: it is one of the pieces `csv_chunks` renders.
     """
-    lines = [table.columns, *table.rows]
-    width = len(table.columns)
+    lines = [table.columns, *table.rows] if table.columns else list(table.rows)
+    width = len(lines[0]) if lines else 0
     pieces = ([None, ","] * (width - 1) + [None, "\n"] if width else ["\n"]) * len(lines)
     try:
         for j, column in enumerate(zip(*lines, strict=True)):
@@ -154,6 +159,22 @@ def render_csv(table: OutputTable) -> str:
     for key, value in table.footer:
         pieces += ("# ", key, "=", value, "\n")
     return "".join(pieces)
+
+
+def csv_chunks(table: OutputTable):
+    """render_csv(table) in pieces, each from one render_csv call: the header
+    line, the rows CHUNK_ROWS at a time, then the footer lines.
+
+    The rows are read a chunk at a time as the pieces are, so rows from a
+    generator are formatted as they are written and never held whole.
+    """
+    yield render_csv(OutputTable(table.columns))
+    rows = iter(table.rows)
+    while chunk := list(islice(rows, CHUNK_ROWS)):
+        if len(chunk[0]) != len(table.columns):
+            raise ValueError("row width does not match the header")
+        yield render_csv(OutputTable((), chunk))
+    yield render_csv(OutputTable((), footer=table.footer))
 
 
 def parse_csv(text: str) -> OutputTable:

@@ -4,9 +4,11 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -15,12 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MODELS_DIR, REPO_ROOT
-from helpers import TABLE1_F, TABLE1_G
+from helpers import TABLE1_F, TABLE1_G, model_specs
 from onoffqueue import (
     build_joint_chain, cli, from_strings, joint_stationary, oracle_expected_queue, queue_marginal,
+    series,
 )
 from onoffqueue.cli import main
-from onoffqueue.tables import OutputTable, parse_csv, render_csv
+from onoffqueue.tables import CHUNK_ROWS, OutputTable, parse_csv, render_csv, render_structured
 
 SIM_FLAGS = ["--iterations", "20000", "--burn-in", "1000", "--runs", "3", "--kmax", "4"]
 SMALL_SIM = ["--iterations", "2000", "--burn-in", "100", "--runs", "2"]
@@ -435,6 +438,119 @@ class TestUnwritableOutput:
         assert list(tmp_path.iterdir()) == []
 
 
+# (argv before the path, the flag that sets the row count); rows = value + 1
+STREAMED_COMMANDS = {
+    "dist": (["dist"], "--kmax"),
+    "dist-exact": (["dist", "--backend", "exact"], "--kmax"),
+    "oracle": (["oracle"], "--qcap"),
+    "simulate": (["simulate", *SMALL_SIM], "--kmax"),
+    "compare": (["compare", *SMALL_SIM], "--kmax"),
+}
+CHUNK_EDGES = [0, 63, 64, 65, 128]  # 1, 64, 65, 66 and 129 rows, with CHUNK_ROWS = 64
+
+
+def written_bytes(tmp_dir, command, path, rows_flag_value, fmt, whole):
+    """Exit status and the bytes main writes to --output (None on an error).
+
+    With whole=True every row is formatted first and the table rendered as
+    one text, by one render_csv or render_structured call, as the CLI did
+    before it streamed.
+    """
+    head, flag = STREAMED_COMMANDS[command]
+    out = tmp_dir / f"{command}-{fmt}-{whole}.out"
+    with pytest.MonkeyPatch.context() as mp:
+        if whole:
+            mp.setattr(cli, "render", lambda table, fmt: [
+                (render_structured if fmt == "structured" else render_csv)(table)
+            ])
+        code = main([head[0], path, *head[1:], flag, str(rows_flag_value),
+                     "--format", fmt, "--output", str(out)])
+    return code, (out.read_bytes() if code == 0 else None)
+
+
+class TestStreamedOutput:
+    @pytest.mark.parametrize("fmt", ["csv", "structured"])
+    @pytest.mark.parametrize("command, k", [  # oracle's q_cap 0 is below the largest batch
+        (command, k) for command in sorted(STREAMED_COMMANDS) for k in CHUNK_EDGES
+        if (command, k) != ("oracle", 0)
+    ])
+    @pytest.mark.parametrize("name", ["table1", "table2"])
+    def test_bytes_equal_whole_render(self, request, tmp_path, name, command, k, fmt):
+        path = request.getfixturevalue(f"{name}_path")
+        streamed = written_bytes(tmp_path, command, path, k, fmt, whole=False)
+        assert streamed[0] == 0
+        assert streamed == written_bytes(tmp_path, command, path, k, fmt, whole=True)
+
+    @settings(max_examples=30, deadline=None)
+    @given(model_specs(backend="exact"), st.sampled_from(sorted(STREAMED_COMMANDS)),
+           st.sampled_from(["csv", "structured"]), st.sampled_from(CHUNK_EDGES))
+    def test_random_models_bytes_equal_whole_render(self, tmp_path_factory, spec, command, fmt, k):
+        tmp_dir = tmp_path_factory.mktemp("streamed")
+        path = tmp_dir / "model.json"
+        path.write_text(json.dumps({"f": [str(v) for v in spec.f], "g": [str(v) for v in spec.g]}))
+        streamed = written_bytes(tmp_dir, command, str(path), k, fmt, whole=False)
+        assert streamed == written_bytes(tmp_dir, command, str(path), k, fmt, whole=True)
+
+    @pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
+    def test_model_error_leaves_existing_output(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.json"
+        path.write_text('{"f": ["0.5", "0.4"], "g": ["1.0"]}')
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"earlier output\n")
+        code, out, err = run_cli(
+            capsys, command, str(path), *OUTPUT_COMMANDS[command], "--output", str(target)
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("invalid model:")
+        assert target.read_bytes() == b"earlier output\n"
+
+    def test_argument_error_leaves_existing_output(self, capsys, tmp_path, table1_path):
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"earlier output\n")
+        code, _, err = run_cli(
+            capsys, "dist", table1_path, "--kmax", "-1", "--output", str(target)
+        )
+        assert code == 2
+        assert err.startswith("error: invalid argument:")
+        assert target.read_bytes() == b"earlier output\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_write_failing_mid_stream_is_one_line_exit_2(self):
+        # the first chunk fills the file buffer, so the failure comes part way
+        done = run_process("dist", str(MODELS_DIR / "table2.json"), "--backend", "exact",
+                           "--kmax", "800", "--output", "/dev/full")
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, "", "error: cannot write /dev/full: [Errno 28] No space left on device\n"
+        )
+
+    def test_exact_peak_memory_is_a_few_chunks(self, monkeypatch, tmp_path, table2_path):
+        # traced from when the distribution is computed: formatting and writing only
+        computed = series.queue_distribution
+
+        def then_trace(*args):
+            dist = computed(*args)
+            tracemalloc.start()
+            return dist
+
+        monkeypatch.setattr(series, "queue_distribution", then_trace)
+        target = tmp_path / "table2.csv"
+        try:
+            code = main(["dist", table2_path, "--backend", "exact", "--kmax", "800",
+                         "--output", str(target)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        text = target.read_text()
+        rows = text.splitlines(keepends=True)[1:802]
+        chunks = (rows[i:i + CHUNK_ROWS] for i in range(0, len(rows), CHUNK_ROWS))
+        largest = max(sum(map(len, chunk)) for chunk in chunks)
+        assert len(text) > 6 * largest  # 4.99 MB, the largest chunk 0.73 MB
+        # the chunk's cells, its text and the bytes it is encoded to
+        assert peak <= 4 * largest
+        assert peak <= len(text) / 2
+
+
 class TestNumericArguments:
     @pytest.mark.parametrize(
         "argv",
@@ -524,6 +640,28 @@ class TestProcessBoundary:
                                   env=env, stdout=full, stderr=subprocess.PIPE, text=True)
         assert (done.returncode, done.stderr) == (
             2, "error: cannot write <stdout>: [Errno 28] No space left on device\n"
+        )
+
+
+def limit_address_space():
+    """Cap the child's address space at 1 GiB, so an unbounded allocation fails fast."""
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+class TestOracleStorageBound:
+    @pytest.mark.parametrize("q_cap", [524288, 10**12])  # table1's largest q_cap is 524287
+    def test_refused_before_allocating(self, q_cap):
+        # one BLAS thread: each thread's buffers count against the limit
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+        done = subprocess.run(
+            [sys.executable, "-m", "onoffqueue", "oracle", str(MODELS_DIR / "table1.json"),
+             "--qcap", str(q_cap)],
+            env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit_address_space,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (
+            "error: invalid argument: q_cap must be at most 524287 for n = 3, m = 3: the chain"
+            " stores up to (m + 1)(n + 1)^2(q_cap + 1) entries, at most 33554432\n"
         )
 
 

@@ -96,6 +96,18 @@ class TestBuildJointChain:
         with pytest.raises(ValueError, match="q_cap"):
             build_joint_chain(table1, q_cap)
 
+    @pytest.mark.parametrize("name, largest", [("table1", 524287), ("table2", 268434)])
+    def test_storage_bound_checked_before_any_array(self, request, monkeypatch, name, largest):
+        # (m + 1)(n + 1)^2(largest + 1) <= 2**25 entries, and one more q passes it
+        spec = request.getfixturevalue(name)
+        assert (spec.m + 1) * (spec.n + 1) ** 2 * (largest + 1) <= oracle_module.MAX_ENTRIES
+        monkeypatch.setattr(oracle_module, "np", None)  # any numpy call raises AttributeError
+        for q_cap in (largest + 1, 10**12):
+            with pytest.raises(ValueError, match=f"q_cap must be at most {largest} "):
+                build_joint_chain(spec, q_cap)
+        with pytest.raises(AttributeError):
+            build_joint_chain(spec, largest)
+
     def test_boundary_lumps_mass(self):
         spec = validate(ModelSpec((0.8, 0.2), (0.0, 0.0, 1.0)))
         chain = build_joint_chain(spec, 3)
