@@ -3,8 +3,8 @@ batch-arrival single-server queue.
 
 The oracle and simulation names load on first access (PEP 562), so
 importing the package, or running the CLI's series commands, never loads
-numpy or scipy.  The simulation names load numpy alone; only the oracle
-loads scipy.
+numpy or scipy.  The oracle and simulation names load numpy alone; scipy
+is loaded only when a check reads `JointChain.kernel`.
 """
 
 import importlib

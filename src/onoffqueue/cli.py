@@ -12,7 +12,7 @@ Each command validates and computes before it returns, so an error opens
 no output; it returns its text as an iterable of pieces, which `run`
 writes as they come.  The rows of a `dist` or `oracle` table are formatted
 as they are written, a chunk at a time, so its whole CSV text is never held
-at once.
+at once; its structured text is written a group of rows at a time too.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from . import analytic, series
 from .config import EXACT, FLOAT64, NumericConfig
 from .errors import QueueModelError, TruncationBias, ValidationError
 from .model import from_strings, moments, suffix_sums
-from .tables import OutputTable, csv_chunks, distribution_cells, format_scalar, render_structured
+from .tables import OutputTable, csv_chunks, distribution_cells, format_scalar, structured_chunks
 
 
 class CliInputError(Exception):
@@ -60,8 +60,8 @@ def load_model(path: str, backend: str = FLOAT64):
 
 
 def render(table: OutputTable, fmt: str):
-    """The table's text in pieces: CSV a chunk of rows at a time, structured whole."""
-    return [render_structured(table)] if fmt == "structured" else csv_chunks(table)
+    """The table's text in pieces: CSV a chunk of rows at a time, JSON a group of encoder pieces."""
+    return structured_chunks(table) if fmt == "structured" else csv_chunks(table)
 
 
 def _dist_footer(table, dist, backend):
@@ -138,7 +138,7 @@ def cmd_oracle(args):
     table = _distribution_table(probs, tails)
     table.add_footer("q_cap", args.qcap)
     table.add_footer("states", chain.num_states)
-    table.add_footer("kernel_nnz", chain.kernel.nnz)
+    table.add_footer("kernel_nnz", chain.kernel_nnz)
     table.add_footer("boundary_mass", probs[-1])
     table.add_footer("residual", oracle.residual(chain, pi))
     try:

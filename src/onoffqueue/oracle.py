@@ -7,18 +7,22 @@ stationary vector, and reads off P(Q=k) and E[Q] without touching any
 generating-function machinery.  Deliberately independent of the analytic
 and series modules; only the model definition is shared.
 
-The queue falls by at most 1 per slot and rises by at most m - 1, so with
-the states ordered by queue level first (q-major) the balance matrix is
-banded, and the stationary vector comes from one band LU solve.
+The queue falls only from the off state, so the flow across the cut
+between levels q and q + 1 fixes pi(0, q + 1) from the levels at and below
+q, and the on phases of level q follow (the subtraction-free forward
+recursion for M/G/1-type chains, Ramaswami 1988).  From pi(0, 0) = 1 it
+adds and multiplies nonnegative numbers only, so small tail probabilities
+keep their relative accuracy; each level is one product with a fixed
+matrix (`level_matrices`).  The solve needs numpy alone; scipy is loaded
+only when a check reads `JointChain.kernel`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import solve_banded
 
 from .config import check_size
 from .errors import CapTooSmall, NoConvergence, TruncationBias
@@ -26,20 +30,33 @@ from .model import ModelSpec
 
 DEFAULT_RESIDUAL_TOL = 1e-13
 DEFAULT_BOUNDARY_TOL = 1e-9
-# The most entries one chain may store.  (m + 1)(n + 1)^2(q_cap + 1) bounds
-# both the band of the pinned solve, m(n + 1) diagonals (2(n + 1) for m = 1)
-# of (n + 1)(q_cap + 1) states, and the kernel's entries; 2**25 float64
-# entries take 256 MiB.
+# The most entries one chain may store, counted as (m + 1)(n + 1)^2(q_cap + 1);
+# 2**25 float64 entries take 256 MiB.  The count is n + 1 times a bound,
+# (m + 1)(n + 1)(q_cap + 1), on the kernel's (n + 1 + nm)(q_cap + 1)
+# transitions, the largest arrays a chain holds.
 MAX_ENTRIES = 2**25
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointChain:
-    """Truncated joint chain over states (x, q), row-stochastic kernel."""
+    """Truncated joint chain over states (x, q), state index x * (q_cap + 1) + q.
+
+    Transition i moves mass vals[i] from state rows[i] to state cols[i].  A
+    move that q_cap lumps into the boundary is listed once per batch size,
+    so a (row, col) pair can repeat; the kernel entry is the sum.  f and g
+    are the model's vectors as float64, g[y - 1] = P(Y = y).
+    """
 
     q_cap: int
-    n: int
-    kernel: sp.csr_matrix
+    f: np.ndarray
+    g: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.f) - 1
 
     @property
     def num_states(self) -> int:
@@ -47,6 +64,29 @@ class JointChain:
 
     def state_index(self, x: int, q: int) -> int:
         return x * (self.q_cap + 1) + q
+
+    @property
+    def kernel_nnz(self) -> int:
+        """The kernel's positive entries, counted from f and g.
+
+        An off state has one per positive f[x].  An on state at queue q has
+        one per positive g_y with q + y - 1 < q_cap, and one at q_cap if any
+        positive g_y reaches it.
+        """
+        ends = np.arange(self.q_cap + 1)[:, None] + np.flatnonzero(self.g > 0)  # q + y - 1
+        on = np.count_nonzero(ends < self.q_cap) + np.count_nonzero(ends[:, -1] >= self.q_cap)
+        return int(np.count_nonzero(self.f > 0) * (self.q_cap + 1) + self.n * on)
+
+    @cached_property
+    def kernel(self):
+        """The row-stochastic kernel as a scipy CSR matrix, built on first read.
+
+        The solve and `residual` read the transitions; this is for checks.
+        """
+        import scipy.sparse as sp
+
+        size = self.num_states
+        return sp.coo_matrix((self.vals, (self.rows, self.cols)), shape=(size, size)).tocsr()
 
 
 def build_joint_chain(spec: ModelSpec, q_cap: int) -> JointChain:
@@ -82,58 +122,90 @@ def build_joint_chain(spec: ModelSpec, q_cap: int) -> JointChain:
     )
     on = (x * width + q, (x - 1) * width + np.minimum(q + y - 1, q_cap), g[y - 1])
     rows, cols, vals = (np.concatenate((a.ravel(), b.ravel())) for a, b in zip(off, on))
-    size = (n + 1) * width
-    kernel = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
-    return JointChain(q_cap=q_cap, n=n, kernel=kernel)
+    return JointChain(q_cap=q_cap, f=f, g=g, rows=rows, cols=cols, vals=vals)
 
 
 def residual(chain: JointChain, pi: np.ndarray) -> float:
     """Max-norm balance residual |P^T pi - pi| of a candidate stationary vector."""
-    return float(np.max(np.abs(chain.kernel.T @ pi - pi)))
+    inflow = np.bincount(chain.cols, weights=chain.vals * pi[chain.rows],
+                         minlength=chain.num_states)
+    return float(np.max(np.abs(inflow - pi)))
 
 
-def pinned_band(chain: JointChain) -> tuple:
-    """((lower, upper), ab): the pinned balance system in q-major band storage.
+def level_matrices(f: np.ndarray, g: np.ndarray) -> tuple:
+    """(first, step, top): the fixed nonnegative terms of the level recursion.
 
-    The system is (P^T - I) with the balance row of the idle state (0, 0)
-    replaced by pi[(0, 0)] = 1, its states ordered by q * (n + 1) + x, and
-    ab[upper + i - j, j] holding entry (i, j) as `solve_banded` takes it.
-    The widths are read off the entries: (m - 1)(n + 1) - 1 below and
-    n + 1 above the diagonal for m >= 2.
+    In q-major order, state (x, q) at q * (n + 1) + x, the n + 1 entries
+    after pi(0, q) are pi(1, q), ..., pi(n, q), pi(0, q + 1).  With
+    pi(0, 0) = 1 they are `first` for q = 0, and for 0 < q < q_cap the
+    (m - 1)(n + 1) entries of levels q - m + 1 .. q - 1 (zero below level
+    0) times `step`.  At q = q_cap they are those entries times `top`, whose
+    last column, for the state pi(0, q_cap + 1) the chain lacks, is zero.
+
+    With a_x = f[x] + g_1 a_{x+1} (a_{n+1} = 0), G(k) = P(Y >= k) and
+    f(g_1) = sum_k f[k] g_1^k taken by Horner:
+      pi(0, q + 1) = (C + G(2) B) / f(g_1), the cut flow: C = sum of
+        s_l G(q + 2 - l) over l = q + 2 - m .. q - 1, s_l the on-phase mass
+        of level l, and B = b_1 + ... + b_n;
+      pi(x, q) = pi(0, q + 1) a_x + b_x, where
+        b_x = g_1 b_{x+1} + sum_{y=2..m} g_y pi(x + 1, q + 1 - y);
+      level 0: pi(x, 0) = a_x / f(g_1), pi(0, 1) = G(2) (a_1 + ... + a_n) / f(g_1);
+      top: pi(n, q_cap) = 0 and pi(x, q_cap) = pi(x + 1, q_cap) plus
+        pi(x + 1, l) G(q_cap + 1 - l) over l = q_cap + 1 - m .. q_cap - 1.
+    f(g_1) equals 1 - G(2)(a_1 + ... + a_n), but Horner's form does not
+    cancel when f[0] and g_1 are both small.
     """
-    kernel = chain.kernel.tocoo()
-    size = kernel.shape[0]
-    # qmajor[x * (q_cap + 1) + q] = q * (n + 1) + x
-    qmajor = np.arange(size).reshape(chain.q_cap + 1, chain.n + 1).T.ravel()
-    rows, cols = qmajor[kernel.col], qmajor[kernel.row]  # balance row i is kernel column i
-    lower = int(max(0, (rows - cols).max()))
-    upper = int(max(0, (cols - rows).max()))
-    ab = np.zeros((lower + upper + 1, size))
-    ab[upper + rows - cols, cols] = kernel.data  # the CSR kernel holds no duplicates
-    ab[upper] -= 1.0
-    first = np.arange(upper + 1)  # row 0 is the idle state
-    ab[upper - first, first] = 0.0
-    ab[upper, 0] = 1.0
-    return (lower, upper), ab
+    n, m = len(f) - 1, len(g)
+    g1 = g[0]
+    tail = np.append(np.cumsum(g[::-1])[::-1], 0.0)  # tail[k - 1] = G(k), k = 1..m + 1
+    f_g1 = 0.0
+    for v in f[::-1]:
+        f_g1 = f_g1 * g1 + v
+    alpha = np.zeros(n + 2)
+    for x in range(n, 0, -1):
+        alpha[x] = f[x] + g1 * alpha[x + 1]
+    first = np.append(alpha[1:n + 1], tail[1] * alpha.sum()) / f_g1
+    # beta[j, z, x]: the weight of pi(z, q - m + 1 + j) in b_x, whose batch is y = m - j
+    beta = np.zeros((m - 1, n + 1, n + 2))
+    for x in range(n - 1, 0, -1):
+        beta[:, :, x] = g1 * beta[:, :, x + 1]
+        beta[:, x + 1, x] += g[:0:-1]
+    cut = np.zeros((m - 1, n + 1))
+    cut[:, 1:] = tail[m:1:-1, None] + tail[1] * beta[:, 1:].sum(axis=2)
+    down = cut / f_g1
+    step = np.empty((m - 1, n + 1, n + 1))
+    step[..., :n] = down[..., None] * alpha[1:n + 1] + beta[..., 1:n + 1]
+    step[..., n] = down
+    # top[j, z, x - 1] = G(m - j) for z > x: the sum over phases above x
+    top = np.zeros((m - 1, n + 1, n + 1))
+    above = np.arange(n + 1)[:, None] > np.arange(1, n + 2)
+    top[:] = tail[m - 1:0:-1, None, None] * above
+    width = (m - 1) * (n + 1)
+    return first, step.reshape(width, n + 1), top.reshape(width, n + 1)
 
 
 def joint_stationary(chain: JointChain) -> np.ndarray:
     """Stationary vector of the joint kernel, to max-norm residual <= DEFAULT_RESIDUAL_TOL.
 
-    Solves the `pinned_band` system, (P^T - I) pi = 0 with the balance row
-    of the idle state (0, 0) replaced by pi[(0, 0)] = 1, then returns the
-    vector to the chain's x-major order and normalises.  The pinned system
-    is nonsingular: the idle state has probability b0 = 1 - rho > 0, and
-    the other balance rows have rank size - 1.  Unlike a normalisation row
-    of ones, the pin keeps the matrix banded, and small tail probabilities
-    keep their relative accuracy.
+    Runs the `level_matrices` recursion from pi(0, 0) = 1 up through the
+    levels, one matrix product each, then returns the vector in the
+    chain's x-major order, normalised.  Raises NoConvergence when it is
+    not finite or misses the residual bound.
     """
-    widths, ab = pinned_band(chain)
-    rhs = np.zeros(ab.shape[1])
-    rhs[0] = 1.0
-    pi = solve_banded(widths, ab, rhs, overwrite_ab=True, overwrite_b=True)
-    pi = pi.reshape(chain.q_cap + 1, chain.n + 1).T.ravel()
-    pi = pi / pi.sum()
+    n, q_cap = chain.n, chain.q_cap
+    first, step, top = level_matrices(chain.f, chain.g)
+    width = n + 1
+    pad = step.shape[0]  # the m - 1 levels below level 0, all zero
+    # one slot past level q_cap for pi(0, q_cap + 1), which stays 0
+    pi = np.zeros(pad + (q_cap + 1) * width + 1)
+    pi[pad] = 1.0
+    pi[pad + 1:pad + width + 1] = first
+    for q in range(1, q_cap + 1):
+        start = pad + q * width
+        np.dot(pi[start - pad:start], step if q < q_cap else top,
+               out=pi[start + 1:start + width + 1])
+    pi = pi[pad:-1].reshape(q_cap + 1, width).T.ravel()
+    pi /= pi.sum()
     gap = residual(chain, pi)
     if not (np.isfinite(pi).all() and gap <= DEFAULT_RESIDUAL_TOL):
         raise NoConvergence(gap)

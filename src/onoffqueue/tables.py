@@ -26,6 +26,7 @@ separators alike, with no per-row line string and no concatenation of the
 whole text.  `csv_chunks` renders a table CHUNK_ROWS rows at a time, and
 `distribution_cells` yields its rows one by one, so an exact table's text
 (about 5 MB for `table2` at k=800) is never held whole while it is written.
+`structured_chunks` holds the table's cells, but not its JSON text.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from math import gcd
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 CHUNK_ROWS = 64  # rows per piece of `csv_chunks`
+CHUNK_PIECES = 6 * CHUNK_ROWS  # encoder pieces per `structured_chunks` piece: 64 rows of 3 cells
 
 
 @dataclass
@@ -194,10 +196,23 @@ def parse_csv(text: str) -> OutputTable:
     return table
 
 
-def render_structured(table: OutputTable) -> str:
+def structured_chunks(table: OutputTable):
+    """render_structured(table) in pieces, each the join of up to CHUNK_PIECES
+    of the JSON encoder's pieces, then the final newline.
+
+    The rows are read whole before the first piece, but the text is never held whole.
+    """
     payload = {
         "columns": list(table.columns),
-        "rows": [list(row) for row in table.rows],
+        "rows": list(table.rows),
         "metadata": {key: value for key, value in table.footer},
     }
-    return "".join([*json.JSONEncoder(indent=2).iterencode(payload), "\n"])
+    pieces = json.JSONEncoder(indent=2).iterencode(payload)
+    while group := list(islice(pieces, CHUNK_PIECES)):
+        yield "".join(group)
+    yield "\n"
+
+
+def render_structured(table: OutputTable) -> str:
+    """The table as indented JSON: its columns, rows and footer as "metadata", then a newline."""
+    return "".join(structured_chunks(table))

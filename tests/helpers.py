@@ -309,10 +309,10 @@ def power_stationary(chain: JointChain, tol: float, max_iterations: int) -> np.n
 def sparse_stationary(chain: JointChain) -> np.ndarray:
     """Stationary vector of the joint kernel by one general sparse LU solve.
 
-    The reference for `joint_stationary`'s band solve: the same pinned
-    system, (P^T - I) with the balance row of the idle state (0, 0)
-    replaced by pi[(0, 0)] = 1, in the chain's own x-major order, then
-    normalised.
+    The reference for `joint_stationary`'s level recursion, which shares
+    only the pin: the system (P^T - I) with the balance row of the idle
+    state (0, 0) replaced by pi[(0, 0)] = 1, in the chain's own x-major
+    order, solved directly, then normalised.
     """
     kernel = chain.kernel.tocoo()
     size = kernel.shape[0]

@@ -1,5 +1,5 @@
 """Import layout: the series commands never load numpy or scipy, the
-simulation commands never load scipy."""
+simulation commands and the oracle never load scipy."""
 
 import importlib
 import inspect
@@ -76,6 +76,30 @@ def test_simulation_commands_load_no_scipy():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == ""
+
+
+ORACLE_WITHOUT_SCIPY = """
+import contextlib, io, sys
+sys.modules["scipy"] = None  # any import of scipy raises ImportError
+from onoffqueue import build_joint_chain, cli, from_strings, joint_stationary
+model = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["oracle", model, "--qcap", "200"]) == 0
+chain = build_joint_chain(from_strings(["0.8", "0.2"], ["0", "0", "1"]), 50)
+pi = joint_stationary(chain)
+print(chain.kernel_nnz, round(float(pi.sum()), 12))
+"""
+
+
+def test_oracle_runs_without_scipy():
+    # importing scipy.linalg and scipy.sparse added ~29 MB to an oracle run's peak
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", ORACLE_WITHOUT_SCIPY, str(MODELS_DIR / "table2.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["153", "1.0"]
 
 
 def test_import_builds_no_division_kernel():

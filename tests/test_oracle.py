@@ -39,7 +39,7 @@ from onoffqueue import (
     validate,
 )
 from onoffqueue import oracle as oracle_module
-from onoffqueue.oracle import pinned_band, residual
+from onoffqueue.oracle import level_matrices, residual
 
 
 class TestBuildJointChain:
@@ -108,6 +108,15 @@ class TestBuildJointChain:
         with pytest.raises(AttributeError):
             build_joint_chain(spec, largest)
 
+    @pytest.mark.parametrize(
+        "f, g", [(("0.8", "0.2"), ("0", "0", "1")), (TABLE1_F, TABLE1_G),
+                 (("0.7", "0", "0.3"), ("0.5", "0", "0.25", "0.25"))]
+    )
+    @pytest.mark.parametrize("q_cap", [4, 10, 200])
+    def test_kernel_nnz_counts_positive_entries(self, f, g, q_cap):
+        chain = build_joint_chain(from_strings(f, g), q_cap)
+        assert chain.kernel_nnz == chain.kernel.count_nonzero()
+
     def test_boundary_lumps_mass(self):
         spec = validate(ModelSpec((0.8, 0.2), (0.0, 0.0, 1.0)))
         chain = build_joint_chain(spec, 3)
@@ -166,28 +175,49 @@ class TestJointStationary:
         assert np.max(np.abs(pi - sparse_stationary(chain))) <= 1e-14
         assert residual(chain, pi) <= 1e-13
 
+    @given(model_specs(), st.integers(0, 30))
+    @settings(max_examples=40, deadline=None)
+    def test_level_matrices_are_nonnegative(self, spec, extra):
+        # the recursion only adds and multiplies nonnegative numbers
+        chain = build_joint_chain(spec, spec.m + extra)
+        first, step, top = level_matrices(chain.f, chain.g)
+        n, m = spec.n, spec.m
+        assert first.shape == (n + 1,)
+        assert step.shape == top.shape == ((m - 1) * (n + 1), n + 1)
+        for matrix in (first, step, top):
+            assert np.all(matrix >= 0)
+        assert not top[:, -1].any()  # the chain has no state (0, q_cap + 1)
+
     @pytest.mark.parametrize("name", ["table1", "table2"])
     def test_band_widths_and_entries(self, request, name):
+        # the recursion reads the band of the pinned system and repeats its dense solve
         spec = request.getfixturevalue(name)
         n, m, q_cap = spec.n, spec.m, 30
         chain = build_joint_chain(spec, q_cap)
-        (lower, upper), ab = pinned_band(chain)
-        assert (lower, upper) == ((m - 1) * (n + 1) - 1, n + 1)
-        # the band equals the dense pinned system in q-major order
         order = [chain.state_index(x, q) for q in range(q_cap + 1) for x in range(n + 1)]
         dense = chain.kernel.toarray().T[np.ix_(order, order)] - np.eye(len(order))
         dense[0] = 0.0
         dense[0, 0] = 1.0
-        band = np.zeros_like(dense)
-        for i, j in zip(*np.nonzero(dense)):
-            band[i, j] = ab[upper + i - j, j]
-        assert np.array_equal(band, dense)
-        assert np.count_nonzero(ab) == np.count_nonzero(dense)
+        rows, cols = np.nonzero(dense)
+        lower, upper = np.max(rows - cols), np.max(cols - rows)
+        assert (lower, upper) == ((m - 1) * (n + 1) - 1, n + 1)
+        first, step, top = level_matrices(chain.f, chain.g)
+        assert step.shape == top.shape == (lower + 1, upper)
+        rhs = np.zeros(len(order))
+        rhs[0] = 1.0
+        pi = np.concatenate([np.zeros(lower + 1), np.linalg.solve(dense, rhs), [0.0]])
+        base = lower + 1
+        assert pi[base + 1:base + n + 2] == pytest.approx(first, rel=1e-12, abs=1e-15)
+        for q in range(1, q_cap + 1):
+            start = base + q * (n + 1)
+            window = pi[start - base:start] @ (step if q < q_cap else top)
+            assert pi[start + 1:start + n + 2] == pytest.approx(window, rel=1e-10, abs=1e-15)
 
     def test_no_convergence_reported(self, table2, monkeypatch):
         chain = build_joint_chain(table2, 60)
+        solved = level_matrices(chain.f, chain.g)
         monkeypatch.setattr(
-            oracle_module, "solve_banded", lambda widths, ab, b, **_: np.full(b.shape, np.nan)
+            oracle_module, "level_matrices", lambda f, g: [np.full_like(a, np.nan) for a in solved]
         )
         with pytest.raises(NoConvergence) as err:
             joint_stationary(chain)
@@ -203,6 +233,17 @@ class TestJointStationary:
         dist = queue_distribution(exact, NumericConfig(backend="exact", k_max=300))
         for k in range(301):
             assert marginal[k] == pytest.approx(float(dist.p[k]), rel=1e-10, abs=0)
+
+    def test_small_cut_divisor_relative_accuracy(self):
+        # rho = 0.992 with f(g_1) = 0.2405: the divisor of every cut is small
+        f, g = ("0.05", "0.5", "0.45"), ("0.3", "0.7")
+        spec, exact = from_strings(f, g), from_strings(f, g, backend="exact")
+        assert float(moments(spec).rho) > 0.99
+        chain = build_joint_chain(spec, 3000)
+        marginal = queue_marginal(chain, joint_stationary(chain))
+        dist = queue_distribution(exact, NumericConfig(backend="exact", k_max=300))
+        for k in range(301):
+            assert marginal[k] == pytest.approx(float(dist.p[k]), rel=1e-12, abs=0)
 
     def test_heavy_load(self):
         # rho = 0.97: the cap must reach far into the tail before E[Q] is unbiased
