@@ -3,8 +3,9 @@ batch-arrival single-server queue.
 
 The oracle and simulation names load on first access (PEP 562), so
 importing the package, or running the CLI's series commands, never loads
-numpy or scipy.  The oracle and simulation names load numpy alone; scipy
-is loaded only when a check reads `JointChain.kernel`.
+numpy or scipy.  The oracle and simulation names load numpy alone; scipy,
+which comes with the `test` extra, is loaded only when a check reads
+`JointChain.kernel`.
 """
 
 import importlib
@@ -18,7 +19,6 @@ from .analytic import (
 )
 from .config import EXACT, FLOAT64, NumericConfig
 from .errors import (
-    CapTooSmall,
     NoConvergence,
     NonStochasticVector,
     NotErgodic,

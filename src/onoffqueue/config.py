@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -36,18 +35,19 @@ def ordered_sum(values, start=0):
     return start
 
 
-def check_count(value, name: str, minimum: int = 0) -> None:
-    """Raise ValueError unless value is an integer (int-like) >= minimum.
+def is_integer(value) -> bool:
+    """True for an int-like value, whose type defines `__index__`, other than a bool.
 
-    `operator.index` refuses floats and Fractions, and bools are refused too,
-    so 2.0 and True are reported here instead of failing later inside a loop.
+    Floats, Fractions and bools are refused, so 2.0 and True are reported where
+    they are passed instead of failing later inside a loop.
     """
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    return hasattr(type(value), "__index__") and not isinstance(value, bool)
+
+
+def check_count(value, name: str, minimum: int = 0) -> None:
+    """Raise ValueError unless value `is_integer` and is at least minimum."""
+    if not is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         bound = "nonnegative" if minimum == 0 else f"at least {minimum}"
         raise ValueError(f"{name} must be {bound}")

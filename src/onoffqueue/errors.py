@@ -32,10 +32,6 @@ class ZeroArrivalRate(QueueModelError):
     """Mean arrival rate is zero, so delay is undefined."""
 
 
-class CapTooSmall(QueueModelError):
-    """Queue cap of the truncated joint chain cannot absorb one slot's arrivals."""
-
-
 class NoConvergence(QueueModelError):
     """Stationary solve missed the residual target or gave a non-finite vector."""
 

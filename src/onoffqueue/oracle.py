@@ -13,8 +13,9 @@ q, and the on phases of level q follow (the subtraction-free forward
 recursion for M/G/1-type chains, Ramaswami 1988).  From pi(0, 0) = 1 it
 adds and multiplies nonnegative numbers only, so small tail probabilities
 keep their relative accuracy; each level is one product with a fixed
-matrix (`level_matrices`).  The solve needs numpy alone; scipy is loaded
-only when a check reads `JointChain.kernel`.
+matrix (`level_matrices`).  The solve needs numpy alone; scipy, which
+comes with the `test` extra, is loaded only when a check reads
+`JointChain.kernel`.
 """
 
 from __future__ import annotations
@@ -24,17 +25,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import check_size
-from .errors import CapTooSmall, NoConvergence, TruncationBias
+from .config import is_integer
+from .errors import NoConvergence, TruncationBias
 from .model import ModelSpec
 
 DEFAULT_RESIDUAL_TOL = 1e-13
 DEFAULT_BOUNDARY_TOL = 1e-9
-# The most entries one chain may store, counted as (m + 1)(n + 1)^2(q_cap + 1);
-# 2**25 float64 entries take 256 MiB.  The count is n + 1 times a bound,
-# (m + 1)(n + 1)(q_cap + 1), on the kernel's (n + 1 + nm)(q_cap + 1)
-# transitions, the largest arrays a chain holds.
-MAX_ENTRIES = 2**25
+# The most transitions one chain may store, (n + 1 + nm)(q_cap + 1); as
+# (row, col, value) triplets of 8 bytes each, 3 * 2**22 of them take 288 MiB.
+MAX_TRANSITIONS = 3 * 2**22
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,6 +81,7 @@ class JointChain:
         """The row-stochastic kernel as a scipy CSR matrix, built on first read.
 
         The solve and `residual` read the transitions; this is for checks.
+        scipy comes with the `test` extra; without it this raises ImportError.
         """
         import scipy.sparse as sp
 
@@ -94,22 +94,21 @@ def build_joint_chain(spec: ModelSpec, q_cap: int) -> JointChain:
 
     From (x, q): arrivals y are 0 when x = 0 and batch-distributed when
     x > 0; the next queue is min(max(q + y - 1, 0), q_cap); the next chain
-    state is drawn from f when x = 0 and is x - 1 otherwise.  A q_cap whose
-    storage would pass MAX_ENTRIES raises ValueError before anything is
-    allocated.
+    state is drawn from f when x = 0 and is x - 1 otherwise.  q_cap must be
+    an integer from m, so that one batch fits, to the largest whose chain
+    stores at most MAX_TRANSITIONS transitions; any other raises ValueError
+    before anything is allocated.
     """
-    check_size(q_cap, "q_cap")
     n, m = spec.n, spec.m
-    largest = MAX_ENTRIES // ((m + 1) * (n + 1) ** 2) - 1
-    if q_cap > largest:
+    largest = MAX_TRANSITIONS // (n + 1 + n * m) - 1
+    if not (is_integer(q_cap) and m <= q_cap <= largest):
         raise ValueError(
-            f"q_cap must be at most {largest} for n = {n}, m = {m}: the chain stores up to "
-            f"(m + 1)(n + 1)^2(q_cap + 1) entries, at most {MAX_ENTRIES}"
+            f"q_cap must be an integer from {m} to {largest} for n = {n}, m = {m}: one batch "
+            f"must fit, and the chain stores (n + 1 + nm)(q_cap + 1) transitions, at most "
+            f"{MAX_TRANSITIONS}"
         )
     f = np.array([float(v) for v in spec.f])
     g = np.array([float(v) for v in spec.g])
-    if q_cap < m:
-        raise CapTooSmall(f"q_cap = {q_cap} must be at least the largest batch m = {m}")
     width = q_cap + 1
     # Entries go in (q, x_next) then (x, q, y) order, the order in which the
     # CSR conversion sums the duplicates that q_cap lumps together.

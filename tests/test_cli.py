@@ -324,11 +324,13 @@ class TestOracleCommand:
         assert meta["truncation_bias"] == "true"
         assert "expected_queue" not in meta
 
-    def test_model_error_is_one_line_exit_1(self, capsys, table1_path):
-        code, out, err = run_cli(capsys, "oracle", table1_path, "--qcap", "2")
+    def test_model_error_is_one_line_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"f": ["0.5", "0.4"], "g": ["1.0"]}')
+        code, out, err = run_cli(capsys, "oracle", str(path), "--qcap", "10")
         assert code == 1
         assert out == ""
-        assert err == "error: q_cap = 2 must be at least the largest batch m = 3\n"
+        assert err == "invalid model:\n  - f sums to 0.9, expected 1 within 1e-09\n"
 
 
 class TestSimulateCommand:
@@ -586,6 +588,7 @@ class TestNumericArguments:
             ["compare", *SMALL_SIM, "--kmax", str(10**20)],
             ["simulate", *SMALL_SIM, "--kmax", str(10**20)],
             ["oracle", "--qcap", str(10**20)],
+            ["oracle", "--qcap", "2"],  # below table1's largest batch, m = 3
         ],
     )
     def test_out_of_range_is_one_line_exit_2(self, capsys, table1_path, argv):
@@ -669,7 +672,7 @@ def limit_address_space():
 
 
 class TestOracleStorageBound:
-    @pytest.mark.parametrize("q_cap", [524288, 10**12])  # table1's largest q_cap is 524287
+    @pytest.mark.parametrize("q_cap", [967916, 10**12])  # table1's largest q_cap is 967915
     def test_refused_before_allocating(self, q_cap):
         # one BLAS thread: each thread's buffers count against the limit
         env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), OPENBLAS_NUM_THREADS="1")
@@ -680,8 +683,9 @@ class TestOracleStorageBound:
         )
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == (
-            "error: invalid argument: q_cap must be at most 524287 for n = 3, m = 3: the chain"
-            " stores up to (m + 1)(n + 1)^2(q_cap + 1) entries, at most 33554432\n"
+            "error: invalid argument: q_cap must be an integer from 3 to 967915 for n = 3, m = 3:"
+            " one batch must fit, and the chain stores (n + 1 + nm)(q_cap + 1) transitions, at"
+            " most 12582912\n"
         )
 
 

@@ -21,7 +21,6 @@ from helpers import (
     state_marginal,
 )
 from onoffqueue import (
-    CapTooSmall,
     ModelSpec,
     NoConvergence,
     NumericConfig,
@@ -88,7 +87,7 @@ class TestBuildJointChain:
         assert np.max(np.abs(sums - 1.0)) < 1e-12
 
     def test_cap_must_fit_one_batch(self, table1):
-        with pytest.raises(CapTooSmall):
+        with pytest.raises(ValueError, match="q_cap"):
             build_joint_chain(table1, 2)  # m = 3
 
     @pytest.mark.parametrize("q_cap", [10.5, True, "10", -1, 10**20])
@@ -96,17 +95,25 @@ class TestBuildJointChain:
         with pytest.raises(ValueError, match="q_cap"):
             build_joint_chain(table1, q_cap)
 
-    @pytest.mark.parametrize("name, largest", [("table1", 524287), ("table2", 268434)])
+    @pytest.mark.parametrize(
+        "name, largest", [("table1", 967915), ("table2", 599185), ("unit", 4194303)]
+    )
     def test_storage_bound_checked_before_any_array(self, request, monkeypatch, name, largest):
-        # (m + 1)(n + 1)^2(largest + 1) <= 2**25 entries, and one more q passes it
-        spec = request.getfixturevalue(name)
-        assert (spec.m + 1) * (spec.n + 1) ** 2 * (largest + 1) <= oracle_module.MAX_ENTRIES
+        # (n + 1 + nm)(largest + 1) <= MAX_TRANSITIONS transitions, and one more q passes it
+        if name == "unit":
+            spec = from_strings(("0.5", "0.5"), ("1",))  # n = m = 1, the most q per transition
+        else:
+            spec = request.getfixturevalue(name)
+        per_q = spec.n + 1 + spec.n * spec.m
+        assert per_q * (largest + 1) <= oracle_module.MAX_TRANSITIONS < per_q * (largest + 2)
         monkeypatch.setattr(oracle_module, "np", None)  # any numpy call raises AttributeError
-        for q_cap in (largest + 1, 10**12):
-            with pytest.raises(ValueError, match=f"q_cap must be at most {largest} "):
+        for q_cap in (spec.m - 1, largest + 1, 10**12, True):  # True == 1 is no size
+            with pytest.raises(ValueError, match=f"q_cap must be an integer from {spec.m} to "
+                                                 f"{largest} "):
                 build_joint_chain(spec, q_cap)
-        with pytest.raises(AttributeError):
-            build_joint_chain(spec, largest)
+        for q_cap in (spec.m, largest):
+            with pytest.raises(AttributeError):
+                build_joint_chain(spec, q_cap)
 
     @pytest.mark.parametrize(
         "f, g", [(("0.8", "0.2"), ("0", "0", "1")), (TABLE1_F, TABLE1_G),
