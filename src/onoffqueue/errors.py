@@ -35,9 +35,10 @@ class ZeroArrivalRate(QueueModelError):
 class NoConvergence(QueueModelError):
     """Stationary solve missed the residual target or gave a non-finite vector."""
 
-    def __init__(self, residual):
+    def __init__(self, residual, finite=True):
         self.residual = residual
-        super().__init__(f"stationary solve missed the residual target: residual {residual:.3e}")
+        what = "missed the residual target" if finite else "gave a vector that is not finite"
+        super().__init__(f"stationary solve {what}: residual {residual:.3e}")
 
 
 class TruncationBias(QueueModelError):

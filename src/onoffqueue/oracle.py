@@ -12,9 +12,9 @@ between levels q and q + 1 fixes pi(0, q + 1) from the levels at and below
 q, and the on phases of level q follow (the subtraction-free forward
 recursion for M/G/1-type chains, Ramaswami 1988).  From pi(0, 0) = 1 it
 adds and multiplies nonnegative numbers only, so small tail probabilities
-keep their relative accuracy; each level is one product with a fixed
-matrix (`level_matrices`).  The solve needs numpy alone; scipy, which
-comes with the `test` extra, is loaded only when a check reads
+keep their relative accuracy; each block of up to 64 levels is one product
+with a fixed matrix (`block_map`).  The solve needs numpy alone; scipy,
+which comes with the `test` extra, is loaded only when a check reads
 `JointChain.kernel`.
 """
 
@@ -34,6 +34,7 @@ DEFAULT_BOUNDARY_TOL = 1e-9
 # The most transitions one chain may store, (n + 1 + nm)(q_cap + 1); as
 # (row, col, value) triplets of 8 bytes each, 3 * 2**22 of them take 288 MiB.
 MAX_TRANSITIONS = 3 * 2**22
+BLOCK_ENTRIES = 4096  # the most entries of one `block_map`, 32 KiB of float64
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,31 +184,60 @@ def level_matrices(f: np.ndarray, g: np.ndarray) -> tuple:
     return first, step.reshape(width, n + 1), top.reshape(width, n + 1)
 
 
+def block_map(step: np.ndarray, width: int, q_cap: int) -> np.ndarray:
+    """S: the B(n + 1) entries after pi(0, q) from the (m - 1)(n + 1) ending at it.
+
+    Off states feed no higher level (their rows of `step` are zero), so the
+    window of `step` for level q loses pi(0, q - m + 1) and gains pi(0, q).
+    B is the most levels, at least 1 and up to 64 and q_cap - 1, for which S
+    and one more row hold BLOCK_ENTRIES entries or fewer.  S is `step` run B
+    times from the identity, whose rows are read in place, so S is nonnegative.
+    """
+    inputs = step.shape[0] + 1
+    levels = max(1, min(64, q_cap - 1, BLOCK_ENTRIES // (inputs * width)))
+    down = np.ascontiguousarray(step.T)
+    walk = np.zeros((levels * width, inputs))  # S^T: row i is entry i in terms of the inputs
+    walk[:width, :-1] = down  # the first level reads inputs only
+    for start in range(width, len(walk), width):
+        if start < inputs:  # this level reads inputs start .. inputs - 1 as well
+            np.dot(down[:, inputs - start:], walk[:start - 1], out=walk[start:start + width])
+            walk[start:start + width, start:] += down[:, :inputs - start]
+        else:
+            np.dot(down, walk[start - inputs:start - 1], out=walk[start:start + width])
+    return np.ascontiguousarray(walk[:, 1:].T)
+
+
 def joint_stationary(chain: JointChain) -> np.ndarray:
     """Stationary vector of the joint kernel, to max-norm residual <= DEFAULT_RESIDUAL_TOL.
 
     Runs the `level_matrices` recursion from pi(0, 0) = 1 up through the
-    levels, one matrix product each, then returns the vector in the
-    chain's x-major order, normalised.  Raises NoConvergence when it is
-    not finite or misses the residual bound.
+    levels, B per product with the `block_map` S (its first columns for a
+    last, shorter block) and `top` for level q_cap, then returns the vector
+    in x-major order, normalised.  Raises NoConvergence when it is not
+    finite or misses the residual bound.
     """
     n, q_cap = chain.n, chain.q_cap
     first, step, top = level_matrices(chain.f, chain.g)
     width = n + 1
     pad = step.shape[0]  # the m - 1 levels below level 0, all zero
+    block = block_map(step, width, q_cap)
+    span = block.shape[1]
+    last = q_cap - (q_cap - 1) % (span // width)  # where a last, shorter block starts
     # one slot past level q_cap for pi(0, q_cap + 1), which stays 0
     pi = np.zeros(pad + (q_cap + 1) * width + 1)
     pi[pad] = 1.0
     pi[pad + 1:pad + width + 1] = first
-    for q in range(1, q_cap + 1):
+    for q in range(1, last, span // width):
         start = pad + q * width
-        np.dot(pi[start - pad:start], step if q < q_cap else top,
-               out=pi[start + 1:start + width + 1])
+        np.dot(pi[start - pad + 1:start + 1], block, out=pi[start + 1:start + span + 1])
+    start, end = pad + last * width, pad + q_cap * width
+    np.dot(pi[start - pad + 1:start + 1], block[:, :end - start], out=pi[start + 1:end + 1])
+    np.dot(pi[end - pad:end], top, out=pi[end + 1:])
     pi = pi[pad:-1].reshape(q_cap + 1, width).T.ravel()
     pi /= pi.sum()
     gap = residual(chain, pi)
     if not (np.isfinite(pi).all() and gap <= DEFAULT_RESIDUAL_TOL):
-        raise NoConvergence(gap)
+        raise NoConvergence(gap, finite=bool(np.isfinite(pi).all()))
     return pi
 
 

@@ -33,7 +33,7 @@ from onoffqueue import (
 )
 from onoffqueue.config import ordered_sum
 from onoffqueue.model import suffix_sums
-from onoffqueue.oracle import residual
+from onoffqueue.oracle import DEFAULT_RESIDUAL_TOL, level_matrices, residual
 from onoffqueue.series import MASS_EXCESS_TOL
 from onoffqueue.simulation import _CHUNK, _cumulative
 from onoffqueue.tables import OutputTable
@@ -327,6 +327,90 @@ def sparse_stationary(chain: JointChain) -> np.ndarray:
     rhs[idle] = 1.0
     pi = spsolve(pinned, rhs)
     return pi / pi.sum()
+
+
+def level_stationary(chain: JointChain) -> np.ndarray:
+    """`joint_stationary` with one `level_matrices` product per level.
+
+    The straightforward form of its block recursion: each level's n + 1
+    entries from the (m - 1)(n + 1) below them, then the same
+    normalisation and checks.  The sums run in another order, so the two
+    agree to rounding, not bitwise.
+    """
+    n, q_cap = chain.n, chain.q_cap
+    first, step, top = level_matrices(chain.f, chain.g)
+    width = n + 1
+    pad = step.shape[0]  # the m - 1 levels below level 0, all zero
+    # one slot past level q_cap for pi(0, q_cap + 1), which stays 0
+    pi = np.zeros(pad + (q_cap + 1) * width + 1)
+    pi[pad] = 1.0
+    pi[pad + 1:pad + width + 1] = first
+    for q in range(1, q_cap + 1):
+        start = pad + q * width
+        np.dot(pi[start - pad:start], step if q < q_cap else top,
+               out=pi[start + 1:start + width + 1])
+    pi = pi[pad:-1].reshape(q_cap + 1, width).T.ravel()
+    pi /= pi.sum()
+    gap = residual(chain, pi)
+    if not (np.isfinite(pi).all() and gap <= DEFAULT_RESIDUAL_TOL):
+        raise NoConvergence(gap)
+    return pi
+
+
+def exact_level_matrices(f, g) -> tuple:
+    """(first, step, top) of `level_matrices` in Fractions, from its docstring's formulas.
+
+    f and g are taken exactly, as Fractions of the given numbers.  Each row
+    of step and top is the image of one unit entry of the window of levels
+    q - m + 1 .. q - 1 (entry j (n + 1) + z is pi(z, q - m + 1 + j)), read
+    off the formulas one state at a time; f(g_1) is the plain sum
+    f[0] + f[1] g_1 + ... + f[n] g_1^n.
+    """
+    f = [Fraction(v) for v in f]
+    g = [Fraction(v) for v in g]
+    n, m = len(f) - 1, len(g)
+    g1 = g[0]
+
+    def G(k):  # P(Y >= k)
+        return sum(g[k - 1:], Fraction(0))
+
+    f_g1 = sum((v * g1**k for k, v in enumerate(f)), Fraction(0))
+    a = [Fraction(0)] * (n + 2)
+    for x in range(n, 0, -1):
+        a[x] = f[x] + g1 * a[x + 1]
+    first = [a[x] / f_g1 for x in range(1, n + 1)] + [G(2) * sum(a[1:]) / f_g1]
+
+    def level_above(window, q):
+        """pi(1, q) .. pi(n, q), pi(0, q + 1) from pi(z, l) = window[l][z]."""
+        b = [Fraction(0)] * (n + 2)
+        for x in range(n, 0, -1):
+            b[x] = g1 * b[x + 1] + sum(
+                (g[y - 1] * window[q + 1 - y][x + 1] for y in range(2, m + 1)), Fraction(0)
+            )
+        cut = sum((sum(window[l][1:], Fraction(0)) * G(q + 2 - l)
+                   for l in range(q + 2 - m, q)), Fraction(0))
+        off = (cut + G(2) * sum(b[1:])) / f_g1
+        return [off * a[x] + b[x] for x in range(1, n + 1)] + [off]
+
+    def top_level(window, q):
+        """pi(1, q) .. pi(n, q) at q = q_cap, and 0 for the missing pi(0, q + 1)."""
+        p = [Fraction(0)] * (n + 2)
+        for x in range(n - 1, 0, -1):
+            p[x] = p[x + 1] + sum((window[l][x + 1] * G(q + 1 - l)
+                                   for l in range(q + 1 - m, q)), Fraction(0))
+        return p[1:n + 1] + [Fraction(0)]
+
+    def images(level):
+        q = m - 1  # any level: the formulas depend on q only through l - q
+        rows = []
+        for j in range(m - 1):
+            for z in range(n + 1):
+                window = {l: [Fraction(0)] * (n + 2) for l in range(q - m + 1, q)}
+                window[q - m + 1 + j][z] = Fraction(1)
+                rows.append(level(window, q))
+        return np.array(rows, dtype=object).reshape(len(rows), n + 1)
+
+    return np.array(first, dtype=object), images(level_above), images(top_level)
 
 
 def reference_kernel(spec: ModelSpec, q_cap: int) -> sp.csr_matrix:

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 from conftest import MODELS_DIR, REPO_ROOT
 from helpers import TABLE1_F, TABLE1_G, model_specs
 from onoffqueue import (
-    build_joint_chain, cli, from_strings, joint_stationary, oracle_expected_queue, queue_marginal,
-    series,
+    build_joint_chain, cli, from_strings, joint_stationary, oracle, oracle_expected_queue,
+    queue_marginal, series,
 )
 from onoffqueue.cli import main
 from onoffqueue.tables import CHUNK_ROWS, OutputTable, parse_csv, render_csv, render_structured
@@ -331,6 +331,15 @@ class TestOracleCommand:
         assert code == 1
         assert out == ""
         assert err == "invalid model:\n  - f sums to 0.9, expected 1 within 1e-09\n"
+
+    def test_non_finite_solve_is_one_line_exit_1(self, capsys, monkeypatch, table1_path):
+        solved = oracle.level_matrices
+        monkeypatch.setattr(oracle, "level_matrices",
+                            lambda f, g: [a * float("nan") for a in solved(f, g)])
+        code, out, err = run_cli(capsys, "oracle", table1_path, "--qcap", "10")
+        assert code == 1
+        assert out == ""
+        assert err == "error: stationary solve gave a vector that is not finite: residual nan\n"
 
 
 class TestSimulateCommand:

@@ -1,6 +1,7 @@
 """Joint-chain verifier: construction, stationary solve, truncated mean."""
 
 import inspect
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from helpers import (
     TABLE2_F,
     TABLE2_G,
     build_model,
+    exact_level_matrices,
     joint_states,
+    level_stationary,
     model_specs,
     power_stationary,
     reference_kernel,
@@ -38,7 +41,62 @@ from onoffqueue import (
     validate,
 )
 from onoffqueue import oracle as oracle_module
-from onoffqueue.oracle import level_matrices, residual
+from onoffqueue.oracle import BLOCK_ENTRIES, block_map, level_matrices, residual
+
+RHO_992 = (("0.05", "0.5", "0.45"), ("0.3", "0.7"))  # f(g_1) = 0.2405, a small cut divisor
+# f[0] and g_1 both small: f(g_1) = 2e-7, and rho = 1 - 1e-7 is still below 1
+SMALL_F_G1 = (("1e-7", "0.9999999"), ("1e-7", "0.9999999"))
+
+
+def shape_models():
+    """The models the block solve is checked on, by name."""
+    return {
+        "table1": from_strings(TABLE1_F, TABLE1_G),
+        "table2": from_strings(TABLE2_F, TABLE2_G),
+        "rho_992": from_strings(*RHO_992),
+        "m_1": build_model([3, 2, 1], [1], 80),
+        "n_1": build_model([1], [2, 5, 3], 80),
+        "wide": build_model([1] * 20, list(range(20, 0, -1)), 80),  # n = m = 20
+    }
+
+
+def block_levels(spec, q_cap=1000) -> int:
+    """B, the levels per product that `joint_stationary` takes for spec at q_cap."""
+    chain = build_joint_chain(spec, q_cap)
+    width = spec.n + 1
+    return block_map(level_matrices(chain.f, chain.g)[1], width, q_cap).shape[1] // width
+
+
+def assert_blocks_match_levels(spec, same_first_zero):
+    """The block solve against one product per level, around every block edge.
+
+    The two round differently, so a marginal value of the smallest
+    subnormals can be 0 in one and not in the other: a zero of either is
+    below the smallest normal number in the other, and with
+    same_first_zero the first zeros match too.
+    """
+    m, blocks = spec.m, block_levels(spec)
+    for q_cap in sorted({max(m, q) for q in (m, m + 1, blocks - 1, blocks, blocks + 1,
+                                              2 * blocks + 1, 1000)}):
+        chain = build_joint_chain(spec, q_cap)
+        got, want = joint_stationary(chain), level_stationary(chain)
+        shown = want > 1e-290
+        assert np.all(np.abs(got[shown] - want[shown]) <= 1e-13 * want[shown]), q_cap
+        marginals = [queue_marginal(chain, pi) for pi in (got, want)]
+        for zeros, other in (marginals, marginals[::-1]):
+            assert np.all(other[zeros == 0] < np.finfo(float).tiny), q_cap
+        if same_first_zero:
+            first_zero = [np.flatnonzero(marginal == 0)[:1].tolist() for marginal in marginals]
+            assert first_zero[0] == first_zero[1], q_cap
+
+
+def assert_level_matrices_exact(spec):
+    """`level_matrices` against its formulas in Fractions, to 1e-13 relative."""
+    chain = build_joint_chain(spec, spec.m)
+    for got, want in zip(level_matrices(chain.f, chain.g), exact_level_matrices(chain.f, chain.g)):
+        assert got.shape == want.shape
+        for value, exact in zip(got.ravel(), want.ravel()):
+            assert abs(Fraction(float(value)) - exact) <= Fraction(1e-13) * exact
 
 
 class TestBuildJointChain:
@@ -191,9 +249,44 @@ class TestJointStationary:
         n, m = spec.n, spec.m
         assert first.shape == (n + 1,)
         assert step.shape == top.shape == ((m - 1) * (n + 1), n + 1)
-        for matrix in (first, step, top):
+        block = block_map(step, n + 1, chain.q_cap)
+        assert block.shape[0] == (m - 1) * (n + 1)
+        assert block.shape[1] % (n + 1) == 0
+        built = (block.shape[0] + 1) * block.shape[1]  # S and the row of pi(0, q - m + 1)
+        assert built <= max(BLOCK_ENTRIES, (block.shape[0] + 1) * (n + 1))  # or one level
+        for matrix in (first, step, top, block):
             assert np.all(matrix >= 0)
         assert not top[:, -1].any()  # the chain has no state (0, q_cap + 1)
+        assert not step[::n + 1].any()  # off states feed no higher level, as block_map needs
+
+    @pytest.mark.parametrize("name, q_cap, blocks", [
+        ("table1", 1000, 64), ("table2", 1000, 51), ("wide", 1000, 1), ("table1", 3, 2),
+        ("table1", 40, 39), ("m_1", 1, 1),
+    ])
+    def test_block_levels_follow_the_shape(self, name, q_cap, blocks):
+        # the most levels up to 64 and q_cap - 1 whose map holds 4096 entries, and at least 1
+        assert block_levels(shape_models()[name], q_cap) == blocks
+
+    @pytest.mark.parametrize("name", list(shape_models()))
+    def test_blocks_match_levels(self, name):
+        assert_blocks_match_levels(shape_models()[name], same_first_zero=True)
+
+    @given(model_specs())
+    @settings(max_examples=30, deadline=None)
+    def test_blocks_match_levels_random(self, spec):
+        assert_blocks_match_levels(spec, same_first_zero=False)
+
+    @pytest.mark.parametrize("name", ["table1", "table2", "rho_992", "m_1", "n_1", "small_f_g1"])
+    def test_level_matrices_match_exact_formulas(self, name):
+        # small_f_g1: 1 - G(2)(a_1 + ... + a_n) would miss f(g_1) by ~5e-10 relative
+        assert_level_matrices_exact(
+            from_strings(*SMALL_F_G1) if name == "small_f_g1" else shape_models()[name]
+        )
+
+    @given(model_specs(n_max=4, m_max=4))
+    @settings(max_examples=20, deadline=None)
+    def test_level_matrices_match_exact_formulas_random(self, spec):
+        assert_level_matrices_exact(spec)
 
     @pytest.mark.parametrize("name", ["table1", "table2"])
     def test_band_widths_and_entries(self, request, name):
@@ -229,6 +322,15 @@ class TestJointStationary:
         with pytest.raises(NoConvergence) as err:
             joint_stationary(chain)
         assert np.isnan(err.value.residual)
+        assert str(err.value) == "stationary solve gave a vector that is not finite: residual nan"
+
+    def test_missed_residual_reported(self, table2, monkeypatch):
+        chain = build_joint_chain(table2, 60)
+        monkeypatch.setattr(oracle_module, "DEFAULT_RESIDUAL_TOL", -1.0)
+        with pytest.raises(NoConvergence, match="^stationary solve missed the residual target: "
+                                                "residual [0-9.e+-]+$") as err:
+            joint_stationary(chain)
+        assert 0 <= err.value.residual <= 1e-13
 
     @pytest.mark.parametrize("name", ["table1", "table2"])
     def test_far_tail_relative_accuracy(self, request, name):
