@@ -81,10 +81,15 @@ def to_number(value, backend: str) -> Scalar:
     decimal exponent exceeds the int-to-str digit limit is refused on either
     backend before it is parsed, since the parse time grows with the exponent.
     """
+    return _to_number(value, canonical_backend(backend) == EXACT)
+
+
+def _to_number(value, exact: bool) -> Scalar:
+    """to_number once the backend is checked, which a whole vector needs only once."""
     if exponent_beyond_limit(value):
         limit = sys.get_int_max_str_digits()
         raise ValueError(f"{value!r} has a decimal exponent above {limit} in magnitude")
-    if canonical_backend(backend) == EXACT:
+    if exact:
         return Fraction(value)
     if not isinstance(value, str):
         return float(value)

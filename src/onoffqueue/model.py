@@ -15,8 +15,8 @@ from decimal import Decimal
 from itertools import accumulate
 from typing import Sequence
 
-from .config import (EXACT, FLOAT64, NumericConfig, Scalar, canonical_backend,
-                     exponent_beyond_limit, ordered_sum, to_number)
+from .config import (EXACT, FLOAT64, Fraction, NumericConfig, Scalar, _to_number,
+                     canonical_backend, exponent_beyond_limit, ordered_sum)
 from .errors import NonStochasticVector, NotErgodic, Unstable, ValidationError
 
 # Float-mode slack for user-entered decimals; vectors inside it are
@@ -81,14 +81,16 @@ def coerce(spec: ModelSpec, backend: str = FLOAT64) -> ModelSpec:
     Exact mode renormalizes each vector by its exact sum: float-validated
     vectors convert to rationals summing to 1 +- 1e-17, and running the
     exact recurrences on such a sub-stochastic model would poison the far
-    tail.  For inputs that already sum to exactly 1 this is the identity.
-    A float64 spec whose entries are all floats is returned as it is.
+    tail.  A spec already of the backend's type is returned as it is: all
+    floats for float64, all Fractions with each vector summing to 1 for exact.
     """
-    if backend == FLOAT64 and all(type(v) is float for v in spec.f + spec.g):
+    exact = canonical_backend(backend) == EXACT
+    kind = Fraction if exact else float
+    if all(type(v) is kind for v in spec.f + spec.g) and (not exact or sum(spec.f) == sum(spec.g) == 1):
         return spec
-    f = tuple(to_number(v, backend) for v in spec.f)
-    g = tuple(to_number(v, backend) for v in spec.g)
-    if canonical_backend(backend) == EXACT:
+    f = tuple(_to_number(v, exact) for v in spec.f)
+    g = tuple(_to_number(v, exact) for v in spec.g)
+    if exact:
         fs, gs = sum(f), sum(g)
         if fs > 0:
             f = tuple(v / fs for v in f)
@@ -97,7 +99,7 @@ def coerce(spec: ModelSpec, backend: str = FLOAT64) -> ModelSpec:
     return ModelSpec(f, g)
 
 
-def _parse_vector(name, values, backend, violations):
+def _parse_vector(name, values, exact, violations):
     """Convert every entry to the backend type; None if any entry is malformed.
 
     Each entry that is not a finite number (text such as "nan" or "abc",
@@ -109,7 +111,7 @@ def _parse_vector(name, values, backend, violations):
         try:
             if isinstance(v, bool):
                 raise TypeError("a boolean is not a probability")
-            out.append(to_number(v, backend))
+            out.append(_to_number(v, exact))
         except (ValueError, TypeError, ArithmeticError):
             problem = "is not a finite number"
             if exponent_beyond_limit(v):  # refused by to_number before parsing
@@ -165,10 +167,10 @@ def validate(spec: ModelSpec, config: NumericConfig = NumericConfig()) -> ModelS
     failing on the first.  In float mode, probability vectors within the sum
     tolerance are renormalized; in exact mode they must sum to exactly 1.
     """
-    exact = config.backend == EXACT
+    exact = canonical_backend(config.backend) == EXACT
     violations = []
-    f = _parse_vector("f", spec.f, config.backend, violations)
-    g = _parse_vector("g", spec.g, config.backend, violations)
+    f = _parse_vector("f", spec.f, exact, violations)
+    g = _parse_vector("g", spec.g, exact, violations)
     f_ok = g_ok = False
     if f is not None:
         f, f_ok = _check_vector("f", f, exact, violations)
@@ -201,7 +203,15 @@ def from_strings(f: Sequence, g: Sequence, backend: str = FLOAT64) -> ModelSpec:
 
 
 def moments(spec: ModelSpec) -> MomentSummary:
-    """Derived scalars for a validated spec; pure and deterministic."""
+    """Derived scalars for a validated spec, computed once per spec object."""
+    mom = vars(spec).get("_moments")
+    if mom is None:
+        mom = _moments(spec)
+        object.__setattr__(spec, "_moments", mom)  # not a field: ==, hash and repr skip it
+    return mom
+
+
+def _moments(spec: ModelSpec) -> MomentSummary:
     f_bar = ordered_sum(i * p for i, p in enumerate(spec.f))
     f2_bar = ordered_sum(i * i * p for i, p in enumerate(spec.f))
     g_bar = ordered_sum(i * p for i, p in enumerate(spec.g, start=1))

@@ -300,13 +300,13 @@ def queue_distribution_constant_batch(
 
     with every out-of-range term zero.  Matches the general path term for
     term; r = 1 yields the trivial distribution.  f is checked in float64
-    tolerance as given before exact mode renormalises it, so a vector that
-    does not sum to 1 is rejected in either mode.
+    tolerance as given (all that float64 needs) before exact mode
+    renormalises it, so a vector that does not sum to 1 is rejected in either mode.
     """
     check_count(r, "batch size r", 1)
     spec = ModelSpec(tuple(f), (1,))
-    validate(spec)
-    spec = validate(coerce(spec, config.backend), config)
+    checked = validate(spec)
+    spec = validate(coerce(spec, config.backend), config) if config.is_exact else checked
     fv = spec.f
     zero = fv[0] * 0
     one = zero + 1

@@ -22,6 +22,7 @@ from onoffqueue import (
     FLOAT64,
     JointChain,
     ModelSpec,
+    MomentSummary,
     NoConvergence,
     NumericConfig,
     QueueDistribution,
@@ -111,6 +112,16 @@ def light_f_vectors(draw, n_max=5):
     on_w = draw(st.lists(st.integers(1, 1000), min_size=n, max_size=n))
     f_bar_pct = draw(st.integers(2, 30))
     return light_f_vector(on_w, f_bar_pct)
+
+
+def reference_moments(spec: ModelSpec) -> MomentSummary:
+    """`moments` as four left-to-right folds over the spec, computed afresh on every call."""
+    f_bar = ordered_sum(i * p for i, p in enumerate(spec.f))
+    f2_bar = ordered_sum(i * i * p for i, p in enumerate(spec.f))
+    g_bar = ordered_sum(i * p for i, p in enumerate(spec.g, start=1))
+    g2_bar = ordered_sum(i * i * p for i, p in enumerate(spec.g, start=1))
+    rho = g_bar * f_bar / (1 + f_bar)
+    return MomentSummary(f_bar, f2_bar, g_bar, g2_bar, rho, rho, 1 / (1 + f_bar), 1 - rho)
 
 
 def reference_tables(spec: ModelSpec, k_max: int) -> tuple:

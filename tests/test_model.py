@@ -1,6 +1,9 @@
 """Validation, moments, and chain structure of the arrival model."""
 
+import copy
+import dataclasses
 import math
+import pickle
 import sys
 import time
 from decimal import Decimal, localcontext
@@ -12,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import model_specs, transition_matrix
+import onoffqueue.model as model_module
+from helpers import TABLE1_F, TABLE1_G, model_specs, reference_moments, transition_matrix
 from onoffqueue import (
     ModelSpec,
     NonStochasticVector,
@@ -20,10 +24,12 @@ from onoffqueue import (
     NumericConfig,
     Unstable,
     ValidationError,
+    cli,
     coerce,
     from_strings,
     moments,
     queue_distribution,
+    report,
     stationary_distribution,
     validate,
 )
@@ -205,6 +211,15 @@ SPECIAL_STRINGS = st.sampled_from([
 ])
 
 
+@st.composite
+def mixed_vectors(draw):
+    """One to three drawn strings, each put at a drawn position among valid decimals."""
+    f = draw(st.lists(st.sampled_from(["0.5", "0.25", "0.125", "1", "0"]), min_size=1, max_size=4))
+    for text in draw(st.lists(number_strings() | near_halfway() | SPECIAL_STRINGS, min_size=1, max_size=3)):
+        f.insert(draw(st.integers(0, len(f))), text)
+    return tuple(f)
+
+
 class TestDecimalParsing:
     """`to_number` reads plain decimals with float(), bit for bit as through Fraction."""
 
@@ -213,13 +228,17 @@ class TestDecimalParsing:
     def test_float_parse_equals_fraction(self, text):
         assert outcome(to_number, text) == outcome(fraction_to_float, text)
 
-    @given(number_strings() | near_halfway() | SPECIAL_STRINGS)
+    @given(mixed_vectors())
     @settings(max_examples=100, deadline=None)
-    def test_from_strings_reports_the_same(self, text):
-        f = ("0.5", text)
-        with mock.patch("onoffqueue.model.to_number", fraction_to_float):
+    def test_from_strings_reports_the_same(self, f):
+        with mock.patch("onoffqueue.model._to_number", fraction_to_float):
             expected = validated(f)
         assert validated(f) == expected
+        refused = [f"f[{i}] = {text!r} " for i, text in enumerate(f)
+                   if not isinstance(outcome(fraction_to_float, text), str)]
+        unparsed = [m for m in expected if m.endswith(" is not a finite number") or " decimal exponent " in m]
+        assert len(unparsed) == len(refused)
+        assert all(m.startswith(prefix) for m, prefix in zip(unparsed, refused))
 
     def test_digit_limit_refusal_kept(self):
         # float() reads any length, but Fraction refuses more digits than
@@ -314,6 +333,61 @@ class TestMoments:
         assert mom.lam == mom.rho
 
 
+def bits(mom):
+    """Every field of a MomentSummary, floats by their exact bits."""
+    return [(type(v), v.hex() if isinstance(v, float) else v) for v in dataclasses.astuple(mom)]
+
+
+@pytest.fixture
+def computed(monkeypatch):
+    """The specs whose moments are computed while the test runs."""
+    specs = []
+    compute = model_module._moments
+    monkeypatch.setattr(model_module, "_moments", lambda spec: specs.append(spec) or compute(spec))
+    return specs
+
+
+class TestMomentsOncePerSpec:
+    """`moments` computes once per spec object and keeps the result outside the fields."""
+
+    @pytest.mark.parametrize("backend", ["float64", "exact"])
+    def test_library_path_computes_once(self, computed, backend):
+        spec = from_strings(TABLE1_F, TABLE1_G, backend)
+        report(moments(spec))
+        queue_distribution(spec, NumericConfig(backend, 50))
+        assert computed == [spec]
+
+    @pytest.mark.parametrize("backend", ["float64", "exact"])
+    def test_dist_command_computes_once(self, computed, capsys, table1_path, backend):
+        assert cli.main(["dist", table1_path, "--backend", backend, "--kmax", "20"]) == 0
+        assert capsys.readouterr().out
+        assert len(computed) == 1
+
+    @given(st.sampled_from(["float64", "exact"]).flatmap(lambda backend: model_specs(backend=backend)))
+    @settings(max_examples=60, deadline=None)
+    def test_kept_values_match_a_fresh_computation(self, spec):
+        assert bits(moments(spec)) == bits(reference_moments(spec))
+        assert moments(spec) is moments(spec)
+
+    @pytest.mark.parametrize("backend", ["float64", "exact"])
+    def test_invisible_to_equality_hash_and_copies(self, backend):
+        spec = from_strings(TABLE1_F, TABLE1_G, backend)
+        twin = ModelSpec(spec.f, spec.g)
+        mom = moments(spec)
+        assert spec == twin and hash(spec) == hash(twin) and repr(spec) == repr(twin)
+        assert [field.name for field in dataclasses.fields(spec)] == ["f", "g"]
+        for other in (pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec)):
+            assert other == twin and hash(other) == hash(twin)
+            assert bits(moments(other)) == bits(mom)
+        assert bits(moments(twin)) == bits(mom)
+
+    def test_replace_computes_afresh(self, computed):
+        spec = from_strings(TABLE1_F, TABLE1_G)
+        changed = dataclasses.replace(spec, f=(0.5, 0.5))
+        assert moments(changed).f_bar == 0.5 != moments(spec).f_bar
+        assert computed == [spec, changed]
+
+
 class TestTransitionMatrix:
     def test_two_state(self):
         spec = validate(ModelSpec((0.5, 0.5), (1.0,)))
@@ -377,6 +451,11 @@ class TestCoerce:
 
     def test_exact_coercion_is_identity_on_exact_input(self, table1_exact):
         assert coerce(table1_exact, "exact") == table1_exact
+        assert coerce(table1_exact, "exact") is table1_exact
+        # rationals that do not sum to 1, and floats, still make a new, renormalized spec
+        short = ModelSpec((Fraction(1, 2), Fraction(1, 4)), (Fraction(1),))
+        assert coerce(short, "exact") == ModelSpec((Fraction(2, 3), Fraction(1, 3)), (Fraction(1),))
+        assert type(coerce(ModelSpec((0.5, 0.5), (1.0,)), "exact").f[0]) is Fraction
 
     def test_float_coercion(self, table1_exact):
         spec = coerce(table1_exact, "float64")
