@@ -1,11 +1,11 @@
 """Brute-force verifier: exact stationary solve of the joint (chain, queue) chain.
 
-Builds the product Markov chain over pairs (x, q) with the queue truncated
-at q_cap (excess mass lumped into the boundary row so the kernel stays
-stochastic and the truncation error stays observable), solves for its
-stationary vector, and reads off P(Q=k) and E[Q] without touching any
-generating-function machinery.  Deliberately independent of the analytic
-and series modules; only the model definition is shared.
+The product Markov chain over pairs (x, q), with the queue truncated at
+q_cap (excess mass lumped into the boundary level so the kernel stays
+stochastic and the truncation error stays observable), is held as
+(q_cap, f, g): no transition is stored.  Its stationary vector gives P(Q=k)
+and E[Q] without touching any generating-function machinery.  Deliberately
+independent of the analytic and series modules; only the model is shared.
 
 The queue falls only from the off state, so the flow across the cut
 between levels q and q + 1 fixes pi(0, q + 1) from the levels at and below
@@ -13,9 +13,8 @@ q, and the on phases of level q follow (the subtraction-free forward
 recursion for M/G/1-type chains, Ramaswami 1988).  From pi(0, 0) = 1 it
 adds and multiplies nonnegative numbers only, so small tail probabilities
 keep their relative accuracy; each block of up to 64 levels is one product
-with a fixed matrix (`block_map`).  The solve needs numpy alone; scipy,
-which comes with the `test` extra, is loaded only when a check reads
-`JointChain.kernel`.
+with a fixed matrix (`block_map`).  The solve and `residual` need numpy
+alone; `JointChain.kernel`, the kernel as a scipy matrix, is for checks.
 """
 
 from __future__ import annotations
@@ -31,9 +30,7 @@ from .model import ModelSpec
 
 DEFAULT_RESIDUAL_TOL = 1e-13
 DEFAULT_BOUNDARY_TOL = 1e-9
-# The most transitions one chain may store, (n + 1 + nm)(q_cap + 1); as
-# (row, col, value) triplets of 8 bytes each, 3 * 2**22 of them take 288 MiB.
-MAX_TRANSITIONS = 3 * 2**22
+MAX_STATES = 2**23  # (n + 1)(q_cap + 1); the solve holds a few 64 MiB arrays, within 1 GiB
 BLOCK_ENTRIES = 4096  # the most entries of one `block_map`, 32 KiB of float64
 
 
@@ -41,18 +38,13 @@ BLOCK_ENTRIES = 4096  # the most entries of one `block_map`, 32 KiB of float64
 class JointChain:
     """Truncated joint chain over states (x, q), state index x * (q_cap + 1) + q.
 
-    Transition i moves mass vals[i] from state rows[i] to state cols[i].  A
-    move that q_cap lumps into the boundary is listed once per batch size,
-    so a (row, col) pair can repeat; the kernel entry is the sum.  f and g
-    are the model's vectors as float64, g[y - 1] = P(Y = y).
+    f and g are the model's vectors as float64, g[y - 1] = P(Y = y).  No
+    transition is stored: the solve and `residual` read f and g alone.
     """
 
     q_cap: int
     f: np.ndarray
     g: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
 
     @property
     def n(self) -> int:
@@ -69,25 +61,35 @@ class JointChain:
     def kernel_nnz(self) -> int:
         """The kernel's positive entries, counted from f and g.
 
-        An off state has one per positive f[x].  An on state at queue q has
-        one per positive g_y with q + y - 1 < q_cap, and one at q_cap if any
-        positive g_y reaches it.
+        An off state has one per positive f[x].  An on state has one per positive
+        g_y with q + y - 1 < q_cap, at q_cap + 1 - y of its q, and one at q_cap
+        when the largest such y reaches it, at y of its q.
         """
-        ends = np.arange(self.q_cap + 1)[:, None] + np.flatnonzero(self.g > 0)  # q + y - 1
-        on = np.count_nonzero(ends < self.q_cap) + np.count_nonzero(ends[:, -1] >= self.q_cap)
-        return int(np.count_nonzero(self.f > 0) * (self.q_cap + 1) + self.n * on)
+        sizes = np.flatnonzero(self.g > 0) + 1
+        on = int(np.sum(self.q_cap + 1 - sizes)) + int(sizes[-1])
+        return int(np.count_nonzero(self.f > 0)) * (self.q_cap + 1) + self.n * on
 
     @cached_property
     def kernel(self):
         """The row-stochastic kernel as a scipy CSR matrix, built on first read.
 
-        The solve and `residual` read the transitions; this is for checks.
-        scipy comes with the `test` extra; without it this raises ImportError.
+        For checks only: neither the solve nor `residual` reads it.  scipy
+        comes with the `test` extra; without it this raises ImportError.
         """
         import scipy.sparse as sp
 
-        size = self.num_states
-        return sp.coo_matrix((self.vals, (self.rows, self.cols)), shape=(size, size)).tocsr()
+        n, m, q_cap, width = self.n, len(self.g), self.q_cap, self.q_cap + 1
+        # Entries go in (q, x_next) then (x, q, y) order, the order in which the
+        # CSR conversion sums the duplicates that q_cap lumps together.
+        # off rows (x = 0): no arrival, queue decrements, next state sampled from f
+        q, x_next = np.meshgrid(np.arange(width), np.arange(n + 1), indexing="ij")
+        off = (q, x_next * width + np.maximum(q - 1, 0), self.f[x_next])
+        # on rows: countdown to x - 1, batch of size y arrives
+        x, q, y = np.meshgrid(np.arange(1, n + 1), np.arange(width), np.arange(1, m + 1),
+                              indexing="ij")
+        on = (x * width + q, (x - 1) * width + np.minimum(q + y - 1, q_cap), self.g[y - 1])
+        rows, cols, vals = (np.concatenate((a.ravel(), b.ravel())) for a, b in zip(off, on))
+        return sp.coo_matrix((vals, (rows, cols)), shape=(self.num_states,) * 2).tocsr()
 
 
 def build_joint_chain(spec: ModelSpec, q_cap: int) -> JointChain:
@@ -96,40 +98,38 @@ def build_joint_chain(spec: ModelSpec, q_cap: int) -> JointChain:
     From (x, q): arrivals y are 0 when x = 0 and batch-distributed when
     x > 0; the next queue is min(max(q + y - 1, 0), q_cap); the next chain
     state is drawn from f when x = 0 and is x - 1 otherwise.  q_cap must be
-    an integer from m, so that one batch fits, to the largest whose chain
-    stores at most MAX_TRANSITIONS transitions; any other raises ValueError
-    before anything is allocated.
+    an integer from m, so that one batch fits, to the largest whose chain has
+    at most MAX_STATES states; any other raises ValueError before allocating.
     """
     n, m = spec.n, spec.m
-    largest = MAX_TRANSITIONS // (n + 1 + n * m) - 1
+    largest = MAX_STATES // (n + 1) - 1
     if not (is_integer(q_cap) and m <= q_cap <= largest):
         raise ValueError(
             f"q_cap must be an integer from {m} to {largest} for n = {n}, m = {m}: one batch "
-            f"must fit, and the chain stores (n + 1 + nm)(q_cap + 1) transitions, at most "
-            f"{MAX_TRANSITIONS}"
+            f"must fit, and the chain has (n + 1)(q_cap + 1) states, at most {MAX_STATES}"
         )
-    f = np.array([float(v) for v in spec.f])
-    g = np.array([float(v) for v in spec.g])
-    width = q_cap + 1
-    # Entries go in (q, x_next) then (x, q, y) order, the order in which the
-    # CSR conversion sums the duplicates that q_cap lumps together.
-    # off rows (x = 0): no arrival, queue decrements, next state sampled from f
-    q, x_next = np.meshgrid(np.arange(width), np.arange(n + 1), indexing="ij")
-    off = (q, x_next * width + np.maximum(q - 1, 0), f[x_next])
-    # on rows: countdown to x - 1, batch of size y arrives
-    x, q, y = np.meshgrid(
-        np.arange(1, n + 1), np.arange(width), np.arange(1, m + 1), indexing="ij"
-    )
-    on = (x * width + q, (x - 1) * width + np.minimum(q + y - 1, q_cap), g[y - 1])
-    rows, cols, vals = (np.concatenate((a.ravel(), b.ravel())) for a, b in zip(off, on))
-    return JointChain(q_cap=q_cap, f=f, g=g, rows=rows, cols=cols, vals=vals)
+    return JointChain(q_cap, np.array(spec.f, dtype=float), np.array(spec.g, dtype=float))
+
+
+def _inflow(chain: JointChain, pi: np.ndarray) -> np.ndarray:
+    """P^T pi from f and g, with pi read as an (n + 1, q_cap + 1) array.
+
+    The off row's mass goes down a level (level 0 stays), to each phase by f;
+    an on row's goes to the phase below, y - 1 levels up, and past q_cap to q_cap.
+    """
+    pi = pi.reshape(chain.n + 1, -1)
+    inflow = np.outer(chain.f, np.concatenate(([pi[0, 0] + pi[0, 1]], pi[0, 2:], [0.0])))
+    on, below = pi[1:], inflow[:-1]
+    for up, weight in enumerate(chain.g):  # a batch of up + 1
+        below[:, up:] += weight * on[:, :chain.q_cap + 1 - up]
+        below[:, -1] += weight * on[:, chain.q_cap + 1 - up:].sum(axis=1)
+    return inflow.ravel()
 
 
 def residual(chain: JointChain, pi: np.ndarray) -> float:
     """Max-norm balance residual |P^T pi - pi| of a candidate stationary vector."""
-    inflow = np.bincount(chain.cols, weights=chain.vals * pi[chain.rows],
-                         minlength=chain.num_states)
-    return float(np.max(np.abs(inflow - pi)))
+    gap = _inflow(chain, pi)
+    return float(np.max(np.abs(np.subtract(gap, pi, out=gap), out=gap)))
 
 
 def level_matrices(f: np.ndarray, g: np.ndarray) -> tuple:

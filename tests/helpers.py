@@ -427,7 +427,7 @@ def exact_level_matrices(f, g) -> tuple:
 def reference_kernel(spec: ModelSpec, q_cap: int) -> sp.csr_matrix:
     """The joint-chain kernel built entry by entry with Python loops.
 
-    The straightforward form of `build_joint_chain`'s index arithmetic: the
+    The straightforward form of `JointChain.kernel`'s index arithmetic: the
     same (row, col, val) entries in the same order, so the CSR conversion
     sums duplicates in the same order and the arrays must match bytewise.
     """

@@ -680,22 +680,32 @@ def limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
 
+def run_limited_oracle(q_cap, stdout):
+    """Run `oracle` on table1 in a child process capped at 1 GiB of address space."""
+    # one BLAS thread: each thread's buffers count against the limit
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-m", "onoffqueue", "oracle", str(MODELS_DIR / "table1.json"),
+         "--qcap", str(q_cap)],
+        env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+        preexec_fn=limit_address_space,
+    )
+
+
 class TestOracleStorageBound:
-    @pytest.mark.parametrize("q_cap", [967916, 10**12])  # table1's largest q_cap is 967915
+    @pytest.mark.parametrize("q_cap", [2097152, 10**12])  # table1's largest q_cap is 2097151
     def test_refused_before_allocating(self, q_cap):
-        # one BLAS thread: each thread's buffers count against the limit
-        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), OPENBLAS_NUM_THREADS="1")
-        done = subprocess.run(
-            [sys.executable, "-m", "onoffqueue", "oracle", str(MODELS_DIR / "table1.json"),
-             "--qcap", str(q_cap)],
-            env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit_address_space,
-        )
+        done = run_limited_oracle(q_cap, subprocess.PIPE)
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == (
-            "error: invalid argument: q_cap must be an integer from 3 to 967915 for n = 3, m = 3:"
-            " one batch must fit, and the chain stores (n + 1 + nm)(q_cap + 1) transitions, at"
-            " most 12582912\n"
+            "error: invalid argument: q_cap must be an integer from 3 to 2097151 for n = 3, m = 3:"
+            " one batch must fit, and the chain has (n + 1)(q_cap + 1) states, at most 8388608\n"
         )
+
+    def test_largest_runs_within_the_limit(self):
+        # 8388608 states: the solve and the residual hold a few 64 MiB arrays
+        done = run_limited_oracle(2097151, subprocess.DEVNULL)
+        assert (done.returncode, done.stderr) == (0, "")
 
 
 class TestSharedParser:

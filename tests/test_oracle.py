@@ -41,7 +41,7 @@ from onoffqueue import (
     validate,
 )
 from onoffqueue import oracle as oracle_module
-from onoffqueue.oracle import BLOCK_ENTRIES, block_map, level_matrices, residual
+from onoffqueue.oracle import BLOCK_ENTRIES, _inflow, block_map, level_matrices, residual
 
 RHO_992 = (("0.05", "0.5", "0.45"), ("0.3", "0.7"))  # f(g_1) = 0.2405, a small cut divisor
 # f[0] and g_1 both small: f(g_1) = 2e-7, and rho = 1 - 1e-7 is still below 1
@@ -154,16 +154,16 @@ class TestBuildJointChain:
             build_joint_chain(table1, q_cap)
 
     @pytest.mark.parametrize(
-        "name, largest", [("table1", 967915), ("table2", 599185), ("unit", 4194303)]
+        "name, largest", [("table1", 2097151), ("table2", 1677720), ("unit", 4194303)]
     )
     def test_storage_bound_checked_before_any_array(self, request, monkeypatch, name, largest):
-        # (n + 1 + nm)(largest + 1) <= MAX_TRANSITIONS transitions, and one more q passes it
+        # (n + 1)(largest + 1) <= MAX_STATES states, and one more q passes it
         if name == "unit":
-            spec = from_strings(("0.5", "0.5"), ("1",))  # n = m = 1, the most q per transition
+            spec = from_strings(("0.5", "0.5"), ("1",))  # n = m = 1, the most q per state
         else:
             spec = request.getfixturevalue(name)
-        per_q = spec.n + 1 + spec.n * spec.m
-        assert per_q * (largest + 1) <= oracle_module.MAX_TRANSITIONS < per_q * (largest + 2)
+        per_q = spec.n + 1
+        assert per_q * (largest + 1) <= oracle_module.MAX_STATES < per_q * (largest + 2)
         monkeypatch.setattr(oracle_module, "np", None)  # any numpy call raises AttributeError
         for q_cap in (spec.m - 1, largest + 1, 10**12, True):  # True == 1 is no size
             with pytest.raises(ValueError, match=f"q_cap must be an integer from {spec.m} to "
@@ -175,11 +175,14 @@ class TestBuildJointChain:
 
     @pytest.mark.parametrize(
         "f, g", [(("0.8", "0.2"), ("0", "0", "1")), (TABLE1_F, TABLE1_G),
-                 (("0.7", "0", "0.3"), ("0.5", "0", "0.25", "0.25"))]
+                 (("0.7", "0", "0.3"), ("0.5", "0", "0.25", "0.25")),
+                 (("0.5", "0.5"), ("1",)),  # n = m = 1
+                 (("0.99", "0.01"), ("0.25", *["0"] * 30, "0.5", *["0"] * 31, "0.25"))]  # m = 64
     )
     @pytest.mark.parametrize("q_cap", [4, 10, 200])
     def test_kernel_nnz_counts_positive_entries(self, f, g, q_cap):
-        chain = build_joint_chain(from_strings(f, g), q_cap)
+        spec = from_strings(f, g)
+        chain = build_joint_chain(spec, max(q_cap, spec.m))  # one batch must fit
         assert chain.kernel_nnz == chain.kernel.count_nonzero()
 
     def test_boundary_lumps_mass(self):
@@ -189,6 +192,18 @@ class TestBuildJointChain:
         # from (1, 3) the batch of 3 overflows: next queue capped at 3
         src = chain.state_index(1, 3)
         assert kernel[src, chain.state_index(0, 3)] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("name", ["table1", "table2", "n_1", "m_1", "zeros"])
+    @pytest.mark.parametrize("extra", [0, 1, 13, 200])
+    def test_inflow_equals_kernel_transpose_product(self, name, extra):
+        # the matrix-free P^T x against the loop-built kernel, on random nonnegative x
+        zeros = from_strings(("0.7", "0", "0.3"), ("0.5", "0", "0.25", "0.25"))
+        spec = {**shape_models(), "zeros": zeros}[name]
+        q_cap = min(spec.m + extra, 200)
+        x = np.random.default_rng(q_cap).random((spec.n + 1) * (q_cap + 1))
+        want = reference_kernel(spec, q_cap).T @ x
+        got = _inflow(build_joint_chain(spec, q_cap), x)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
 class TestJointStationary:
