@@ -28,7 +28,7 @@ from . import analytic, series
 from .config import EXACT, FLOAT64, NumericConfig
 from .errors import QueueModelError, TruncationBias, ValidationError
 from .model import from_strings, moments, suffix_sums
-from .tables import OutputTable, csv_chunks, distribution_cells, format_scalar, structured_chunks
+from .tables import OutputTable, csv_chunks, distribution_rows, format_scalar, structured_chunks
 
 
 class CliInputError(Exception):
@@ -77,8 +77,7 @@ def _dist_footer(table, dist, backend):
 
 def _distribution_table(p, tail) -> OutputTable:
     """(k, p, tail) rows, k from 0, formatted as they are read."""
-    rows = ((str(k), *cells) for k, cells in enumerate(distribution_cells(p, tail)))
-    return OutputTable(columns=("k", "p", "tail"), rows=rows)
+    return OutputTable(("k", "p", "tail"), distribution_rows(p, tail))
 
 
 def cmd_validate(args):

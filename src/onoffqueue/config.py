@@ -26,13 +26,14 @@ def canonical_backend(name: str) -> str:
     return name
 
 
-def ordered_sum(values, start=0):
-    """start + values[0] + values[1] + ..., strictly left to right, as the builtin sum() was
+def ordered_sum(values):
+    """0 + values[0] + values[1] + ..., strictly left to right, as the builtin sum() was
     until Python 3.12 made float sums compensated.  Every sum that can see floats uses it, so
     float output is the same on every interpreter; Fractions add exactly, as with sum()."""
+    total = 0
     for v in values:
-        start = start + v
-    return start
+        total = total + v
+    return total
 
 
 def is_integer(value) -> bool:

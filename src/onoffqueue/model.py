@@ -15,8 +15,8 @@ from decimal import Decimal
 from itertools import accumulate
 from typing import Sequence
 
-from .config import (EXACT, FLOAT64, Fraction, NumericConfig, Scalar, _to_number,
-                     canonical_backend, exponent_beyond_limit, ordered_sum)
+from .config import (EXACT, FLOAT64, Fraction, Scalar, _to_number, canonical_backend,
+                     exponent_beyond_limit, ordered_sum)
 from .errors import NonStochasticVector, NotErgodic, Unstable, ValidationError
 
 # Float-mode slack for user-entered decimals; vectors inside it are
@@ -160,14 +160,14 @@ def _check_vector(name, values, exact, violations):
     return values, ok
 
 
-def validate(spec: ModelSpec, config: NumericConfig = NumericConfig()) -> ModelSpec:
-    """Check every model requirement and return the canonical spec.
+def validate(spec: ModelSpec, backend: str = FLOAT64) -> ModelSpec:
+    """Check every model requirement and return the canonical spec in the backend's numbers.
 
     All violations are collected into a single ValidationError rather than
     failing on the first.  In float mode, probability vectors within the sum
     tolerance are renormalized; in exact mode they must sum to exactly 1.
     """
-    exact = canonical_backend(config.backend) == EXACT
+    exact = canonical_backend(backend) == EXACT
     violations = []
     f = _parse_vector("f", spec.f, exact, violations)
     g = _parse_vector("g", spec.g, exact, violations)
@@ -199,7 +199,7 @@ def check_stable(rho) -> None:
 
 def from_strings(f: Sequence, g: Sequence, backend: str = FLOAT64) -> ModelSpec:
     """Parse parameter vectors (typically decimal strings) and validate."""
-    return validate(ModelSpec(tuple(f), tuple(g)), NumericConfig(backend=backend))
+    return validate(ModelSpec(tuple(f), tuple(g)), backend)
 
 
 def moments(spec: ModelSpec) -> MomentSummary:

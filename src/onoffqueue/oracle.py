@@ -211,10 +211,10 @@ def joint_stationary(chain: JointChain) -> np.ndarray:
     """Stationary vector of the joint kernel, to max-norm residual <= DEFAULT_RESIDUAL_TOL.
 
     Runs the `level_matrices` recursion from pi(0, 0) = 1 up through the
-    levels, B per product with the `block_map` S (its first columns for a
-    last, shorter block) and `top` for level q_cap, then returns the vector
-    in x-major order, normalised.  Raises NoConvergence when it is not
-    finite or misses the residual bound.
+    levels in one loop, B per product with the `block_map` S (its first
+    columns where q_cap cuts a block short), then `top` for level q_cap, and
+    returns the vector in x-major order, normalised.  Raises NoConvergence
+    when it is not finite or misses the residual bound.
     """
     n, q_cap = chain.n, chain.q_cap
     first, step, top = level_matrices(chain.f, chain.g)
@@ -222,16 +222,14 @@ def joint_stationary(chain: JointChain) -> np.ndarray:
     pad = step.shape[0]  # the m - 1 levels below level 0, all zero
     block = block_map(step, width, q_cap)
     span = block.shape[1]
-    last = q_cap - (q_cap - 1) % (span // width)  # where a last, shorter block starts
     # one slot past level q_cap for pi(0, q_cap + 1), which stays 0
     pi = np.zeros(pad + (q_cap + 1) * width + 1)
     pi[pad] = 1.0
     pi[pad + 1:pad + width + 1] = first
-    for q in range(1, last, span // width):
-        start = pad + q * width
-        np.dot(pi[start - pad + 1:start + 1], block, out=pi[start + 1:start + span + 1])
-    start, end = pad + last * width, pad + q_cap * width
-    np.dot(pi[start - pad + 1:start + 1], block[:, :end - start], out=pi[start + 1:end + 1])
+    end = pad + q_cap * width
+    for start in range(pad + width, end, span):
+        stop = min(start + span, end)
+        np.dot(pi[start - pad + 1:start + 1], block[:, :stop - start], out=pi[start + 1:stop + 1])
     np.dot(pi[end - pad:end], top, out=pi[end + 1:])
     pi = pi[pad:-1].reshape(q_cap + 1, width).T.ravel()
     pi /= pi.sum()

@@ -306,11 +306,11 @@ def queue_distribution_constant_batch(
     check_count(r, "batch size r", 1)
     spec = ModelSpec(tuple(f), (1,))
     checked = validate(spec)
-    spec = validate(coerce(spec, config.backend), config) if config.is_exact else checked
+    spec = validate(coerce(spec, config.backend), config.backend) if config.is_exact else checked
     fv = spec.f
     zero = fv[0] * 0
     one = zero + 1
-    f_bar = ordered_sum(i * p for i, p in enumerate(fv))
+    f_bar = moments(spec).f_bar
     check_stable(r * f_bar / (1 + f_bar))
     if r == 1:
         zeros = (zero,) * config.k_max

@@ -8,23 +8,24 @@ significant digits (round-trip exact) and a negative zero prints as 0;
 rationals print as fraction strings, at any length; None prints empty
 and booleans as true/false.
 
-`distribution_cells` gives the texts of a p/tail table with one full
-int-to-decimal conversion per exact row, the numerator of p[k] (str(int)
-is quadratic in the digit count on CPython 3.11).  The other three integers
-come from neighbouring cells in exact `decimal` arithmetic, which prints in
-linear time.  Each denominator is its neighbour's times u/v, the ratio in
-lowest terms: the previous tail denominator gives p[k]'s and p[k]'s gives
-tail[k]'s.  The exact backend's denominators all divide den*d0^(k+1), so u
-and v are small.  tail[k]'s numerator comes from tail[k] = tail[k-1] - p[k]
-(tail[-1] = 1), checked first in integers.  An integer is converted
-directly where the ratio is no smaller than the integer itself, where that
-identity fails, and on rows that are not two Fractions.  A row of two
-floats is formatted in place, with `format_scalar`'s float text.
+`distribution_rows` numbers the rows of a p/tail table from k = 0 and gives
+their texts with one full int-to-decimal conversion per exact row, the
+numerator of p[k] (str(int) is quadratic in the digit count on CPython
+3.11).  The other three integers come from neighbouring cells in exact
+`decimal` arithmetic, which prints in linear time.  Each denominator is its
+neighbour's times u/v, the ratio in lowest terms: the previous tail
+denominator gives p[k]'s and p[k]'s gives tail[k]'s.  The exact backend's
+denominators all divide den*d0^(k+1), so u and v are small.  tail[k]'s
+numerator comes from tail[k] = tail[k-1] - p[k] (tail[-1] = 1), checked
+first in integers.  An integer is converted directly where the ratio is no
+smaller than the integer itself, where that identity fails, and on rows
+that are not two Fractions.  A row of two floats is formatted in place,
+with `format_scalar`'s float text.
 
 Each rendered text is built by one `str.join` over its pieces, cells and
 separators alike, with no per-row line string and no concatenation of the
 whole text.  `csv_chunks` renders a table CHUNK_ROWS rows at a time, and
-`distribution_cells` yields its rows one by one, so an exact table's text
+`distribution_rows` yields its rows one by one, so an exact table's text
 (about 5 MB for `table2` at k=800) is never held whole while it is written.
 `structured_chunks` holds the table's cells, but not its JSON text.
 """
@@ -107,8 +108,8 @@ def _from_neighbour(new: int, old: int, old_dec: Decimal):
     return _EXACT.divide_int(_EXACT.multiply(old_dec, u), v), u, v
 
 
-def distribution_cells(p, tail):
-    """Yield (format_scalar(p[k]), format_scalar(tail[k])) for each k, for tail[k] = P(Q>k).
+def distribution_rows(p, tail):
+    """Yield (str(k), format_scalar(p[k]), format_scalar(tail[k])) for k from 0, tail[k] = P(Q>k).
 
     Rows of two floats print inline and rows of two Fractions with one
     full conversion (see the module docstring); any other row formats cell
@@ -117,12 +118,12 @@ def distribution_cells(p, tail):
     """
     num, den = 1, 1  # tail[k-1], starting from tail[-1] = 1
     num_dec = den_dec = Decimal(1)
-    for pk, tk in zip(p, tail):
+    for k, (pk, tk) in enumerate(zip(p, tail)):
         if type(pk) is float and type(tk) is float:
-            yield f"{pk + 0.0:.17g}", f"{tk + 0.0:.17g}"  # as format_scalar
+            yield str(k), f"{pk + 0.0:.17g}", f"{tk + 0.0:.17g}"  # as format_scalar
             continue
         if type(pk) is not Fraction or type(tk) is not Fraction:
-            yield format_scalar(pk), format_scalar(tk)
+            yield str(k), format_scalar(pk), format_scalar(tk)
             continue
         a, b, c, d = pk.numerator, pk.denominator, tk.numerator, tk.denominator
         a_text = format_scalar(a)
@@ -137,7 +138,7 @@ def distribution_cells(p, tail):
             c_dec = _converted(c)
         b_text, c_text = str(b_dec), str(c_dec)
         d_text = b_text if d == b else str(d_dec)
-        yield (a_text if b == 1 else f"{a_text}/{b_text}",
+        yield (str(k), a_text if b == 1 else f"{a_text}/{b_text}",
                c_text if d == 1 else f"{c_text}/{d_text}")
         num, den, num_dec, den_dec = c, d, c_dec, d_dec
 

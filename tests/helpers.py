@@ -66,7 +66,7 @@ def build_model(on_weights, g_weights, rho_pct, backend=FLOAT64) -> ModelSpec:
     if backend == FLOAT64:
         f = [float(v) for v in f]
         g = [float(v) for v in g]
-    return validate(ModelSpec(tuple(f), tuple(g)), NumericConfig(backend=backend))
+    return validate(ModelSpec(tuple(f), tuple(g)), backend)
 
 
 def light_f_vector(on_weights, f_bar_pct) -> tuple:
@@ -212,6 +212,43 @@ def reference_distribution(spec: ModelSpec, config: NumericConfig) -> QueueDistr
     spec = coerce(spec, config.backend)
     _, N, D = reference_tables(spec, config.k_max)
     return reference_divide(moments(spec).b0, N, D, config.k_max)
+
+
+def _convolve(a, b) -> list:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _weighted(weights, polys) -> list:
+    """sum_j weights[j] * polys[j] over the j that both have, coefficient by coefficient."""
+    terms = list(zip(weights, polys))
+    out = [Fraction(0)] * max(len(poly) for _, poly in terms)
+    for w, poly in terms:
+        for i, v in enumerate(poly):
+            out[i] += w * v
+    return out
+
+
+def deflated_coefficients(spec: ModelSpec) -> tuple:
+    """(S, E): the coefficients, from z^0 up, of S(z) = N(z)/(z - 1) and E(z) = D(z)/(z - 1).
+
+    In Fractions, with h = g(z)/z, F = suffix_sums(f) and c_i = sum(g[i+1:]):
+    S(z) = sum_{j<=n} F[j] h^j and E(z) = 1 - c(z) sum_{j<n} F[j+1] h^j, so that
+    P(z) = b0 S(z)/E(z).  The powers of h come by repeated convolution.
+    """
+    f = [Fraction(v) for v in spec.f]
+    g = [Fraction(v) for v in spec.g]
+    F = suffix_sums(f)
+    c = [sum(g[i + 1:], Fraction(0)) for i in range(max(len(g) - 1, 1))]  # [0] when m = 1
+    powers = [[Fraction(1)]]
+    for _ in range(spec.n):
+        powers.append(_convolve(powers[-1], g))
+    E = [-v for v in _convolve(c, _weighted(F[1:], powers))]
+    E[0] += 1
+    return _weighted(F, powers), E
 
 
 def reference_run(spec: ModelSpec, config: SimulationConfig, run_index: int) -> RunTally:

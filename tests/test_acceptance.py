@@ -132,7 +132,7 @@ def test_criterion_4_constant_batch_specialization():
         for r in (2, 3, 4):
             special = queue_distribution_constant_batch(f, r, config)
             g = tuple([Fraction(0)] * (r - 1) + [Fraction(1)])
-            spec = validate(ModelSpec(f, g), config)
+            spec = validate(ModelSpec(f, g), config.backend)
             general = queue_distribution(spec, config)
             assert special.p == general.p
             assert expected_queue_constant_batch(f_bar, f2_bar, r) == expected_queue(

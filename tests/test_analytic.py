@@ -3,14 +3,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import light_f_vectors, model_specs
+from helpers import (TABLE1_F, TABLE1_G, TABLE2_F, TABLE2_G, deflated_coefficients,
+                     light_f_vectors, model_specs)
 from onoffqueue import (
     ModelSpec,
     MomentSummary,
-    NumericConfig,
     Unstable,
     ZeroArrivalRate,
     expected_delay,
@@ -106,9 +106,28 @@ class TestConstantBatch:
     @settings(max_examples=60, deadline=None)
     def test_specializes_general_formula(self, f, r):
         g = tuple([Fraction(0)] * (r - 1) + [Fraction(1)])
-        spec = validate(ModelSpec(f, g), NumericConfig(backend="exact"))
+        spec = validate(ModelSpec(f, g), "exact")
         mom = moments(spec)
         assert expected_queue_constant_batch(mom.f_bar, mom.f2_bar, r) == expected_queue(mom)
+
+
+class TestGeneratingFunction:
+    """The closed form against P(z) = b0 S(z)/E(z) at z = 1, exactly and without truncation."""
+
+    @given(model_specs(backend="exact"))
+    @example(from_strings(TABLE1_F, TABLE1_G, backend="exact"))
+    @example(from_strings(TABLE2_F, TABLE2_G, backend="exact"))
+    @example(from_strings(("0.7", "0", "0.3"), ("0.5", "0", "0.25", "0.25"), backend="exact"))
+    @settings(max_examples=100, deadline=None)
+    def test_mean_is_the_derivative_at_one(self, spec):
+        S, E = deflated_coefficients(spec)
+        assert all(s >= 0 for s in S)
+        assert E[0] > 0 and all(e <= 0 for e in E[1:])
+        mom = moments(spec)
+        s1, e1 = sum(S), sum(E)
+        ds1, de1 = (sum(i * v for i, v in enumerate(poly)) for poly in (S, E))
+        assert mom.b0 * s1 == e1  # P(1) = 1
+        assert mom.b0 * (ds1 * e1 - s1 * de1) / e1**2 == expected_queue(mom)  # P'(1) = E[Q]
 
 
 class TestReport:

@@ -84,10 +84,9 @@ class TestValidate:
             validate(ModelSpec((0.5 * (1 + 1e-8), 0.5 * (1 + 1e-8)), (1.0,)))
 
     def test_exact_mode_requires_exact_sum(self):
-        cfg = NumericConfig(backend="exact")
         with pytest.raises(ValidationError):
-            validate(ModelSpec(("0.3", "0.3", "0.3"), ("1.0",)), cfg)
-        spec = validate(ModelSpec(("0.4", "0.3", "0.3"), ("1.0",)), cfg)
+            validate(ModelSpec(("0.3", "0.3", "0.3"), ("1.0",)), "exact")
+        spec = validate(ModelSpec(("0.4", "0.3", "0.3"), ("1.0",)), "exact")
         assert sum(spec.f) == 1
 
     def test_from_strings_exact_parses_decimals(self):
@@ -270,14 +269,14 @@ class TestOrderedSum:
         # from Python 3.12 the builtin sum() gives 1.0000000000000002 here
         assert ordered_sum([1.0, 1e-16, 1e-16]) == 1.0
 
-    @given(st.lists(st.floats(allow_nan=False)), st.sampled_from([0, 0.0, -0.0, 1.5]))
+    @given(st.lists(st.floats(allow_nan=False)))
     @settings(max_examples=300, deadline=None)
-    def test_bit_equal_to_a_left_fold(self, values, start):
-        expected = start
+    def test_bit_equal_to_a_left_fold(self, values):
+        expected = 0
         for v in values:
             expected = expected + v
-        assert repr(ordered_sum(values, start)) == repr(expected)
-        assert repr(ordered_sum(iter(values), start)) == repr(expected)
+        assert repr(ordered_sum(values)) == repr(expected)
+        assert repr(ordered_sum(iter(values))) == repr(expected)
 
     def test_fractions_stay_exact(self):
         values = [Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)]

@@ -419,7 +419,7 @@ class TestConstantBatchDistribution:
         cfg = NumericConfig(backend="exact", k_max=40)
         special = queue_distribution_constant_batch(f, r, cfg)
         g = tuple([Fraction(0)] * (r - 1) + [Fraction(1)])
-        general = queue_distribution(validate(ModelSpec(f, g), cfg), cfg)
+        general = queue_distribution(validate(ModelSpec(f, g), cfg.backend), cfg)
         assert special == general
 
     @pytest.mark.parametrize("r", [2, 3])

@@ -1,4 +1,4 @@
-"""Cell texts of p/tail tables (`distribution_cells` against `format_scalar`) and rendering."""
+"""Row texts of p/tail tables (`distribution_rows` against `format_scalar`) and rendering."""
 
 import sys
 import tracemalloc
@@ -23,7 +23,7 @@ from onoffqueue.model import suffix_sums
 from onoffqueue.tables import (
     OutputTable,
     csv_chunks,
-    distribution_cells,
+    distribution_rows,
     format_scalar,
     parse_csv,
     render_csv,
@@ -31,8 +31,8 @@ from onoffqueue.tables import (
 )
 
 
-def per_cell(p, tail):
-    return [(format_scalar(x), format_scalar(y)) for x, y in zip(p, tail)]
+def per_row(p, tail):
+    return [(str(k), format_scalar(x), format_scalar(y)) for k, (x, y) in enumerate(zip(p, tail))]
 
 
 def tails_of(p):
@@ -46,7 +46,7 @@ def tails_of(p):
 
 @pytest.fixture
 def conversions(monkeypatch):
-    """Integers `distribution_cells` converted directly, in call order."""
+    """Integers `distribution_rows` converted directly, in call order."""
     seen = []
 
     def counted(value):
@@ -62,15 +62,15 @@ class TestDistributionCells:
     @given(model_specs(backend="exact"), st.integers(0, 120))
     def test_exact_models_match_per_cell(self, spec, k_max):
         dist = queue_distribution(spec, NumericConfig(backend="exact", k_max=k_max))
-        assert list(distribution_cells(dist.p, dist.tail)) == per_cell(dist.p, dist.tail)
+        assert list(distribution_rows(dist.p, dist.tail)) == per_row(dist.p, dist.tail)
 
     @pytest.mark.parametrize("name", ["table1", "table2"])
     def test_one_conversion_per_row(self, request, conversions, name):
         # row 0 also converts its denominator and tail numerator: tail[-1] = 1
         spec = request.getfixturevalue(f"{name}_exact")
         dist = queue_distribution(spec, NumericConfig(backend="exact", k_max=200))
-        cells = list(distribution_cells(dist.p, dist.tail))
-        assert cells == per_cell(dist.p, dist.tail)
+        cells = list(distribution_rows(dist.p, dist.tail))
+        assert cells == per_row(dist.p, dist.tail)
         assert len(conversions) == len(cells) + 2
         assert conversions[3:] == [p.numerator for p in dist.p[1:]]
 
@@ -78,24 +78,24 @@ class TestDistributionCells:
         base = 3**200
         p = [Fraction(1, base), Fraction(2, 3 * base)]
         tail = [1 - p[0], 1 - p[0] - p[1] + Fraction(1, 3 * base)]  # off by 1/(3*base)
-        assert list(distribution_cells(p, tail)) == per_cell(p, tail)
+        assert list(distribution_rows(p, tail)) == per_row(p, tail)
         # row 1 derives its denominator (ratio 3) but not its tail numerator
         assert conversions[3:] == [2, tail[1].numerator]
 
     def test_unrelated_large_denominators(self, conversions):
         p = [Fraction(1, 5**300), Fraction(1, 7**300)]
         tail = [Fraction(2, 11**300), Fraction(3, 13**300)]
-        assert list(distribution_cells(p, tail)) == per_cell(p, tail)
+        assert list(distribution_rows(p, tail)) == per_row(p, tail)
         assert len(conversions) == 8  # every integer of both rows
 
     def test_float_and_mixed_rows(self, conversions):
         base = 3**200
         p = [0.5, -0.0, Fraction(1, base), 0.25, Fraction(1, 7), 1, Fraction(1, 3 * base)]
         tail = [0.5, 0.5, 1 - p[2], 0.25, 0.125, Fraction(2, 5), 1 - p[2] - p[6]]
-        cells = list(distribution_cells(p, tail))
-        assert cells == per_cell(p, tail)
-        assert cells[1] == ("0", "0.5")
-        assert cells[4:6] == [("1/7", "0.125"), ("1", "2/5")]
+        cells = list(distribution_rows(p, tail))
+        assert cells == per_row(p, tail)
+        assert cells[1] == ("1", "0", "0.5")
+        assert cells[4:6] == [("4", "1/7", "0.125"), ("5", "1", "2/5")]
         # the last row follows on from row 2, past the float and mixed rows
         assert conversions[-1] == 1
 
@@ -103,7 +103,7 @@ class TestDistributionCells:
         values = [-0.0, 0.0, 5e-324, 1e-300, 0.1, 1 / 3, 1.0]
         p = [x for x in values for _ in values]
         tail = [y for _ in values for y in values]
-        assert list(distribution_cells(p, tail)) == per_cell(p, tail)
+        assert list(distribution_rows(p, tail)) == per_row(p, tail)
 
     def test_oracle_rows_parse_back(self, tmp_path, table2, table2_path):
         out = tmp_path / "oracle.csv"
@@ -116,27 +116,28 @@ class TestDistributionCells:
         assert [float(row[2]) for row in rows] == [*suffix_sums(marginal)[1:], 0.0]
 
     def test_empty(self):
-        assert list(distribution_cells((), ())) == []
+        assert list(distribution_rows((), ())) == []
 
     def test_zero_and_denominator_one_rows(self):
         spec = from_strings(["0.5", "0.5"], ["1"], backend="exact")
         dist = queue_distribution(spec, NumericConfig(backend="exact", k_max=4))
-        assert list(distribution_cells(dist.p, dist.tail)) == [("1", "0")] + [("0", "0")] * 4
+        assert list(distribution_rows(dist.p, dist.tail)) == [("0", "1", "0")] + [
+            (str(k), "0", "0") for k in range(1, 5)]
 
     def test_negative_and_integer_cells(self):
         p = [Fraction(3, 2), Fraction(-5, 4), Fraction(1), Fraction(0)]
         tail = tails_of(p)
-        assert list(distribution_cells(p, tail)) == per_cell(p, tail)
+        assert list(distribution_rows(p, tail)) == per_row(p, tail)
 
     def test_rows_past_int_str_digit_limit(self):
         limit = sys.get_int_max_str_digits()
         q = Fraction(1, 7**5200)  # 4395 digits, past the default limit of 4300
         p = [q * 6**k / 7**k for k in range(4)]
         tail = tails_of(p)
-        cells = list(distribution_cells(p, tail))
+        cells = list(distribution_rows(p, tail))
         assert sys.get_int_max_str_digits() == limit
         assert max(len(text) for row in cells for text in row) > 4300
-        assert cells == per_cell(p, tail)
+        assert cells == per_row(p, tail)
         assert sys.get_int_max_str_digits() == limit
 
 
