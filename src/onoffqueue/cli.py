@@ -18,7 +18,9 @@ at once; its structured text is written a group of rows at a time too.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import json
 import os
 import sys
@@ -170,6 +172,12 @@ def _sim_footer(table, report):
     table.add_footer("generator", report.generator)
 
 
+def _sim_rows(report):
+    """(k, p_hat, ci_low, ci_high) for each k; the bounds are None when one run has no interval."""
+    none = itertools.repeat(None)
+    return zip(itertools.count(), report.p_hat, report.p_ci_low or none, report.p_ci_high or none)
+
+
 def cmd_simulate(args):
     from . import simulation as sim
 
@@ -177,10 +185,8 @@ def cmd_simulate(args):
     spec = load_model(args.path)
     report = sim.simulate(spec, config)
     table = OutputTable(columns=("k", "p_hat", "ci_low", "ci_high"))
-    lows = report.p_ci_low or (None,) * len(report.p_hat)
-    highs = report.p_ci_high or (None,) * len(report.p_hat)
-    for k, row in enumerate(zip(report.p_hat, lows, highs)):
-        table.add_row(k, *row)
+    for row in _sim_rows(report):
+        table.add_row(*row)
     _sim_footer(table, report)
     return render(table, args.format)
 
@@ -200,19 +206,19 @@ def cmd_compare(args):
     inside_resolvable = 0
     resolvable = 0
     floor = 10.0 * report.min_resolvable
-    lows = report.p_ci_low or (None,) * len(report.p_hat)
-    highs = report.p_ci_high or (None,) * len(report.p_hat)
-    for k, (theory, p_hat, lo, hi) in enumerate(zip(dist.p, report.p_hat, lows, highs)):
-        within = lo is not None and lo <= float(theory) <= hi
-        inside_all += within
+    for (k, p_hat, lo, hi), theory in zip(_sim_rows(report), dist.p):
+        within = None if lo is None else lo <= float(theory) <= hi
+        inside_all += bool(within)
         if float(theory) >= floor:
             resolvable += 1
-            inside_resolvable += within
+            inside_resolvable += bool(within)
         table.add_row(k, theory, p_hat, lo, hi, within)
+    has_ci = report.p_ci_low is not None
     table.add_footer("rows", len(dist.p))
-    table.add_footer("within_ci_fraction", inside_all / len(dist.p))
+    if has_ci:
+        table.add_footer("within_ci_fraction", inside_all / len(dist.p))
     table.add_footer("resolvable_rows", resolvable)
-    if resolvable:
+    if has_ci and resolvable:
         table.add_footer("within_ci_fraction_resolvable", inside_resolvable / resolvable)
     _dist_footer(table, dist, args.backend)
     _sim_footer(table, report)
@@ -287,12 +293,10 @@ def run(command, args) -> int:
     try:
         pieces = command(args)
         try:
-            if output is None:
-                sys.stdout.writelines(pieces)
-                sys.stdout.flush()
-            else:
-                with open(output, "w", newline="") as target:
-                    target.writelines(pieces)
+            with (contextlib.nullcontext(sys.stdout) if output is None
+                  else open(output, "w", newline="")) as target:
+                target.writelines(pieces)
+                target.flush()
         except OSError as exc:
             if output is None:
                 _discard_stdout()

@@ -14,7 +14,7 @@ recursion for M/G/1-type chains, Ramaswami 1988).  From pi(0, 0) = 1 it
 adds and multiplies nonnegative numbers only, so small tail probabilities
 keep their relative accuracy; each block of up to 64 levels is one product
 with a fixed matrix (`block_map`).  The solve and `residual` need numpy
-alone; `JointChain.kernel`, the kernel as a scipy matrix, is for checks.
+alone; only the benchmark tracer and two tests read `JointChain.kernel`.
 """
 
 from __future__ import annotations
@@ -54,9 +54,6 @@ class JointChain:
     def num_states(self) -> int:
         return (self.n + 1) * (self.q_cap + 1)
 
-    def state_index(self, x: int, q: int) -> int:
-        return x * (self.q_cap + 1) + q
-
     @property
     def kernel_nnz(self) -> int:
         """The kernel's positive entries, counted from f and g.
@@ -73,8 +70,9 @@ class JointChain:
     def kernel(self):
         """The row-stochastic kernel as a scipy CSR matrix, built on first read.
 
-        For checks only: neither the solve nor `residual` reads it.  scipy
-        comes with the `test` extra; without it this raises ImportError.
+        Neither the solve nor `residual` reads it; only the benchmark tracer
+        and two tests that pin this view do.  scipy comes with the `test`
+        extra; without it this raises ImportError.
         """
         import scipy.sparse as sp
 
@@ -184,7 +182,7 @@ def level_matrices(f: np.ndarray, g: np.ndarray) -> tuple:
     return first, step.reshape(width, n + 1), top.reshape(width, n + 1)
 
 
-def block_map(step: np.ndarray, width: int, q_cap: int) -> np.ndarray:
+def block_map(step: np.ndarray, q_cap: int) -> np.ndarray:
     """S: the B(n + 1) entries after pi(0, q) from the (m - 1)(n + 1) ending at it.
 
     Off states feed no higher level (their rows of `step` are zero), so the
@@ -193,7 +191,7 @@ def block_map(step: np.ndarray, width: int, q_cap: int) -> np.ndarray:
     and one more row hold BLOCK_ENTRIES entries or fewer.  S is `step` run B
     times from the identity, whose rows are read in place, so S is nonnegative.
     """
-    inputs = step.shape[0] + 1
+    inputs, width = step.shape[0] + 1, step.shape[1]
     levels = max(1, min(64, q_cap - 1, BLOCK_ENTRIES // (inputs * width)))
     down = np.ascontiguousarray(step.T)
     walk = np.zeros((levels * width, inputs))  # S^T: row i is entry i in terms of the inputs
@@ -220,7 +218,7 @@ def joint_stationary(chain: JointChain) -> np.ndarray:
     first, step, top = level_matrices(chain.f, chain.g)
     width = n + 1
     pad = step.shape[0]  # the m - 1 levels below level 0, all zero
-    block = block_map(step, width, q_cap)
+    block = block_map(step, q_cap)
     span = block.shape[1]
     # one slot past level q_cap for pi(0, q_cap + 1), which stays 0
     pi = np.zeros(pad + (q_cap + 1) * width + 1)

@@ -198,8 +198,8 @@ def parse_csv(text: str) -> OutputTable:
 
 
 def structured_chunks(table: OutputTable):
-    """render_structured(table) in pieces, each the join of up to CHUNK_PIECES
-    of the JSON encoder's pieces, then the final newline.
+    """The table as indented JSON, its footer as "metadata", in pieces: each
+    the join of up to CHUNK_PIECES of the JSON encoder's pieces, then a newline.
 
     The rows are read whole before the first piece, but the text is never held whole.
     """
@@ -213,7 +213,3 @@ def structured_chunks(table: OutputTable):
         yield "".join(group)
     yield "\n"
 
-
-def render_structured(table: OutputTable) -> str:
-    """The table as indented JSON: its columns, rows and footer as "metadata", then a newline."""
-    return "".join(structured_chunks(table))

@@ -251,6 +251,42 @@ def deflated_coefficients(spec: ModelSpec) -> tuple:
     return _weighted(F, powers), E
 
 
+def _complex_at(coeffs, z: complex) -> complex:
+    """sum_j coeffs[j] z^j for Fraction coeffs, exact at the float point z, then rounded."""
+    re, im = Fraction(z.real), Fraction(z.imag)
+    a = b = Fraction(0)
+    for c in reversed(coeffs):
+        a, b = a * re - b * im + c, a * im + b * re
+    return complex(float(a), float(b))
+
+
+def roots_distribution(spec: ModelSpec, k_max: int) -> tuple:
+    """(k_first, p): P(Q = k) for k = k_first .. k_max by the roots method.
+
+    With S and E from `deflated_coefficients`, P(z) = b0 S(z)/E(z), and
+    b0 = E(1)/S(1) since P(1) = 1.  If the zeros z_i of E are simple, then
+    for k > deg S - deg E (that is, from k_first)
+      p_k = -Re sum_i R_i z_i^(-k-1), R_i = b0 S(z_i)/E'(z_i).
+    The zeros come from `np.roots` and take three Newton steps on E, whose
+    value is taken exactly at each float iterate.  Asserts that the zeros
+    are simple: no two closer than 1e-6 times the largest modulus.
+    """
+    S, E = deflated_coefficients(spec)
+    dE = [j * c for j, c in enumerate(E)][1:]
+    zeros = [complex(z) for z in np.roots([float(c) for c in reversed(E)])]
+    for _ in range(3):
+        zeros = [z - _complex_at(E, z) / _complex_at(dE, z) for z in zeros]
+    z = np.array(zeros)
+    gaps = np.abs(z[:, None] - z)
+    np.fill_diagonal(gaps, np.inf)
+    assert np.all(gaps > 1e-6 * np.abs(z).max(initial=0.0)), "E has a repeated zero"
+    b0 = float(sum(E) / sum(S))
+    residues = np.array([b0 * _complex_at(S, v) / _complex_at(dE, v) for v in zeros])
+    k_first = len(S) - len(E) + 1
+    k = np.arange(k_first, k_max + 1)
+    return k_first, -(residues[:, None] / z[:, None] ** (k + 1)).sum(axis=0).real
+
+
 def reference_run(spec: ModelSpec, config: SimulationConfig, run_index: int) -> RunTally:
     """One run of the chain and queue, replayed slot by slot.
 
@@ -339,7 +375,7 @@ def power_stationary(chain: JointChain, tol: float, max_iterations: int) -> np.n
     pi <- P^T pi, renormalising and testing the max-norm residual every 50
     steps, and raises NoConvergence if it stays above tol.
     """
-    kernel_t = chain.kernel.T.tocsr()
+    kernel_t = reference_kernel(chain).T.tocsr()
     size = kernel_t.shape[0]
     pi = np.full(size, 1.0 / size)
     done = 0
@@ -362,9 +398,9 @@ def sparse_stationary(chain: JointChain) -> np.ndarray:
     state (0, 0) replaced by pi[(0, 0)] = 1, in the chain's own x-major
     order, solved directly, then normalised.
     """
-    kernel = chain.kernel.tocoo()
+    kernel = reference_kernel(chain).tocoo()
     size = kernel.shape[0]
-    idle = chain.state_index(0, 0)
+    idle = 0  # state (0, 0)
     keep = kernel.col != idle  # kernel column idle is balance row idle
     others = np.delete(np.arange(size), idle)
     rows = np.concatenate((kernel.col[keep], others, [idle]))
@@ -461,16 +497,17 @@ def exact_level_matrices(f, g) -> tuple:
     return np.array(first, dtype=object), images(level_above), images(top_level)
 
 
-def reference_kernel(spec: ModelSpec, q_cap: int) -> sp.csr_matrix:
+def reference_kernel(chain: JointChain) -> sp.csr_matrix:
     """The joint-chain kernel built entry by entry with Python loops.
 
     The straightforward form of `JointChain.kernel`'s index arithmetic: the
     same (row, col, val) entries in the same order, so the CSR conversion
     sums duplicates in the same order and the arrays must match bytewise.
+    State (x, q) is row x * (q_cap + 1) + q.
     """
-    f = [float(v) for v in spec.f]
-    g = [float(v) for v in spec.g]
-    n, m = spec.n, spec.m
+    f = chain.f.tolist()
+    g = chain.g.tolist()
+    n, m, q_cap = chain.n, len(g), chain.q_cap
     width = q_cap + 1
     rows, cols, vals = [], [], []
     # off rows: no arrival, queue decrements, next state sampled from f
@@ -500,7 +537,7 @@ def reference_render_csv(table: OutputTable) -> str:
 
 
 def reference_render_structured(table: OutputTable) -> str:
-    """`tables.render_structured` through `json.dumps`, then a newline."""
+    """The join of `tables.structured_chunks` through `json.dumps`, then a newline."""
     payload = {
         "columns": list(table.columns),
         "rows": [list(row) for row in table.rows],

@@ -17,13 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MODELS_DIR, REPO_ROOT
-from helpers import TABLE1_F, TABLE1_G, model_specs
+from helpers import TABLE1_F, TABLE1_G, model_specs, reference_kernel
 from onoffqueue import (
     build_joint_chain, cli, from_strings, joint_stationary, oracle, oracle_expected_queue,
     queue_marginal, series,
 )
 from onoffqueue.cli import main
-from onoffqueue.tables import CHUNK_ROWS, OutputTable, parse_csv, render_csv, render_structured
+from onoffqueue.tables import CHUNK_ROWS, OutputTable, parse_csv, render_csv, structured_chunks
 
 SIM_FLAGS = ["--iterations", "20000", "--burn-in", "1000", "--runs", "3", "--kmax", "4"]
 SMALL_SIM = ["--iterations", "2000", "--burn-in", "100", "--runs", "2"]
@@ -286,7 +286,7 @@ class TestOracleCommand:
         assert meta["truncation_bias"] == "false"
         assert meta["states"] == str(4 * 201)  # (n + 1) * (q_cap + 1), n = 3
         chain = build_joint_chain(from_strings(TABLE1_F, TABLE1_G), 200)
-        assert meta["kernel_nnz"] == str(chain.kernel.count_nonzero())
+        assert meta["kernel_nnz"] == str(reference_kernel(chain).count_nonzero())
         assert float(meta["expected_queue"]) == pytest.approx(649 / 1080, abs=1e-8)
         assert float(table.rows[0][1]) == pytest.approx(458 / 665, abs=1e-10)
 
@@ -400,6 +400,21 @@ class TestCompareCommand:
         assert 0.0 <= float(meta["within_ci_fraction"]) <= 1.0
         assert all(row[5] in ("true", "false") for row in table.rows)
 
+    def test_single_run_has_no_within_ci(self, capsys, table1_path):
+        # one run gives no interval, so no row is inside or outside one
+        code, out, _ = run_cli(
+            capsys, "compare", table1_path, "--iterations", "5000",
+            "--burn-in", "100", "--runs", "1", "--kmax", "4"
+        )
+        assert code == 0
+        table = parse_csv(out)
+        assert [row[3:] for row in table.rows] == [("", "", "")] * 5
+        meta = dict(table.footer)
+        assert "within_ci_fraction" not in meta
+        assert "within_ci_fraction_resolvable" not in meta
+        assert meta["rows"] == "5"
+        assert int(meta["resolvable_rows"]) > 0
+
     def test_unit_batch_model(self, capsys, tmp_path):
         path = tmp_path / "r1.json"
         path.write_text('{"f": ["0.5", "0.5"], "g": ["1.0"]}')
@@ -464,15 +479,15 @@ def written_bytes(tmp_dir, command, path, rows_flag_value, fmt, whole):
     """Exit status and the bytes main writes to --output (None on an error).
 
     With whole=True every row is formatted first and the table rendered as
-    one text, by one render_csv or render_structured call, as the CLI did
-    before it streamed.
+    one text, by one render_csv call or one join of structured_chunks, as
+    the CLI did before it streamed.
     """
     head, flag = STREAMED_COMMANDS[command]
     out = tmp_dir / f"{command}-{fmt}-{whole}.out"
     with pytest.MonkeyPatch.context() as mp:
         if whole:
             mp.setattr(cli, "render", lambda table, fmt: [
-                (render_structured if fmt == "structured" else render_csv)(table)
+                "".join(structured_chunks(table)) if fmt == "structured" else render_csv(table)
             ])
         code = main([head[0], path, *head[1:], flag, str(rows_flag_value),
                      "--format", fmt, "--output", str(out)])

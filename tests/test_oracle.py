@@ -64,7 +64,7 @@ def block_levels(spec, q_cap=1000) -> int:
     """B, the levels per product that `joint_stationary` takes for spec at q_cap."""
     chain = build_joint_chain(spec, q_cap)
     width = spec.n + 1
-    return block_map(level_matrices(chain.f, chain.g)[1], width, q_cap).shape[1] // width
+    return block_map(level_matrices(chain.f, chain.g)[1], q_cap).shape[1] // width
 
 
 def assert_blocks_match_levels(spec, same_first_zero):
@@ -111,19 +111,19 @@ class TestBuildJointChain:
     def test_off_state_decrements_queue(self):
         spec = validate(ModelSpec((0.5, 0.5), (1.0,)))
         chain = build_joint_chain(spec, 4)
-        kernel = chain.kernel.toarray()
+        kernel, index = reference_kernel(chain).toarray(), joint_states(chain).index
         for q in (1, 2, 3, 4):
-            src = chain.state_index(0, q)
+            src = index((0, q))
             for x_next in (0, 1):
-                assert kernel[src, chain.state_index(x_next, q - 1)] == pytest.approx(0.5)
+                assert kernel[src, index((x_next, q - 1))] == pytest.approx(0.5)
 
     def test_on_state_batch_offsets(self, table1):
         chain = build_joint_chain(table1, 20)
-        kernel = chain.kernel.toarray()
-        src = chain.state_index(2, 5)  # x = 2 counts down to 1
+        kernel, index = reference_kernel(chain).toarray(), joint_states(chain).index
+        src = index((2, 5))  # x = 2 counts down to 1
         expected = {5: 0.4, 6: 0.4, 7: 0.2}  # next queue 5 + y - 1, y in 1..3
         for q_next, mass in expected.items():
-            assert kernel[src, chain.state_index(1, q_next)] == pytest.approx(mass)
+            assert kernel[src, index((1, q_next))] == pytest.approx(mass)
 
     @given(model_specs(), st.integers(0, 30))
     @settings(max_examples=40, deadline=None)
@@ -131,9 +131,8 @@ class TestBuildJointChain:
     @example(from_strings(TABLE1_F, TABLE1_G), 997)
     @example(from_strings(TABLE2_F, TABLE2_G), 996)
     def test_kernel_bytewise_equals_loop_reference(self, spec, extra):
-        q_cap = spec.m + extra
-        kernel = build_joint_chain(spec, q_cap).kernel
-        ref = reference_kernel(spec, q_cap)
+        chain = build_joint_chain(spec, spec.m + extra)
+        kernel, ref = chain.kernel, reference_kernel(chain)
         for name in ("indptr", "indices", "data"):
             got, want = getattr(kernel, name), getattr(ref, name)
             assert got.dtype == want.dtype, name
@@ -141,7 +140,7 @@ class TestBuildJointChain:
 
     def test_rows_are_stochastic(self, table1):
         chain = build_joint_chain(table1, 500)
-        sums = np.asarray(chain.kernel.sum(axis=1)).ravel()
+        sums = np.asarray(reference_kernel(chain).sum(axis=1)).ravel()
         assert np.max(np.abs(sums - 1.0)) < 1e-12
 
     def test_cap_must_fit_one_batch(self, table1):
@@ -183,15 +182,14 @@ class TestBuildJointChain:
     def test_kernel_nnz_counts_positive_entries(self, f, g, q_cap):
         spec = from_strings(f, g)
         chain = build_joint_chain(spec, max(q_cap, spec.m))  # one batch must fit
-        assert chain.kernel_nnz == chain.kernel.count_nonzero()
+        assert chain.kernel_nnz == reference_kernel(chain).count_nonzero()
 
     def test_boundary_lumps_mass(self):
         spec = validate(ModelSpec((0.8, 0.2), (0.0, 0.0, 1.0)))
         chain = build_joint_chain(spec, 3)
-        kernel = chain.kernel.toarray()
+        kernel, index = reference_kernel(chain).toarray(), joint_states(chain).index
         # from (1, 3) the batch of 3 overflows: next queue capped at 3
-        src = chain.state_index(1, 3)
-        assert kernel[src, chain.state_index(0, 3)] == pytest.approx(1.0)
+        assert kernel[index((1, 3)), index((0, 3))] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("name", ["table1", "table2", "n_1", "m_1", "zeros"])
     @pytest.mark.parametrize("extra", [0, 1, 13, 200])
@@ -201,8 +199,9 @@ class TestBuildJointChain:
         spec = {**shape_models(), "zeros": zeros}[name]
         q_cap = min(spec.m + extra, 200)
         x = np.random.default_rng(q_cap).random((spec.n + 1) * (q_cap + 1))
-        want = reference_kernel(spec, q_cap).T @ x
-        got = _inflow(build_joint_chain(spec, q_cap), x)
+        chain = build_joint_chain(spec, q_cap)
+        want = reference_kernel(chain).T @ x
+        got = _inflow(chain, x)
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
@@ -210,7 +209,7 @@ class TestJointStationary:
     def test_residual_contract(self, table1):
         chain = build_joint_chain(table1, 500)
         pi = joint_stationary(chain)
-        kernel_t = chain.kernel.T.tocsr()
+        kernel_t = reference_kernel(chain).T.tocsr()
         assert np.max(np.abs(kernel_t @ pi - pi)) <= 1e-13
         assert pi.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -239,7 +238,7 @@ class TestJointStationary:
         chain = build_joint_chain(table1, 500)
         pi = joint_stationary(chain)
         mom = moments(table1)
-        assert pi[chain.state_index(0, 0)] == pytest.approx(float(mom.b0), abs=1e-12)
+        assert pi[joint_states(chain).index((0, 0))] == pytest.approx(float(mom.b0), abs=1e-12)
 
     def test_power_method_agrees(self, table1):
         chain = build_joint_chain(table1, 60)
@@ -264,7 +263,7 @@ class TestJointStationary:
         n, m = spec.n, spec.m
         assert first.shape == (n + 1,)
         assert step.shape == top.shape == ((m - 1) * (n + 1), n + 1)
-        block = block_map(step, n + 1, chain.q_cap)
+        block = block_map(step, chain.q_cap)
         assert block.shape[0] == (m - 1) * (n + 1)
         assert block.shape[1] % (n + 1) == 0
         built = (block.shape[0] + 1) * block.shape[1]  # S and the row of pi(0, q - m + 1)
@@ -309,8 +308,8 @@ class TestJointStationary:
         spec = request.getfixturevalue(name)
         n, m, q_cap = spec.n, spec.m, 30
         chain = build_joint_chain(spec, q_cap)
-        order = [chain.state_index(x, q) for q in range(q_cap + 1) for x in range(n + 1)]
-        dense = chain.kernel.toarray().T[np.ix_(order, order)] - np.eye(len(order))
+        order = [x * (q_cap + 1) + q for q in range(q_cap + 1) for x in range(n + 1)]
+        dense = reference_kernel(chain).toarray().T[np.ix_(order, order)] - np.eye(len(order))
         dense[0] = 0.0
         dense[0, 0] = 1.0
         rows, cols = np.nonzero(dense)

@@ -21,6 +21,7 @@ from helpers import (
     reference_distribution,
     reference_divide,
     reference_tables,
+    roots_distribution,
 )
 from onoffqueue import (
     ModelSpec,
@@ -390,6 +391,22 @@ class TestReferenceEquality:
             for name in QueueDistribution.__dataclass_fields__:
                 assert bits(getattr(dist, name)) == bits(getattr(ref, name)), name
         assert queue_distribution(table1, NumericConfig(k_max=400)).breakdown_detected
+
+
+class TestRootsReference:
+    """The roots (partial-fraction) form of P(z) = b0 S(z)/E(z), a fourth computation."""
+
+    @pytest.mark.parametrize("name", ["table1", "table2"])
+    def test_matches_exact(self, request, name):
+        spec = request.getfixturevalue(f"{name}_exact")
+        exact = queue_distribution(spec, NumericConfig(backend="exact", k_max=300)).p
+        k_first, p = roots_distribution(spec, 300)
+        assert k_first == 2  # deg S - deg E = 1
+        shown = [k for k in range(k_first, 301) if exact[k] > 1e-290]
+        assert len(shown) == 299
+        for k in shown:
+            want = float(exact[k])
+            assert abs(float(p[k - k_first]) - want) <= 1e-12 * want, k
 
 
 class TestConstantBatchDistribution:

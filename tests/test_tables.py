@@ -27,7 +27,7 @@ from onoffqueue.tables import (
     format_scalar,
     parse_csv,
     render_csv,
-    render_structured,
+    structured_chunks,
 )
 
 
@@ -173,7 +173,7 @@ class TestRender:
         text = render_csv(table)
         assert text == reference_render_csv(table)
         assert "".join(csv_chunks(table)) == text
-        assert render_structured(table) == reference_render_structured(table)
+        assert "".join(structured_chunks(table)) == reference_render_structured(table)
         again = parse_csv(text)
         assert again.columns == table.columns
         assert (again.rows, again.footer) == (table.rows, table.footer)
