@@ -10,7 +10,9 @@ so P(Q=k) is the coefficient of z^k in the quotient.  Dividing the two
 power series term by term yields a short recurrence for P(Q=k) driven by
 the coefficient table G[i][j] of (g(z)/z)^j.  N and D are polynomials of
 degree n*(m-1)+1, so the tables stop at that degree whatever k_max is, and
-the division treats every later coefficient as zero.
+the division treats every later coefficient as zero.  As N(1) = D(1) = 0,
+`deflated_coefficients` also gives S = N/(z - 1) and E = D/(z - 1), from
+f and g alone; `pgf_eval` evaluates b0 * S(z)/E(z) at a point with them.
 
 Binary floats are fast but the recurrence eventually produces negative
 values once the true coefficients sink below accumulated rounding error
@@ -306,7 +308,7 @@ def queue_distribution_constant_batch(
     check_count(r, "batch size r", 1)
     spec = ModelSpec(tuple(f), (1,))
     checked = validate(spec)
-    spec = validate(coerce(spec, config.backend), config.backend) if config.is_exact else checked
+    spec = coerce(spec, config.backend) if config.is_exact else checked
     fv = spec.f
     zero = fv[0] * 0
     one = zero + 1
@@ -329,29 +331,50 @@ def queue_distribution_constant_batch(
     return _divide(b0, N[:size], D[:size], config)
 
 
+def _convolve(a: Sequence, b: Sequence) -> list:
+    """The coefficients of a(z) * b(z), each a sum of products added in order of a's index."""
+    out = [b[0] * 0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for k, y in enumerate(b, start=i):
+            out[k] += x * y
+    return out
+
+
+def _horner(coefficients: Sequence, z):
+    """sum_i coefficients[i] * z^i by Horner's rule."""
+    value = coefficients[-1]
+    for c in coefficients[-2::-1]:
+        value = value * z + c
+    return value
+
+
+def deflated_coefficients(spec: ModelSpec) -> tuple:
+    """(S, E): the coefficients, from z^0 up, of S(z) = N(z)/(z - 1) and E(z) = D(z)/(z - 1).
+
+    With h = g(z)/z, F = suffix_sums(f), T = sum_{j<n} F[j+1] h^j and c_i = sum(g[i+1:]),
+    S = F[0] + h T and E = 1 - c T, so P(z) = b0 S(z)/E(z).  Horner's rule in h makes S and
+    -E[1:] sums of nonnegative products in a fixed order, with no G table.  E[0] = f(g_1) by
+    Horner too, as in `oracle.level_matrices`: 1 - c_0 T_0 cancels for small f[0] and g_1.
+    """
+    f, g = spec.f, spec.g
+    F = suffix_sums(f)
+    T, S = [f[0] * 0], [F[-1]]
+    for v in F[-2::-1]:
+        T = S
+        S = _convolve(T, g)
+        S[0] += v
+    A = _convolve(suffix_sums(g)[1:], T)  # c(z) T(z); with m = 1, c = () and A[1:] is empty
+    return tuple(S), (_horner(f, g[0]), *(-a for a in A[1:]))
+
+
 def pgf_eval(spec: ModelSpec, z) -> Scalar:
-    """Evaluate E[z^Q] directly at a point z in [0, 1].
+    """E[z^Q] = b0 S(z)/E(z) at z in [0, 1], by Horner's rule, independent of the recurrence.
 
-    Both N and D vanish at z = 1, so (z - 1) is divided out of each
-    analytically: with h = g(z)/z, F = suffix_sums(f) and
-    c = (h - 1)/(z - 1) = sum_s g_s * (1 + z + ... + z^(s-2)),
-
-        S(z) = N/(z-1) = sum_j F[j] * h^j
-        E(z) = D/(z-1) = 1 - c * sum_{j<n} F[j+1] * h^j
-
-    and E[z^Q] = b0*S(z)/E(z), which has no pole on [0, 1] when rho < 1;
-    rho >= 1 raises Unstable, as queue_distribution does.
-    Independent of the coefficient recurrence, so the truncated series
-    sum(p[k] * z^k) can be checked against it.
+    E has no zero on [0, 1] when rho < 1; rho >= 1 raises Unstable, as queue_distribution does.
     """
     if not 0 <= z <= 1:  # also refuses NaN
         raise ValueError("z must lie in [0, 1]")
     mom = moments(spec)
     check_stable(mom.rho)
-    F = suffix_sums(spec.f)
-    h = ordered_sum(p * z ** (s - 1) for s, p in enumerate(spec.g, start=1))
-    c = ordered_sum(map(mul, spec.g[1:], accumulate(z**i for i in range(spec.m - 1))))
-    powers = [h**j for j in range(spec.n + 1)]
-    S = ordered_sum(map(mul, F, powers))
-    E = 1 - c * ordered_sum(map(mul, F[1:], powers))
-    return mom.b0 * S / E
+    S, E = deflated_coefficients(spec)
+    return mom.b0 * _horner(S, z) / _horner(E, z)

@@ -180,23 +180,6 @@ def csv_chunks(table: OutputTable):
     yield render_csv(OutputTable((), footer=table.footer))
 
 
-def parse_csv(text: str) -> OutputTable:
-    lines = [line for line in text.split("\n") if line != ""]
-    if not lines:
-        raise ValueError("empty table")
-    table = OutputTable(columns=tuple(lines[0].split(",")))
-    for line in lines[1:]:
-        if line.startswith("# "):
-            key, _, value = line[2:].partition("=")
-            table.add_footer(key, value)
-        else:
-            row = tuple(line.split(","))
-            if len(row) != len(table.columns):
-                raise ValueError("row width does not match the header")
-            table.rows.append(row)
-    return table
-
-
 def structured_chunks(table: OutputTable):
     """The table as indented JSON, its footer as "metadata", in pieces: each
     the join of up to CHUNK_PIECES of the JSON encoder's pieces, then a newline.

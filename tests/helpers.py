@@ -35,7 +35,7 @@ from onoffqueue import (
 from onoffqueue.config import ordered_sum
 from onoffqueue.model import suffix_sums
 from onoffqueue.oracle import DEFAULT_RESIDUAL_TOL, level_matrices, residual
-from onoffqueue.series import MASS_EXCESS_TOL
+from onoffqueue.series import MASS_EXCESS_TOL, deflated_coefficients
 from onoffqueue.simulation import _CHUNK, _cumulative
 from onoffqueue.tables import OutputTable
 
@@ -214,43 +214,6 @@ def reference_distribution(spec: ModelSpec, config: NumericConfig) -> QueueDistr
     return reference_divide(moments(spec).b0, N, D, config.k_max)
 
 
-def _convolve(a, b) -> list:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _weighted(weights, polys) -> list:
-    """sum_j weights[j] * polys[j] over the j that both have, coefficient by coefficient."""
-    terms = list(zip(weights, polys))
-    out = [Fraction(0)] * max(len(poly) for _, poly in terms)
-    for w, poly in terms:
-        for i, v in enumerate(poly):
-            out[i] += w * v
-    return out
-
-
-def deflated_coefficients(spec: ModelSpec) -> tuple:
-    """(S, E): the coefficients, from z^0 up, of S(z) = N(z)/(z - 1) and E(z) = D(z)/(z - 1).
-
-    In Fractions, with h = g(z)/z, F = suffix_sums(f) and c_i = sum(g[i+1:]):
-    S(z) = sum_{j<=n} F[j] h^j and E(z) = 1 - c(z) sum_{j<n} F[j+1] h^j, so that
-    P(z) = b0 S(z)/E(z).  The powers of h come by repeated convolution.
-    """
-    f = [Fraction(v) for v in spec.f]
-    g = [Fraction(v) for v in spec.g]
-    F = suffix_sums(f)
-    c = [sum(g[i + 1:], Fraction(0)) for i in range(max(len(g) - 1, 1))]  # [0] when m = 1
-    powers = [[Fraction(1)]]
-    for _ in range(spec.n):
-        powers.append(_convolve(powers[-1], g))
-    E = [-v for v in _convolve(c, _weighted(F[1:], powers))]
-    E[0] += 1
-    return _weighted(F, powers), E
-
-
 def _complex_at(coeffs, z: complex) -> complex:
     """sum_j coeffs[j] z^j for Fraction coeffs, exact at the float point z, then rounded."""
     re, im = Fraction(z.real), Fraction(z.imag)
@@ -263,7 +226,7 @@ def _complex_at(coeffs, z: complex) -> complex:
 def roots_distribution(spec: ModelSpec, k_max: int) -> tuple:
     """(k_first, p): P(Q = k) for k = k_first .. k_max by the roots method.
 
-    With S and E from `deflated_coefficients`, P(z) = b0 S(z)/E(z), and
+    With S and E from `series.deflated_coefficients`, P(z) = b0 S(z)/E(z), and
     b0 = E(1)/S(1) since P(1) = 1.  If the zeros z_i of E are simple, then
     for k > deg S - deg E (that is, from k_first)
       p_k = -Re sum_i R_i z_i^(-k-1), R_i = b0 S(z_i)/E'(z_i).
@@ -526,6 +489,24 @@ def reference_kernel(chain: JointChain) -> sp.csr_matrix:
                 vals.append(g[y - 1])
     size = (n + 1) * width
     return sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
+
+
+def parse_csv(text: str) -> OutputTable:
+    """The table that `tables.render_csv` printed as text, its cells kept as text."""
+    lines = [line for line in text.split("\n") if line != ""]
+    if not lines:
+        raise ValueError("empty table")
+    table = OutputTable(columns=tuple(lines[0].split(",")))
+    for line in lines[1:]:
+        if line.startswith("# "):
+            key, _, value = line[2:].partition("=")
+            table.add_footer(key, value)
+        else:
+            row = tuple(line.split(","))
+            if len(row) != len(table.columns):
+                raise ValueError("row width does not match the header")
+            table.rows.append(row)
+    return table
 
 
 def reference_render_csv(table: OutputTable) -> str:

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (TABLE1_F, TABLE1_G, TABLE2_F, TABLE2_G, deflated_coefficients,
-                     light_f_vectors, model_specs)
+from helpers import TABLE1_F, TABLE1_G, TABLE2_F, TABLE2_G, light_f_vectors, model_specs
 from onoffqueue import (
     ModelSpec,
     MomentSummary,
@@ -21,6 +20,7 @@ from onoffqueue import (
     report,
     validate,
 )
+from onoffqueue.series import deflated_coefficients
 
 
 class TestExpectedQueue:

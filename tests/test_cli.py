@@ -17,13 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MODELS_DIR, REPO_ROOT
-from helpers import TABLE1_F, TABLE1_G, model_specs, reference_kernel
+from helpers import TABLE1_F, TABLE1_G, model_specs, parse_csv, reference_kernel
 from onoffqueue import (
     build_joint_chain, cli, from_strings, joint_stationary, oracle, oracle_expected_queue,
     queue_marginal, series,
 )
 from onoffqueue.cli import main
-from onoffqueue.tables import CHUNK_ROWS, OutputTable, parse_csv, render_csv, structured_chunks
+from onoffqueue.tables import CHUNK_ROWS, OutputTable, render_csv, structured_chunks
 
 SIM_FLAGS = ["--iterations", "20000", "--burn-in", "1000", "--runs", "3", "--kmax", "4"]
 SMALL_SIM = ["--iterations", "2000", "--burn-in", "100", "--runs", "2"]

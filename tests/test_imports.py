@@ -40,6 +40,9 @@ for argv in (["validate", model], ["analyze", model], ["dist", model],
              ["dist", model, "--backend", "exact"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
+for backend in ("float64", "exact"):
+    spec = onoffqueue.from_strings(["0.8", "0.1", "0.05", "0.05"], ["0.4", "0.4", "0.2"], backend)
+    assert 0 < onoffqueue.pgf_eval(spec, 0.5) < 1, backend
 print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))))
 """
 

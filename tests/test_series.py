@@ -1,5 +1,6 @@
 """Power-series recursion: coefficient tables, division, breakdown, pgf."""
 
+import hashlib
 import pickle
 import sys
 import tracemalloc
@@ -40,7 +41,8 @@ from onoffqueue import (
     validate,
 )
 from onoffqueue import series
-from onoffqueue.series import _divide_series, g_coefficients, series_coefficients
+from onoffqueue.series import (_divide_series, deflated_coefficients, g_coefficients,
+                               series_coefficients)
 
 EXACT = NumericConfig(backend="exact", k_max=60)
 
@@ -391,6 +393,43 @@ class TestReferenceEquality:
             for name in QueueDistribution.__dataclass_fields__:
                 assert bits(getattr(dist, name)) == bits(getattr(ref, name)), name
         assert queue_distribution(table1, NumericConfig(k_max=400)).breakdown_detected
+
+
+class TestDeflatedCoefficients:
+    """S = N/(z - 1) and E = D/(z - 1), built without the G table."""
+
+    @given(model_specs(backend="exact"))
+    @example(from_strings(TABLE1_F, TABLE1_G, backend="exact"))
+    @example(from_strings(TABLE2_F, TABLE2_G, backend="exact"))
+    @example(from_strings(("0.7", "0.2", "0.1"), ("1",), backend="exact"))  # m = 1
+    @settings(max_examples=100, deadline=None)
+    def test_times_z_minus_one_is_the_raw_recurrence(self, spec):
+        N, D = series_coefficients(spec, g_coefficients(spec, spec.n * (spec.m - 1) + 1))
+        for deflated, raw in zip(deflated_coefficients(spec), (N, D)):
+            shifted = naive_convolve(deflated, [-1, 1])  # (z - 1) times the polynomial
+            assert len(shifted) <= len(raw)
+            assert shifted + [0] * (len(raw) - len(shifted)) == list(raw)
+
+    # f[0] and g_1 both small: E[0] as 1 - c_0 T_0 would be off by 2.2e-13 relative here
+    @given(model_specs())
+    @example(from_strings(("1e-8", "0.99999999"), ("0.0001", "0.9999")))
+    @settings(max_examples=100, deadline=None)
+    def test_float_within_2e15_of_exact_on_the_same_inputs(self, spec):
+        exact_spec = ModelSpec(tuple(map(Fraction, spec.f)), tuple(map(Fraction, spec.g)))
+        for got, want in zip(deflated_coefficients(spec), deflated_coefficients(exact_spec)):
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert abs(Fraction(a) - b) <= Fraction(2e-15) * abs(b)
+
+    # the same bits on every interpreter: every sum goes in a fixed order, never through sum()
+    @pytest.mark.parametrize("name, digest", [
+        ("table1", "cb38c335040f30010b7afff74acd34702f170b227b0f02b7b088cd4d5a38881e"),
+        ("table2", "f4dc55998a35099cc062372bf6a9e170f8af768350c2d0f7962f7fa83b039576"),
+    ])
+    def test_float_bits_pinned(self, request, name, digest):
+        S, E = deflated_coefficients(request.getfixturevalue(name))
+        text = " ".join(v.hex() for v in S + E)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestRootsReference:

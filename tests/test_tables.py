@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import model_specs, reference_render_csv, reference_render_structured
+from helpers import model_specs, parse_csv, reference_render_csv, reference_render_structured
 from onoffqueue import (
     NumericConfig,
     build_joint_chain,
@@ -25,7 +25,6 @@ from onoffqueue.tables import (
     csv_chunks,
     distribution_rows,
     format_scalar,
-    parse_csv,
     render_csv,
     structured_chunks,
 )
