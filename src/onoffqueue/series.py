@@ -26,6 +26,9 @@ left to right through `config.ordered_sum`, so the bits are the same on
 every interpreter.  Exact rationals never break down: N and D are scaled
 to integers and divided with an integer-only recurrence, whose values
 are reduced over the few primes of den*d0 alone (see `_divide_exact`).
+A float distribution stores p alone: its tail, 1 - running sum of p, is
+derived on the first read, in O(k) once, and cached; the exact division
+stores the tail its recurrence already yields.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ MASS_EXCESS_TOL = 1e-9
 class QueueDistribution:
     """Computed queue-length probabilities with numerical-health diagnostics.
 
-    p[k] = P(Q=k) for k up to k_effective = len(p) - 1; tail[k] = P(Q>k).
+    p[k] = P(Q=k) for k up to k_effective = len(p) - 1; tail[k] = P(Q>k),
+    a property derived from p on its first read.
     In float mode p stops before breakdown, the first strictly negative
     coefficient or cumulative mass above 1 + 1e-9, whose index, value and
     reason ("negative" or "mass") are recorded; in exact mode p always
@@ -58,11 +62,24 @@ class QueueDistribution:
     """
 
     p: tuple
-    tail: tuple
     mass_accounted: Scalar
     breakdown_index: Optional[int] = None
     breakdown_value: Optional[Scalar] = None
     breakdown_reason: Optional[str] = None
+
+    @property
+    def tail(self) -> tuple:
+        """P(Q>k) for each k of p: 1 - x over the running sums x of p, in p's own numbers.
+
+        Computed in O(k) on the first read and cached outside the fields, as
+        `model.moments` caches on the spec, so ==, hash and repr never see it.
+        The exact division fills the cache when it builds the distribution.
+        """
+        tail = vars(self).get("_tail")
+        if tail is None:
+            tail = tuple(map(sub, repeat(1), accumulate(self.p)))
+            object.__setattr__(self, "_tail", tail)
+        return tail
 
     @property
     def k_effective(self) -> int:
@@ -182,8 +199,7 @@ def _divide_series(b0, N, D, k_max: int) -> QueueDistribution:
     head = [c * b0 for c in N[: k_max + 1]]
     rows = chain(head, repeat(0.0, k_max + 1 - len(head)))
     p, running, breakdown = _division_kernel(w)(rows, D[w:0:-1], D[0], 1 + MASS_EXCESS_TOL)
-    tail = tuple(map((1.0).__sub__, accumulate(p)))
-    return QueueDistribution(tuple(p), tail, running, *breakdown)
+    return QueueDistribution(tuple(p), running, *breakdown)
 
 
 def _fraction(y: int, M: int) -> Fraction:
@@ -261,7 +277,9 @@ def _divide_exact(b0: Fraction, N, D, k_max: int) -> QueueDistribution:
         scaled = den * power
         p.append(_reduce_over(num * acc, scaled, odd_base))
         tail.append(_reduce_over(scaled - num * cum, scaled, odd_base))
-    return QueueDistribution(tuple(p), tuple(tail), 1 - tail[-1])
+    dist = QueueDistribution(tuple(p), 1 - tail[-1])
+    object.__setattr__(dist, "_tail", tuple(tail))  # cheaper than a big Fraction sum per row
+    return dist
 
 
 def _divide(b0, N, D, config: NumericConfig) -> QueueDistribution:
@@ -315,8 +333,7 @@ def queue_distribution_constant_batch(
     f_bar = moments(spec).f_bar
     check_stable(r * f_bar / (1 + f_bar))
     if r == 1:
-        zeros = (zero,) * config.k_max
-        return QueueDistribution((one,) + zeros, zeros + (zero,), one)
+        return QueueDistribution((one,) + (zero,) * config.k_max, one)
     b0 = (1 + f_bar - r * f_bar) / (1 + f_bar)
     step = r - 1
     size = min(spec.n * step + 2, config.k_max + 1)  # the terms the division reads

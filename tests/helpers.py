@@ -197,7 +197,11 @@ def reference_divide(b0, N, D, k_max: int) -> QueueDistribution:
     for v in p:
         cum = cum + v
         tail.append(1 - cum)
-    return QueueDistribution(tuple(p), tuple(tail), running, *breakdown)
+    dist = QueueDistribution(tuple(p), running, *breakdown)
+    # the reference's own tail in the property's cache, so that a check of `tail`
+    # never compares the property with itself
+    object.__setattr__(dist, "_tail", tuple(tail))
+    return dist
 
 
 def reference_distribution(spec: ModelSpec, config: NumericConfig) -> QueueDistribution:

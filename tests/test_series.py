@@ -1,5 +1,7 @@
 """Power-series recursion: coefficient tables, division, breakdown, pgf."""
 
+import dataclasses
+import gc
 import hashlib
 import pickle
 import sys
@@ -241,6 +243,12 @@ def bits(value):
     return value.hex() if isinstance(value, float) else value
 
 
+def assert_bitwise_equal(dist, ref):
+    """Every field, and the tail, which is a property and not a field, bit for bit."""
+    for name in (*QueueDistribution.__dataclass_fields__, "tail"):
+        assert bits(getattr(dist, name)) == bits(getattr(ref, name)), name
+
+
 # Entries of a random division input, zeros of both signs included.
 SIGNED_UNITS = st.floats(-0.25, 1.0) | st.sampled_from([0.0, -0.0])
 
@@ -307,7 +315,9 @@ class TestReferenceEquality:
     def test_exact_equals_fraction_recurrence(self, spec, k_max):
         config = NumericConfig(backend="exact", k_max=k_max)
         dist = queue_distribution(spec, config)
-        assert dist == reference_distribution(spec, config)
+        ref = reference_distribution(spec, config)
+        assert dist == ref
+        assert dist.tail == ref.tail
         values = dist.p + dist.tail + (dist.mass_accounted,)
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)  # Python 3.10 pickles a Fraction through str()
@@ -331,8 +341,7 @@ class TestReferenceEquality:
         config = NumericConfig(k_max=k_max)
         dist = queue_distribution(spec, config)
         ref = reference_distribution(spec, config)
-        for name in QueueDistribution.__dataclass_fields__:
-            assert bits(getattr(dist, name)) == bits(getattr(ref, name)), name
+        assert_bitwise_equal(dist, ref)
 
     @staticmethod
     def assert_tables_match(spec, offset):
@@ -382,16 +391,14 @@ class TestReferenceEquality:
     def test_float_division_bitwise_equals_reference(self, case):
         dist = _divide_series(*case)
         ref = reference_divide(*case)
-        for name in QueueDistribution.__dataclass_fields__:
-            assert bits(getattr(dist, name)) == bits(getattr(ref, name)), name
+        assert_bitwise_equal(dist, ref)
 
     def test_float_bitwise_through_breakdown(self, table1, table2):
         for spec in (table1, table2):
             config = NumericConfig(k_max=400)
             dist = queue_distribution(spec, config)
             ref = reference_distribution(spec, config)
-            for name in QueueDistribution.__dataclass_fields__:
-                assert bits(getattr(dist, name)) == bits(getattr(ref, name)), name
+            assert_bitwise_equal(dist, ref)
         assert queue_distribution(table1, NumericConfig(k_max=400)).breakdown_detected
 
 
@@ -477,6 +484,7 @@ class TestConstantBatchDistribution:
         g = tuple([Fraction(0)] * (r - 1) + [Fraction(1)])
         general = queue_distribution(validate(ModelSpec(f, g), cfg.backend), cfg)
         assert special == general
+        assert special.tail == general.tail
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_float_breakdown_and_head(self, r):
@@ -511,9 +519,7 @@ class TestConstantBatchDistribution:
         config = NumericConfig(k_max=150)
         dist, (b0, N, D, _) = self.divide_inputs(monkeypatch, (0.98, 0.01, 0.005, 0.005), 20, config)
         assert max(i for i, c in enumerate(D) if c) == 57
-        ref = reference_divide(b0, N, D, config.k_max)
-        for name in QueueDistribution.__dataclass_fields__:
-            assert bits(getattr(dist, name)) == bits(getattr(ref, name)), name
+        assert_bitwise_equal(dist, reference_divide(b0, N, D, config.k_max))
 
     @pytest.mark.parametrize("backend", ["float64", "exact"])
     @pytest.mark.parametrize("k_max", [0, 1, 50])
@@ -529,6 +535,69 @@ class TestConstantBatchDistribution:
         dist = queue_distribution_constant_batch(f, 2, cfg)
         mean = sum(k * p for k, p in enumerate(dist.p))
         assert abs(mean - Fraction(1, 3)) < Fraction(1, 10**12)
+
+
+TABLE1_FLOAT_F = tuple(float(x) for x in TABLE1_F)
+
+# Every float path that builds a distribution, called with (table1, table2).
+FLOAT_PATHS = {
+    "table1_breakdown": lambda t1, t2: queue_distribution(t1, NumericConfig(k_max=400)),
+    "table2": lambda t1, t2: queue_distribution(t2, NumericConfig(k_max=200)),
+    "divide_series": lambda t1, t2: _divide_series(*windowed_case(33, 150)),
+    "constant_batch_r1": lambda t1, t2: queue_distribution_constant_batch(
+        TABLE1_FLOAT_F, 1, NumericConfig(k_max=100)),
+    "constant_batch_r3": lambda t1, t2: queue_distribution_constant_batch(
+        TABLE1_FLOAT_F, 3, NumericConfig(k_max=100)),
+}
+
+
+class TestLazyTail:
+    """A float distribution stores p alone; its tail is derived and cached on the first read."""
+
+    @pytest.mark.parametrize("path", FLOAT_PATHS)
+    def test_float_tail_derived_on_first_read(self, table1, table2, path):
+        dist, twin = (FLOAT_PATHS[path](table1, table2) for _ in range(2))
+        assert "_tail" not in vars(dist)
+        seen = (hash(dist), repr(dist))
+        unread = (pickle.loads(pickle.dumps(dist)), dataclasses.replace(dist))
+        tail = dist.tail
+        assert dist.tail is tail
+        assert len(tail) == len(dist.p)
+        assert dist == twin and "_tail" not in vars(twin)
+        assert (hash(dist), repr(dist)) == (hash(twin), repr(twin)) == seen
+        read = (pickle.loads(pickle.dumps(dist)), dataclasses.replace(dist))
+        for copy in unread + read:
+            assert copy == dist and hash(copy) == hash(dist)
+            assert bits(copy.tail) == bits(tail)
+
+    @pytest.mark.parametrize("name", ["table1", "table2"])
+    def test_exact_tail_from_the_division(self, request, name):
+        dist = queue_distribution(request.getfixturevalue(f"{name}_exact"),
+                                  NumericConfig(backend="exact", k_max=200))
+        assert "_tail" in vars(dist)
+        derived = dataclasses.replace(dist)  # a new distribution: its tail is 1 - running sums of p
+        assert "_tail" not in vars(derived)
+        assert derived == dist and derived.tail == dist.tail
+
+    def test_float_distribution_holds_one_column(self, table2):
+        # p is 32 B a row (a float and a tuple slot); a stored tail would add as much again
+        config = NumericConfig(k_max=200)
+        queue_distribution(table2, config)  # caches the division kernel and the moments
+        gc.collect()
+        tracemalloc.start()
+        try:
+            dist = queue_distribution(table2, config)
+            gc.collect()  # also empties the float and tuple free lists, which tracemalloc counts
+            held = tracemalloc.get_traced_memory()[0]
+            dist.tail
+            gc.collect()
+            read = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        rows = len(dist.p)
+        assert rows == 201 and not dist.breakdown_detected
+        assert held <= 40 * rows + 1024  # 34.3 B a row on CPython 3.11; 66.5 with a stored tail
+        assert read - held >= 24 * rows  # the read tail is seen
 
 
 class TestPgfEval:
