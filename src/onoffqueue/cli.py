@@ -10,7 +10,8 @@ is expected behavior and reported as footer metadata, not as an error.
 
 Each command validates and computes before it returns, so an error opens
 no output; it returns its text as an iterable of pieces, which `run`
-writes as they come.  The rows of a `dist` or `oracle` table are formatted
+writes as they come.  A `dist` or `oracle` table is handed to `tables` as
+its two columns, p and tail, not as formatted rows; its rows are formatted
 as they are written, a chunk at a time, so its whole CSV text is never held
 at once; its structured text is written a group of rows at a time too.
 """
@@ -29,8 +30,8 @@ from pathlib import Path
 from . import analytic, series
 from .config import EXACT, FLOAT64, NumericConfig
 from .errors import QueueModelError, TruncationBias, ValidationError
-from .model import from_strings, moments, suffix_sums
-from .tables import OutputTable, csv_chunks, distribution_rows, format_scalar, structured_chunks
+from .model import from_strings, moments
+from .tables import DistributionRows, OutputTable, csv_chunks, format_scalar, structured_chunks
 
 
 class CliInputError(Exception):
@@ -78,8 +79,8 @@ def _dist_footer(table, dist, backend):
 
 
 def _distribution_table(p, tail) -> OutputTable:
-    """(k, p, tail) rows, k from 0, formatted as they are read."""
-    return OutputTable(("k", "p", "tail"), distribution_rows(p, tail))
+    """(k, p, tail) rows, k from 0, formatted from the two columns as they are read."""
+    return OutputTable(("k", "p", "tail"), DistributionRows(p, tail))
 
 
 def cmd_validate(args):
@@ -127,20 +128,21 @@ def cmd_dist(args):
 
 
 def cmd_oracle(args):
+    import numpy as np
+
     from . import oracle
 
     spec = load_model(args.path)
     chain = checked(oracle.build_joint_chain, spec=spec, q_cap=args.qcap)
     pi = oracle.joint_stationary(chain)
     marginal = oracle.queue_marginal(chain, pi)
-    probs = marginal.tolist()
-    # P(Q > k) summed from the far end, so small tails do not cancel against 1
-    tails = suffix_sums(probs)[1:] + (0.0,)
-    table = _distribution_table(probs, tails)
+    # P(Q > k) summed one by one from the far end, so small tails do not cancel against 1
+    tails = np.append(np.cumsum(marginal[:0:-1])[::-1], 0.0)
+    table = _distribution_table(marginal, tails)
     table.add_footer("q_cap", args.qcap)
     table.add_footer("states", chain.num_states)
     table.add_footer("kernel_nnz", chain.kernel_nnz)
-    table.add_footer("boundary_mass", probs[-1])
+    table.add_footer("boundary_mass", float(marginal[-1]))
     table.add_footer("residual", oracle.residual(chain, pi))
     try:
         table.add_footer("expected_queue", oracle.oracle_expected_queue(marginal))

@@ -19,10 +19,18 @@ denominators all divide den*d0^(k+1), so u and v are small.  tail[k]'s
 numerator comes from tail[k] = tail[k-1] - p[k] (tail[-1] = 1), checked
 first in integers.  An integer is converted directly where the ratio is no
 smaller than the integer itself, where that identity fails, and on rows
-that are not two Fractions.  A row of two floats is formatted in place,
-with `format_scalar`'s float text.
+that are not two Fractions.  A row of two floats gets `format_scalar`'s
+float text without the call; structured output reads float rows so.
 
-Each rendered text is built by one `str.join` over its pieces, cells and
+A (k, p, tail) table keeps its two columns, as `DistributionRows`.  When
+both hold floats alone (float64 arrays or sequences of floats), its CSV
+forms no rows: `csv_chunks` prints CHUNK_ROWS rows with one printf-style
+`%` over one flat tuple of cells, k, p + 0.0 and tail + 0.0 (the + 0.0 is
+`format_scalar`'s -0.0 rule), and `%.17g` is the same text as
+`format_scalar`'s.  An array column becomes Python floats a chunk at a
+time, never whole.
+
+Any other text is built by one `str.join` over its pieces, cells and
 separators alike, with no per-row line string and no concatenation of the
 whole text.  `csv_chunks` renders a table CHUNK_ROWS rows at a time, and
 `distribution_rows` yields its rows one by one, so an exact table's text
@@ -36,8 +44,9 @@ import json
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice, repeat
 from math import gcd
+from operator import add
 
 # Integer arithmetic in this context is exact at any length; the thread's
 # own context is never used.
@@ -143,6 +152,45 @@ def distribution_rows(p, tail):
         num, den, num_dec, den_dec = c, d, c_dec, d_dec
 
 
+def _column_chunks(column):
+    """column CHUNK_ROWS values at a time; an array's (anything with `tolist`) as Python numbers."""
+    for start in range(0, len(column), CHUNK_ROWS):
+        piece = column[start:start + CHUNK_ROWS]
+        yield piece.tolist() if hasattr(piece, "tolist") else piece
+
+
+class DistributionRows:
+    """The rows of a (k, p, tail) table, k from 0 and tail[k] = P(Q>k), kept
+    as their two columns of equal length: sequences, or arrays with `tolist`.
+
+    Iterating gives `distribution_rows`' rows, an array read a chunk at a time.
+    """
+
+    def __init__(self, p, tail):
+        self.p, self.tail = p, tail
+
+    def __iter__(self):
+        return distribution_rows(*(chain.from_iterable(_column_chunks(c)) for c in (self.p, self.tail)))
+
+    def floats_only(self) -> bool:
+        """Whether each column is a float64 array or a sequence of nothing but floats."""
+        return all(getattr(c, "dtype", None) == float or set(map(type, c)) <= {float}
+                   for c in (self.p, self.tail))
+
+    def float_csv_chunks(self):
+        """The rows as CSV CHUNK_ROWS at a time, each chunk by one `%` over
+        one flat tuple of cells; for columns that hold floats only."""
+        start = 0
+        for p, tail in zip(_column_chunks(self.p), _column_chunks(self.tail)):
+            rows = len(p)
+            cells = [None] * (3 * rows)
+            cells[0::3] = range(start, start + rows)
+            cells[1::3] = map(add, p, repeat(0.0))  # -0.0 + 0.0 is 0.0, as format_scalar
+            cells[2::3] = map(add, tail, repeat(0.0))
+            yield "%d,%.17g,%.17g\n" * rows % tuple(cells)
+            start += rows
+
+
 def render_csv(table: OutputTable) -> str:
     """The table as CSV: header, rows, then one "# key=value" line per footer pair.
 
@@ -165,18 +213,24 @@ def render_csv(table: OutputTable) -> str:
 
 
 def csv_chunks(table: OutputTable):
-    """render_csv(table) in pieces, each from one render_csv call: the header
-    line, the rows CHUNK_ROWS at a time, then the footer lines.
+    """render_csv(table) in pieces: the header line, the rows CHUNK_ROWS at a
+    time, then the footer lines.
 
     The rows are read a chunk at a time as the pieces are, so rows from a
-    generator are formatted as they are written and never held whole.
+    generator are formatted as they are written and never held whole.  Each
+    piece is one render_csv call, except the rows of two float columns
+    (`DistributionRows`), which print by one `%` per chunk.
     """
     yield render_csv(OutputTable(table.columns))
-    rows = iter(table.rows)
-    while chunk := list(islice(rows, CHUNK_ROWS)):
-        if len(chunk[0]) != len(table.columns):
-            raise ValueError("row width does not match the header")
-        yield render_csv(OutputTable((), chunk))
+    rows = table.rows
+    if isinstance(rows, DistributionRows) and rows.floats_only():
+        yield from rows.float_csv_chunks()
+    else:
+        rows = iter(rows)
+        while chunk := list(islice(rows, CHUNK_ROWS)):
+            if len(chunk[0]) != len(table.columns):
+                raise ValueError("row width does not match the header")
+            yield render_csv(OutputTable((), chunk))
     yield render_csv(OutputTable((), footer=table.footer))
 
 

@@ -695,12 +695,21 @@ def limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
 
-def run_limited_oracle(q_cap, stdout):
+# `python -m onoffqueue`, then the process's own peak resident size (KiB) on stderr
+MAIN_THEN_MAXRSS = """import resource, sys
+from onoffqueue.cli import main
+code = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def run_limited_oracle(q_cap, stdout, entry=("-m", "onoffqueue")):
     """Run `oracle` on table1 in a child process capped at 1 GiB of address space."""
     # one BLAS thread: each thread's buffers count against the limit
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), OPENBLAS_NUM_THREADS="1")
     return subprocess.run(
-        [sys.executable, "-m", "onoffqueue", "oracle", str(MODELS_DIR / "table1.json"),
+        [sys.executable, *entry, "oracle", str(MODELS_DIR / "table1.json"),
          "--qcap", str(q_cap)],
         env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
         preexec_fn=limit_address_space,
@@ -721,6 +730,13 @@ class TestOracleStorageBound:
         # 8388608 states: the solve and the residual hold a few 64 MiB arrays
         done = run_limited_oracle(2097151, subprocess.DEVNULL)
         assert (done.returncode, done.stderr) == (0, "")
+
+    def test_largest_peak_rss_is_the_solve(self):
+        # ~205 MB to solve; printing converts the numpy columns a chunk at a
+        # time, where a list of q_cap + 1 Python floats would add ~64 MB each
+        done = run_limited_oracle(2097151, subprocess.DEVNULL, entry=("-c", MAIN_THEN_MAXRSS))
+        assert done.returncode == 0
+        assert int(done.stderr) / 1024 < 300
 
 
 class TestSharedParser:

@@ -1,9 +1,11 @@
 """Row texts of p/tail tables (`distribution_rows` against `format_scalar`) and rendering."""
 
+import json
 import sys
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,9 +20,10 @@ from onoffqueue import (
     queue_marginal,
 )
 from onoffqueue import tables
-from onoffqueue.cli import _distribution_table, main
+from onoffqueue.cli import _distribution_table, load_model, main
 from onoffqueue.model import suffix_sums
 from onoffqueue.tables import (
+    CHUNK_ROWS,
     OutputTable,
     csv_chunks,
     distribution_rows,
@@ -114,6 +117,19 @@ class TestDistributionCells:
         assert [float(row[1]) for row in rows] == marginal
         assert [float(row[2]) for row in rows] == [*suffix_sums(marginal)[1:], 0.0]
 
+    @pytest.mark.parametrize("q_cap", [1000, 100_000])
+    @pytest.mark.parametrize("name", ["table1", "table2"])
+    def test_oracle_tails_are_suffix_sums(self, request, tmp_path, name, q_cap):
+        assert_oracle_columns(tmp_path, request.getfixturevalue(f"{name}_path"), q_cap)
+
+    @settings(max_examples=25, deadline=None)
+    @given(model_specs(), st.integers(0, 3000))
+    def test_random_models_oracle_tails_are_suffix_sums(self, tmp_path_factory, spec, extra):
+        tmp_dir = tmp_path_factory.mktemp("oracle")
+        path = tmp_dir / "model.json"
+        path.write_text(json.dumps({"f": [str(v) for v in spec.f], "g": [str(v) for v in spec.g]}))
+        assert_oracle_columns(tmp_dir, path, spec.m + extra)
+
     def test_empty(self):
         assert list(distribution_rows((), ())) == []
 
@@ -138,6 +154,59 @@ class TestDistributionCells:
         assert max(len(text) for row in cells for text in row) > 4300
         assert cells == per_row(p, tail)
         assert sys.get_int_max_str_digits() == limit
+
+
+def assert_oracle_columns(tmp_dir, path, q_cap):
+    """`oracle`'s p and tail columns hold the bits of the marginal and of its
+    suffix sums summed one by one from the far end, tail[k] = sum(p[k+1:])."""
+    out = tmp_dir / "oracle.csv"
+    assert main(["oracle", str(path), "--qcap", str(q_cap), "--output", str(out)]) == 0
+    rows = parse_csv(out.read_text()).rows
+    chain = build_joint_chain(load_model(str(path)), q_cap)
+    marginal = queue_marginal(chain, joint_stationary(chain)).tolist()
+    tails = suffix_sums(marginal)[1:] + (0.0,)
+    assert [float(row[1]).hex() for row in rows] == [(x + 0.0).hex() for x in marginal]
+    assert [float(row[2]).hex() for row in rows] == [(x + 0.0).hex() for x in tails]
+
+
+# -0.0, 0.0, the least subnormal, the largest subnormal and one between, the least normal, 1.0
+FLOAT_EDGES = [-0.0, 0.0, 5e-324, 2.225073858507201e-308, 1e-310, 2.2250738585072014e-308, 1.0]
+FLOAT_ROWS = [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1]
+
+
+def assert_float_chunks_print_format_scalar(p, tail):
+    """p and tail's CSV, as tuples and as float64 arrays, by the float path
+    and CHUNK_ROWS rows a chunk, against render_csv over format_scalar's texts."""
+    want = render_csv(OutputTable(("k", "p", "tail"), per_row(p, tail)))
+    for columns in ((tuple(p), tuple(tail)), (np.array(p, dtype=float), np.array(tail, dtype=float))):
+        table = _distribution_table(*columns)
+        assert table.rows.floats_only()
+        pieces = list(csv_chunks(table))
+        assert "".join(pieces) == want
+        assert [piece.count("\n") for piece in pieces[1:-1]] == [
+            min(CHUNK_ROWS, len(p) - start) for start in range(0, len(p), CHUNK_ROWS)]
+        assert list(table.rows) == per_row(p, tail)  # the cells structured output reads
+
+
+class TestFloatRows:
+    @pytest.mark.parametrize("rows", FLOAT_ROWS)
+    def test_edge_values_print_format_scalar(self, rows):
+        values = [FLOAT_EDGES[k % len(FLOAT_EDGES)] for k in range(rows)]
+        assert_float_chunks_print_format_scalar(values, values[::-1])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(FLOAT_ROWS), st.data())
+    def test_random_values_print_format_scalar(self, rows, data):
+        values = st.lists(st.one_of(st.sampled_from(FLOAT_EDGES), st.floats()),
+                          min_size=rows, max_size=rows)
+        assert_float_chunks_print_format_scalar(data.draw(values), data.draw(values))
+
+    @pytest.mark.parametrize("p", [(0.5, Fraction(1, 2)), (0.5, 1), (0.5, True), [np.float32(0.5)]])
+    def test_other_cells_take_the_row_path(self, p):
+        table = _distribution_table(p, [0.5] * len(p))
+        assert not table.rows.floats_only()
+        assert "".join(csv_chunks(table)) == render_csv(
+            OutputTable(("k", "p", "tail"), per_row(p, [0.5] * len(p))))
 
 
 _NAMES = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
