@@ -8,12 +8,16 @@ model error, 2 for a file or argument error (an unwritable `--output` or
 stdout included) or a MemoryError.  Float breakdown in `dist`/`compare`
 is expected behavior and reported as footer metadata, not as an error.
 
-Each command validates and computes before it returns, so an error opens
-no output; it returns its text as an iterable of pieces, which `run`
-writes as they come.  A `dist` or `oracle` table is handed to `tables` as
-its two columns, p and tail, not as formatted rows; its rows are formatted
-as they are written, a chunk at a time, so its whole CSV text is never held
-at once; its structured text is written a group of rows at a time too.
+Each command validates its input and checks its model before it returns,
+so an error opens no output; it returns its text as an iterable of pieces,
+which `run` writes as they come.  Every command but exact `dist` also
+computes its result first.  Exact `dist` builds N and D first and divides
+as it writes: `series.exact_rows` makes each row just before it is
+formatted, and the footer is made from the last row.  A float `dist` or
+`oracle` table is handed to `tables` as its two columns, p and tail, not as
+formatted rows.  Rows are formatted as they are written, a chunk at a time,
+so a whole CSV text is never held at once; structured text is written a
+group of rows at a time too.
 """
 
 from __future__ import annotations
@@ -31,7 +35,9 @@ from . import analytic, series
 from .config import EXACT, FLOAT64, NumericConfig
 from .errors import QueueModelError, TruncationBias, ValidationError
 from .model import from_strings, moments
-from .tables import DistributionRows, OutputTable, csv_chunks, format_scalar, structured_chunks
+from .tables import (
+    DistributionRows, OutputTable, csv_chunks, distribution_rows, format_scalar, structured_chunks,
+)
 
 
 class CliInputError(Exception):
@@ -83,6 +89,18 @@ def _distribution_table(p, tail) -> OutputTable:
     return OutputTable(("k", "p", "tail"), DistributionRows(p, tail))
 
 
+def _rows_then_exact_footer(rows, table, k_max):
+    """rows as they come; after the last, the footer `_dist_footer` gives an exact distribution."""
+    tail = None
+    for row in rows:
+        yield row
+        tail = row[1]
+    table.add_footer("backend", EXACT)
+    table.add_footer("k_effective", k_max)
+    table.add_footer("breakdown_detected", False)
+    table.add_footer("mass_accounted", 1 - tail)
+
+
 def cmd_validate(args):
     spec = load_model(args.path)
     return [f"valid; rho={float(moments(spec).rho):.4f}\n"]
@@ -121,6 +139,11 @@ def checked(make, **fields):
 def cmd_dist(args):
     config = checked(NumericConfig, backend=args.backend, k_max=args.kmax)
     spec = load_model(args.path, backend=args.backend)
+    if config.is_exact:
+        table = OutputTable(("k", "p", "tail"))
+        rows = series.exact_rows(spec, config.k_max)
+        table.rows = distribution_rows(_rows_then_exact_footer(rows, table, config.k_max))
+        return render(table, args.format)
     dist = series.queue_distribution(spec, config)
     table = _distribution_table(dist.p, dist.tail)
     _dist_footer(table, dist, args.backend)
@@ -289,7 +312,9 @@ def run(command, args) -> int:
     the command returns.  A model error prints its message (every
     violation, for an invalid model) and gives 1; a file or argument error,
     a failed write to either target included, gives 2, as does a MemoryError.
-    A write that fails part way leaves what was written before it.
+    The pieces may still be computed as they are written (exact `dist`), so
+    a write or a MemoryError that comes part way leaves what was written
+    before it.
     """
     output = getattr(args, "output", None)
     try:

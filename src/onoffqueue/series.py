@@ -25,7 +25,9 @@ convolution (see `_division_kernel`), and every other float sum goes
 left to right through `config.ordered_sum`, so the bits are the same on
 every interpreter.  Exact rationals never break down: N and D are scaled
 to integers and divided with an integer-only recurrence, whose values
-are reduced over the few primes of den*d0 alone (see `_divide_exact`).
+are reduced over the few primes of den*d0 alone (see `_exact_rows`).
+`exact_rows` hands out its rows as they are made, so a caller that
+writes each row before reading the next holds one row, not k_max.
 A float distribution stores p alone: its tail, 1 - running sum of p, is
 derived on the first read, in O(k) once, and cached; the exact division
 stores the tail its recurrence already yields.
@@ -42,7 +44,7 @@ from math import gcd, lcm
 from operator import mul, sub
 from typing import Optional, Sequence
 
-from .config import NumericConfig, Scalar, check_count, ordered_sum
+from .config import EXACT, NumericConfig, Scalar, check_count, ordered_sum
 from .model import ModelSpec, check_stable, coerce, moments, suffix_sums, validate
 
 # Slack on the cumulative-probability guard in float mode.
@@ -234,8 +236,9 @@ def _reduce_over(y: int, M: int, odd_base: int) -> Fraction:
     return _fraction(y, M)
 
 
-def _divide_exact(b0: Fraction, N, D, k_max: int) -> QueueDistribution:
-    """Exact division recurrence over integers, reduced over the primes of b0 and d0.
+def _exact_rows(b0: Fraction, N, D, k_max: int):
+    """Yield (P(Q=k), P(Q>k)) for k = 0..k_max: the exact division recurrence over
+    integers, reduced over the primes of b0 and d0.
 
     With N and D scaled by the lcm of their denominators to integers n_k
     and d_k, the content c = -gcd(d) divided out of d (and folded into
@@ -249,7 +252,8 @@ def _divide_exact(b0: Fraction, N, D, k_max: int) -> QueueDistribution:
     cumulative sum, so P(Q=k) = num*R_k/M and P(Q>k) = (M - num*C_k)/M
     with M = den*d0^(k+1) > 0.  Every prime of M divides den*d0, so each
     value is reduced by `_reduce_over` without a full-width gcd unless an
-    odd prime of den*d0 cancels more than once.
+    odd prime of den*d0 cancels more than once.  Only the last w values
+    of R are kept, so no row is held once it is yielded.
     """
     scale = lcm(*(c.denominator for c in N + D))
     n = [c.numerator * (scale // c.denominator) for c in N]
@@ -262,8 +266,6 @@ def _divide_exact(b0: Fraction, N, D, k_max: int) -> QueueDistribution:
     base = den * d0
     odd_base = base >> ((base & -base).bit_length() - 1)
     R = deque(maxlen=w)  # R_{k-w} .. R_{k-1}
-    p = []
-    tail = []
     cum = 0
     power = 1  # d0^k
     for k in range(k_max + 1):
@@ -275,10 +277,15 @@ def _divide_exact(b0: Fraction, N, D, k_max: int) -> QueueDistribution:
         cum = cum * d0 + acc
         power *= d0
         scaled = den * power
-        p.append(_reduce_over(num * acc, scaled, odd_base))
-        tail.append(_reduce_over(scaled - num * cum, scaled, odd_base))
-    dist = QueueDistribution(tuple(p), 1 - tail[-1])
-    object.__setattr__(dist, "_tail", tuple(tail))  # cheaper than a big Fraction sum per row
+        yield (_reduce_over(num * acc, scaled, odd_base),
+               _reduce_over(scaled - num * cum, scaled, odd_base))
+
+
+def _divide_exact(b0: Fraction, N, D, k_max: int) -> QueueDistribution:
+    """`_exact_rows` collected into a distribution, its tail cache filled from the rows."""
+    p, tail = zip(*_exact_rows(b0, N, D, k_max))
+    dist = QueueDistribution(p, 1 - tail[-1])
+    object.__setattr__(dist, "_tail", tail)  # cheaper than a big Fraction sum per row
     return dist
 
 
@@ -288,18 +295,35 @@ def _divide(b0, N, D, config: NumericConfig) -> QueueDistribution:
     return divide(b0, N, D, config.k_max)
 
 
+def _quotient(spec: ModelSpec, config: NumericConfig) -> tuple:
+    """(b0, N, D) of a validated spec, coerced to config's backend and checked stable."""
+    spec = coerce(spec, config.backend)
+    mom = moments(spec)
+    check_stable(mom.rho)
+    degree = spec.n * (spec.m - 1) + 1  # of N(z); D(z) has no higher term
+    N, D = series_coefficients(spec, g_coefficients(spec, min(config.k_max, degree)))
+    return mom.b0, N, D
+
+
 def queue_distribution(spec: ModelSpec, config: NumericConfig = NumericConfig()) -> QueueDistribution:
     """Full queue-length distribution up to config.k_max.
 
     The spec must already be validated; its parameters are coerced to the
     configured backend before any arithmetic.
     """
-    spec = coerce(spec, config.backend)
-    mom = moments(spec)
-    check_stable(mom.rho)
-    degree = spec.n * (spec.m - 1) + 1  # of N(z); D(z) has no higher term
-    N, D = series_coefficients(spec, g_coefficients(spec, min(config.k_max, degree)))
-    return _divide(mom.b0, N, D, config)
+    return _divide(*_quotient(spec, config), config)
+
+
+def exact_rows(spec: ModelSpec, k_max: int):
+    """An iterator over the exact rows (P(Q=k), P(Q>k)), k = 0..k_max, made as they are read.
+
+    The rows are those of `queue_distribution` on the exact backend, but
+    none is held after it is read.  The spec must already be validated.
+    k_max is checked, the spec coerced and checked stable, and N and D
+    built on this call, so an error is raised before the first row.
+    """
+    config = NumericConfig(EXACT, k_max)
+    return _exact_rows(*_quotient(spec, config), k_max)
 
 
 def queue_distribution_constant_batch(

@@ -8,7 +8,7 @@ significant digits (round-trip exact) and a negative zero prints as 0;
 rationals print as fraction strings, at any length; None prints empty
 and booleans as true/false.
 
-`distribution_rows` numbers the rows of a p/tail table from k = 0 and gives
+`distribution_rows` numbers (p, tail) rows from k = 0 and gives
 their texts with one full int-to-decimal conversion per exact row, the
 numerator of p[k] (str(int) is quadratic in the digit count on CPython
 3.11).  The other three integers come from neighbouring cells in exact
@@ -36,6 +36,10 @@ whole text.  `csv_chunks` renders a table CHUNK_ROWS rows at a time, and
 `distribution_rows` yields its rows one by one, so an exact table's text
 (about 5 MB for `table2` at k=800) is never held whole while it is written.
 `structured_chunks` holds the table's cells, but not its JSON text.
+
+Both renderers read a table's footer only after its last row, so rows
+from a generator may add the footer when they run out: exact `dist` adds
+its footer from the last row it made.
 """
 
 from __future__ import annotations
@@ -117,8 +121,9 @@ def _from_neighbour(new: int, old: int, old_dec: Decimal):
     return _EXACT.divide_int(_EXACT.multiply(old_dec, u), v), u, v
 
 
-def distribution_rows(p, tail):
-    """Yield (str(k), format_scalar(p[k]), format_scalar(tail[k])) for k from 0, tail[k] = P(Q>k).
+def distribution_rows(rows):
+    """Yield (str(k), format_scalar(p), format_scalar(tail)) for each row (p, tail)
+    of rows, k from 0 and tail = P(Q>k).
 
     Rows of two floats print inline and rows of two Fractions with one
     full conversion (see the module docstring); any other row formats cell
@@ -127,7 +132,7 @@ def distribution_rows(p, tail):
     """
     num, den = 1, 1  # tail[k-1], starting from tail[-1] = 1
     num_dec = den_dec = Decimal(1)
-    for k, (pk, tk) in enumerate(zip(p, tail)):
+    for k, (pk, tk) in enumerate(rows):
         if type(pk) is float and type(tk) is float:
             yield str(k), f"{pk + 0.0:.17g}", f"{tk + 0.0:.17g}"  # as format_scalar
             continue
@@ -170,7 +175,8 @@ class DistributionRows:
         self.p, self.tail = p, tail
 
     def __iter__(self):
-        return distribution_rows(*(chain.from_iterable(_column_chunks(c)) for c in (self.p, self.tail)))
+        columns = (chain.from_iterable(_column_chunks(c)) for c in (self.p, self.tail))
+        return distribution_rows(zip(*columns))
 
     def floats_only(self) -> bool:
         """Whether each column is a float64 array or a sequence of nothing but floats."""
@@ -217,7 +223,8 @@ def csv_chunks(table: OutputTable):
     time, then the footer lines.
 
     The rows are read a chunk at a time as the pieces are, so rows from a
-    generator are formatted as they are written and never held whole.  Each
+    generator are formatted as they are written and never held whole.  The
+    footer is read after the last row.  Each
     piece is one render_csv call, except the rows of two float columns
     (`DistributionRows`), which print by one `%` per chunk.
     """
@@ -238,7 +245,8 @@ def structured_chunks(table: OutputTable):
     """The table as indented JSON, its footer as "metadata", in pieces: each
     the join of up to CHUNK_PIECES of the JSON encoder's pieces, then a newline.
 
-    The rows are read whole before the first piece, but the text is never held whole.
+    The rows are read whole before the first piece, and the footer after
+    them, but the text is never held whole.
     """
     payload = {
         "columns": list(table.columns),

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import itertools
 import json
 import os
 import resource
@@ -19,8 +20,8 @@ from hypothesis import strategies as st
 from conftest import MODELS_DIR, REPO_ROOT
 from helpers import TABLE1_F, TABLE1_G, model_specs, parse_csv, reference_kernel
 from onoffqueue import (
-    build_joint_chain, cli, from_strings, joint_stationary, oracle, oracle_expected_queue,
-    queue_marginal, series,
+    NumericConfig, build_joint_chain, cli, from_strings, joint_stationary, oracle,
+    oracle_expected_queue, queue_marginal, series,
 )
 from onoffqueue.cli import main
 from onoffqueue.tables import CHUNK_ROWS, OutputTable, render_csv, structured_chunks
@@ -234,6 +235,18 @@ class TestDistCommand:
         # the bytes exact dist printed when every cell went through str()
         path = request.getfixturevalue(f"{name}_path")
         code, out, _ = run_cli(capsys, "dist", path, "--backend", "exact", "--kmax", str(kmax))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name, digest", [
+        ("table1", "0de3b6b75b4ac5f181aecb1a0ac4feb2ccee852c3be3bce136a582eceb623a54"),
+        ("table2", "67b1cee93a51656556daab436c6398549469a8126f0481388cba912ca84e6b4e"),
+    ])
+    def test_exact_structured_output_bytes(self, capsys, request, name, digest):
+        # the bytes exact dist printed when it computed every row before the first
+        path = request.getfixturevalue(f"{name}_path")
+        code, out, _ = run_cli(capsys, "dist", path, "--backend", "exact", "--kmax", "200",
+                               "--format", "structured")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -517,6 +530,22 @@ class TestStreamedOutput:
         streamed = written_bytes(tmp_dir, command, str(path), k, fmt, whole=False)
         assert streamed == written_bytes(tmp_dir, command, str(path), k, fmt, whole=True)
 
+    @settings(max_examples=30, deadline=None)
+    @given(model_specs(backend="exact"), st.sampled_from(["csv", "structured"]),
+           st.sampled_from(CHUNK_EDGES))
+    def test_exact_dist_is_the_collected_distribution(self, tmp_path_factory, spec, fmt, k):
+        # the streamed rows and footer against those of the whole distribution
+        tmp_dir = tmp_path_factory.mktemp("exact")
+        path = tmp_dir / "model.json"
+        path.write_text(json.dumps({"f": [str(v) for v in spec.f], "g": [str(v) for v in spec.g]}))
+        out = tmp_dir / "out"
+        assert main(["dist", str(path), "--backend", "exact", "--kmax", str(k),
+                     "--format", fmt, "--output", str(out)]) == 0
+        dist = series.queue_distribution(spec, NumericConfig(backend="exact", k_max=k))
+        table = cli._distribution_table(dist.p, dist.tail)
+        cli._dist_footer(table, dist, "exact")
+        assert out.read_text() == "".join(cli.render(table, fmt))
+
     @pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
     def test_model_error_leaves_existing_output(self, capsys, tmp_path, command):
         path = tmp_path / "bad.json"
@@ -549,52 +578,82 @@ class TestStreamedOutput:
             2, "", "error: cannot write /dev/full: [Errno 28] No space left on device\n"
         )
 
-    def test_exact_peak_memory_is_a_few_chunks(self, monkeypatch, tmp_path, table2_path):
-        # traced from when the distribution is computed: formatting and writing only
-        computed = series.queue_distribution
-
-        def then_trace(*args):
-            dist = computed(*args)
-            tracemalloc.start()
-            return dist
-
-        monkeypatch.setattr(series, "queue_distribution", then_trace)
+    def test_exact_peak_memory_is_a_few_chunks(self, tmp_path, table2_path):
+        # the whole command is traced: load, N/D build, division, formatting and writing
         target = tmp_path / "table2.csv"
-        try:
-            code = main(["dist", table2_path, "--backend", "exact", "--kmax", "800",
-                         "--output", str(target)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_main(["dist", table2_path, "--backend", "exact", "--kmax", "800",
+                                  "--output", str(target)])
         assert code == 0
         text = target.read_text()
         rows = text.splitlines(keepends=True)[1:802]
         chunks = (rows[i:i + CHUNK_ROWS] for i in range(0, len(rows), CHUNK_ROWS))
         largest = max(sum(map(len, chunk)) for chunk in chunks)
         assert len(text) > 6 * largest  # 4.99 MB, the largest chunk 0.73 MB
-        # the chunk's cells, its text and the bytes it is encoded to
+        assert peak > largest  # tracing saw the formatting
+        # the chunk's cells, its text and the bytes it is encoded to: 3.1 times
+        # the largest chunk, and 6.3 times when every row was computed first
         assert peak <= 4 * largest
         assert peak <= len(text) / 2
 
-    def test_exact_structured_peak_memory_is_the_cells(self, monkeypatch, tmp_path, table2_path):
-        # the cells are held whole, the JSON text 64 rows at a time: 7.4 MB for 5.0 MB
-        computed = series.queue_distribution
-
-        def then_trace(*args):
-            dist = computed(*args)
-            tracemalloc.start()
-            return dist
-
-        monkeypatch.setattr(series, "queue_distribution", then_trace)
+    def test_exact_structured_peak_memory_is_the_cells(self, tmp_path, table2_path):
+        # the cells are held whole, the JSON text 64 rows at a time: the whole
+        # command peaks at 7.4 MB for 5.0 MB, 9.8 MB when every row was computed first
         target = tmp_path / "table2.json"
-        try:
-            code = main(["dist", table2_path, "--backend", "exact", "--kmax", "800",
-                         "--format", "structured", "--output", str(target)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_main(["dist", table2_path, "--backend", "exact", "--kmax", "800",
+                                  "--format", "structured", "--output", str(target)])
         assert code == 0
-        assert peak <= 1.6 * target.stat().st_size  # 3.1 times when the text was built whole
+        size = target.stat().st_size
+        assert peak > size  # tracing saw the cells
+        assert peak <= 1.6 * size
+
+    @pytest.mark.parametrize("model, reason", [
+        ('{"f": ["0.5", "0.4"], "g": ["1.0"]}', "sums to 0.9"),
+        ('{"f": ["0.6", "0.2", "0.1", "0.05", "0.05"], "g": ["0", "0", "0", "0", "1.0"]}', "rho"),
+    ], ids=["invalid", "unstable"])
+    @pytest.mark.parametrize("fmt", ["csv", "structured"])
+    def test_exact_model_error_leaves_existing_output(self, capsys, tmp_path, model, reason, fmt):
+        # the checks run before the target is opened, not when the first row is read
+        path = tmp_path / "model.json"
+        path.write_text(model)
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"earlier output\n")
+        code, out, err = run_cli(capsys, "dist", str(path), "--backend", "exact", "--kmax", "5",
+                                 "--format", fmt, "--output", str(target))
+        assert (code, out) == (1, "")
+        assert err.startswith("invalid model:") and reason in err
+        assert target.read_bytes() == b"earlier output\n"
+
+    def test_exact_memory_error_part_way_leaves_the_rows_before_it(
+            self, capsys, monkeypatch, tmp_path, table1_path):
+        # exact dist divides as it writes, so what came before the error stays
+        rows = series.exact_rows
+
+        def exhausted_after_100(spec, k_max):
+            yield from itertools.islice(rows(spec, k_max), 100)
+            raise MemoryError
+
+        monkeypatch.setattr(series, "exact_rows", exhausted_after_100)
+        target = tmp_path / "out.csv"
+        code, out, err = run_cli(capsys, "dist", table1_path, "--backend", "exact",
+                                 "--kmax", "200", "--output", str(target))
+        assert (code, out, err) == (2, "", "error: out of memory\n")
+        lines = target.read_text().splitlines()
+        assert lines[0] == "k,p,tail"
+        assert [line.split(",")[0] for line in lines[1:]] == [str(k) for k in range(64)]
+
+
+def traced_main(argv):
+    """main(argv)'s exit status and the tracemalloc peak of the whole call.
+
+    The shared parser is built first, as it is for any call after a process's first.
+    """
+    cli._shared_parser()
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestNumericArguments:
@@ -690,9 +749,10 @@ class TestProcessBoundary:
         )
 
 
-def limit_address_space():
-    """Cap the child's address space at 1 GiB, so an unbounded allocation fails fast."""
-    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+def limit_address_space(size=2**30):
+    """Cap the child's address space at size bytes, 1 GiB by default, so an
+    unbounded allocation fails fast."""
+    resource.setrlimit(resource.RLIMIT_AS, (size, size))
 
 
 # `python -m onoffqueue`, then the process's own peak resident size (KiB) on stderr
@@ -737,6 +797,21 @@ class TestOracleStorageBound:
         done = run_limited_oracle(2097151, subprocess.DEVNULL, entry=("-c", MAIN_THEN_MAXRSS))
         assert done.returncode == 0
         assert int(done.stderr) / 1024 < 300
+
+
+class TestExactStreamBound:
+    def test_deep_table_runs_in_64_mib(self):
+        # 3001 rows, 70 MB of text, in about 28 MB of peak RSS since each row
+        # is written as it is made; computing every row first peaks at 63 MB
+        # and runs out of memory under this limit
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "onoffqueue", "dist", str(MODELS_DIR / "table2.json"),
+             "--backend", "exact", "--kmax", "3000"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=120,
+            preexec_fn=lambda: limit_address_space(64 * 2**20),
+        )
+        assert (done.returncode, done.stderr) == (0, "")
 
 
 class TestSharedParser:

@@ -7,7 +7,7 @@ import pickle
 import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from math import gcd
 
 import pytest
@@ -598,6 +598,27 @@ class TestLazyTail:
         assert rows == 201 and not dist.breakdown_detected
         assert held <= 40 * rows + 1024  # 34.3 B a row on CPython 3.11; 66.5 with a stored tail
         assert read - held >= 24 * rows  # the read tail is seen
+
+
+class TestExactRows:
+    """`exact_rows` gives the exact distribution's rows one at a time, as they are read."""
+
+    @given(model_specs(backend="exact"), st.integers(0, 80))
+    @settings(max_examples=30, deadline=None)
+    def test_rows_are_the_distribution(self, spec, k_max):
+        dist = queue_distribution(spec, NumericConfig(backend="exact", k_max=k_max))
+        assert list(series.exact_rows(spec, k_max)) == list(zip(dist.p, dist.tail))
+
+    def test_checks_run_on_the_call(self, table1_exact):
+        with pytest.raises(Unstable):
+            series.exact_rows(ModelSpec((0.25, 0.75), (0.0, 0.0, 1.0)), 5)  # rho > 1
+        with pytest.raises(ValueError, match="k_max"):
+            series.exact_rows(table1_exact, -1)
+
+    def test_a_row_is_made_when_it_is_read(self, table2_exact):
+        rows = series.exact_rows(table2_exact, sys.maxsize)  # no list could hold them all
+        dist = queue_distribution(table2_exact, NumericConfig(backend="exact", k_max=2))
+        assert list(islice(rows, 3)) == list(zip(dist.p, dist.tail))
 
 
 class TestPgfEval:

@@ -64,14 +64,14 @@ class TestDistributionCells:
     @given(model_specs(backend="exact"), st.integers(0, 120))
     def test_exact_models_match_per_cell(self, spec, k_max):
         dist = queue_distribution(spec, NumericConfig(backend="exact", k_max=k_max))
-        assert list(distribution_rows(dist.p, dist.tail)) == per_row(dist.p, dist.tail)
+        assert list(distribution_rows(zip(dist.p, dist.tail))) == per_row(dist.p, dist.tail)
 
     @pytest.mark.parametrize("name", ["table1", "table2"])
     def test_one_conversion_per_row(self, request, conversions, name):
         # row 0 also converts its denominator and tail numerator: tail[-1] = 1
         spec = request.getfixturevalue(f"{name}_exact")
         dist = queue_distribution(spec, NumericConfig(backend="exact", k_max=200))
-        cells = list(distribution_rows(dist.p, dist.tail))
+        cells = list(distribution_rows(zip(dist.p, dist.tail)))
         assert cells == per_row(dist.p, dist.tail)
         assert len(conversions) == len(cells) + 2
         assert conversions[3:] == [p.numerator for p in dist.p[1:]]
@@ -80,21 +80,21 @@ class TestDistributionCells:
         base = 3**200
         p = [Fraction(1, base), Fraction(2, 3 * base)]
         tail = [1 - p[0], 1 - p[0] - p[1] + Fraction(1, 3 * base)]  # off by 1/(3*base)
-        assert list(distribution_rows(p, tail)) == per_row(p, tail)
+        assert list(distribution_rows(zip(p, tail))) == per_row(p, tail)
         # row 1 derives its denominator (ratio 3) but not its tail numerator
         assert conversions[3:] == [2, tail[1].numerator]
 
     def test_unrelated_large_denominators(self, conversions):
         p = [Fraction(1, 5**300), Fraction(1, 7**300)]
         tail = [Fraction(2, 11**300), Fraction(3, 13**300)]
-        assert list(distribution_rows(p, tail)) == per_row(p, tail)
+        assert list(distribution_rows(zip(p, tail))) == per_row(p, tail)
         assert len(conversions) == 8  # every integer of both rows
 
     def test_float_and_mixed_rows(self, conversions):
         base = 3**200
         p = [0.5, -0.0, Fraction(1, base), 0.25, Fraction(1, 7), 1, Fraction(1, 3 * base)]
         tail = [0.5, 0.5, 1 - p[2], 0.25, 0.125, Fraction(2, 5), 1 - p[2] - p[6]]
-        cells = list(distribution_rows(p, tail))
+        cells = list(distribution_rows(zip(p, tail)))
         assert cells == per_row(p, tail)
         assert cells[1] == ("1", "0", "0.5")
         assert cells[4:6] == [("4", "1/7", "0.125"), ("5", "1", "2/5")]
@@ -105,7 +105,7 @@ class TestDistributionCells:
         values = [-0.0, 0.0, 5e-324, 1e-300, 0.1, 1 / 3, 1.0]
         p = [x for x in values for _ in values]
         tail = [y for _ in values for y in values]
-        assert list(distribution_rows(p, tail)) == per_row(p, tail)
+        assert list(distribution_rows(zip(p, tail))) == per_row(p, tail)
 
     def test_oracle_rows_parse_back(self, tmp_path, table2, table2_path):
         out = tmp_path / "oracle.csv"
@@ -131,25 +131,25 @@ class TestDistributionCells:
         assert_oracle_columns(tmp_dir, path, spec.m + extra)
 
     def test_empty(self):
-        assert list(distribution_rows((), ())) == []
+        assert list(distribution_rows(())) == []
 
     def test_zero_and_denominator_one_rows(self):
         spec = from_strings(["0.5", "0.5"], ["1"], backend="exact")
         dist = queue_distribution(spec, NumericConfig(backend="exact", k_max=4))
-        assert list(distribution_rows(dist.p, dist.tail)) == [("0", "1", "0")] + [
+        assert list(distribution_rows(zip(dist.p, dist.tail))) == [("0", "1", "0")] + [
             (str(k), "0", "0") for k in range(1, 5)]
 
     def test_negative_and_integer_cells(self):
         p = [Fraction(3, 2), Fraction(-5, 4), Fraction(1), Fraction(0)]
         tail = tails_of(p)
-        assert list(distribution_rows(p, tail)) == per_row(p, tail)
+        assert list(distribution_rows(zip(p, tail))) == per_row(p, tail)
 
     def test_rows_past_int_str_digit_limit(self):
         limit = sys.get_int_max_str_digits()
         q = Fraction(1, 7**5200)  # 4395 digits, past the default limit of 4300
         p = [q * 6**k / 7**k for k in range(4)]
         tail = tails_of(p)
-        cells = list(distribution_rows(p, tail))
+        cells = list(distribution_rows(zip(p, tail)))
         assert sys.get_int_max_str_digits() == limit
         assert max(len(text) for row in cells for text in row) > 4300
         assert cells == per_row(p, tail)
@@ -245,6 +245,23 @@ class TestRender:
         again = parse_csv(text)
         assert again.columns == table.columns
         assert (again.rows, again.footer) == (table.rows, table.footer)
+
+    @pytest.mark.parametrize("rows", [0, 1, 64, 65])
+    @pytest.mark.parametrize("render", [csv_chunks, structured_chunks])
+    def test_footer_read_after_the_last_row(self, render, rows):
+        # rows from a generator may add the footer when they run out, as exact dist does
+        table = OutputTable(columns=("k", "p"))
+
+        def rows_then_footer():
+            for k in range(rows):
+                yield str(k), str(k * k)
+            table.add_footer("rows", rows)
+
+        table.rows = rows_then_footer()
+        text = "".join(render(table))
+        want = OutputTable(("k", "p"), [(str(k), str(k * k)) for k in range(rows)],
+                           [("rows", str(rows))])
+        assert text == "".join(render(want))
 
     @pytest.mark.parametrize("row", [("1",), ("1", "2", "3")])
     def test_ragged_row_rejected(self, row):
