@@ -5,8 +5,9 @@ Model files are JSON documents with two arrays of decimal strings, `f`
 kept as literal strings while parsing so the exact backend sees the
 decimals the user wrote.  Exit status is 0 iff no error occurred: 1 for a
 model error, 2 for a file or argument error (an unwritable `--output` or
-stdout included) or a MemoryError.  Float breakdown in `dist`/`compare`
-is expected behavior and reported as footer metadata, not as an error.
+stdout included), a MemoryError or a missing numpy (`oracle`, `simulate`
+and `compare` need it).  Float breakdown in `dist`/`compare` is expected
+behavior and reported as footer metadata, not as an error.
 
 Each command validates its input and checks its model before it returns,
 so an error opens no output; it returns its text as an iterable of pieces,
@@ -311,7 +312,8 @@ def run(command, args) -> int:
     with LF line endings, each as it comes; the target is opened once, after
     the command returns.  A model error prints its message (every
     violation, for an invalid model) and gives 1; a file or argument error,
-    a failed write to either target included, gives 2, as does a MemoryError.
+    a failed write to either target included, gives 2, as do a MemoryError
+    and a command that needs numpy when numpy is not installed.
     The pieces may still be computed as they are written (exact `dist`), so
     a write or a MemoryError that comes part way leaves what was written
     before it.
@@ -338,6 +340,11 @@ def run(command, args) -> int:
         return 1
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        print(f"error: {args.command} needs numpy, which is not installed", file=sys.stderr)
         return 2
     except MemoryError as exc:  # numpy's names the allocation it failed; Python's is empty
         if output is None:

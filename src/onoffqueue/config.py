@@ -28,8 +28,10 @@ def canonical_backend(name: str) -> str:
 
 def ordered_sum(values):
     """0 + values[0] + values[1] + ..., strictly left to right, as the builtin sum() was
-    until Python 3.12 made float sums compensated.  Every sum that can see floats uses it, so
-    float output is the same on every interpreter; Fractions add exactly, as with sum()."""
+    until Python 3.12 made float sums compensated.  Every sum that can see floats uses it, or
+    keeps its order in a plain loop: one per row of `series.series_coefficients` and one per
+    vector of `model._moments`.  So float output is the same on every interpreter; Fractions
+    add exactly, as with sum()."""
     total = 0
     for v in values:
         total = total + v

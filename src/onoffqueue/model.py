@@ -212,10 +212,13 @@ def moments(spec: ModelSpec) -> MomentSummary:
 
 
 def _moments(spec: ModelSpec) -> MomentSummary:
-    f_bar = ordered_sum(i * p for i, p in enumerate(spec.f))
-    f2_bar = ordered_sum(i * i * p for i, p in enumerate(spec.f))
-    g_bar = ordered_sum(i * p for i, p in enumerate(spec.g, start=1))
-    g2_bar = ordered_sum(i * i * p for i, p in enumerate(spec.g, start=1))
+    f_bar = f2_bar = g_bar = g2_bar = 0  # one pass per vector, in `ordered_sum`'s order
+    for i, p in enumerate(spec.f):
+        f_bar = f_bar + i * p
+        f2_bar = f2_bar + i * i * p
+    for i, p in enumerate(spec.g, start=1):
+        g_bar = g_bar + i * p
+        g2_bar = g2_bar + i * i * p
     rho = g_bar * f_bar / (1 + f_bar)
     return MomentSummary(
         f_bar=f_bar,

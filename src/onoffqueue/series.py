@@ -22,8 +22,9 @@ relative before it comes at 41, and table2 to k = 200 is off from row
 149 with none; use `--backend exact` for the tail.  The float division
 runs a straight-line kernel per window width with the bits of the plain
 convolution (see `_division_kernel`), and every other float sum goes
-left to right through `config.ordered_sum`, so the bits are the same on
-every interpreter.  Exact rationals never break down: N and D are scaled
+left to right from the int 0, by `config.ordered_sum` or by the one loop
+per row of `series_coefficients`, so the bits are the same on every
+interpreter.  Exact rationals never break down: N and D are scaled
 to integers and divided with an integer-only recurrence, whose values
 are reduced over the few primes of den*d0 alone (see `_exact_rows`).
 `exact_rows` hands out its rows as they are made, so a caller that
@@ -41,10 +42,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from math import gcd, lcm
-from operator import mul, sub
+from operator import sub
 from typing import Optional, Sequence
 
-from .config import EXACT, NumericConfig, Scalar, check_count, ordered_sum
+from .config import EXACT, NumericConfig, Scalar, check_count
 from .model import ModelSpec, check_stable, coerce, moments, suffix_sums, validate
 
 # Slack on the cumulative-probability guard in float mode.
@@ -130,9 +131,12 @@ def series_coefficients(spec: ModelSpec, G: Sequence) -> tuple:
     D = []
     prev = (zero,) * len(F)
     for i, row in enumerate(G):
-        d = (1 if i == 1 else 0) - ordered_sum(map(mul, f, row))
-        D.append(d + zero)
-        N.append(ordered_sum(map(mul, map(sub, prev, row), F)) + zero)
+        d = n = 0  # both sums left to right from the int 0, as `ordered_sum` adds
+        for fj, Fj, a, c in zip(f, F, prev, row):
+            d = d + fj * c
+            n = n + (a - c) * Fj
+        D.append((1 if i == 1 else 0) - d + zero)
+        N.append(n + zero)
         prev = row
     return tuple(N), tuple(D)
 
@@ -197,7 +201,10 @@ def _divide_series(b0, N, D, k_max: int) -> QueueDistribution:
     `_division_kernel(w)`.  It rounds each product and subtracts them
     oldest first, as the plain convolution does, so the bits are the same.
     """
-    w = min(k_max, max(i for i, c in enumerate(D) if c))
+    w = len(D) - 1  # the last nonzero index of D
+    while w and not D[w]:
+        w -= 1
+    w = min(k_max, w)
     head = [c * b0 for c in N[: k_max + 1]]
     rows = chain(head, repeat(0.0, k_max + 1 - len(head)))
     p, running, breakdown = _division_kernel(w)(rows, D[w:0:-1], D[0], 1 + MASS_EXCESS_TOL)

@@ -44,6 +44,9 @@ TABLE1_G = ("0.4", "0.4", "0.2")
 TABLE2_F = ("0.6", "0.2", "0.1", "0.05", "0.05")
 TABLE2_G = ("0.2", "0.6", "0.1", "0.1")
 
+# Negative zeros in both vectors: a float spec taken as given keeps them.
+SIGNED_ZEROS = validate(ModelSpec((0.8, -0.0, 0.1, 0.1), (-0.0, 0.75, 0.25)))
+
 
 def build_model(on_weights, g_weights, rho_pct, backend=FLOAT64) -> ModelSpec:
     """Validated model with utilization at most rho_pct / 100.

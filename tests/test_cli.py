@@ -709,6 +709,36 @@ class TestOutOfMemory:
         assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")
 
 
+# cli.main with numpy made unimportable, as on an install without it.
+WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy raises ModuleNotFoundError
+from onoffqueue import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+class TestMissingNumpy:
+    @pytest.mark.parametrize("command", ["oracle", "simulate", "compare"])
+    def test_one_line_exit_2_no_file(self, tmp_path, table1_path, command):
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        output = tmp_path / "out.csv"
+        done = subprocess.run([sys.executable, "-c", WITHOUT_NUMPY, command, table1_path,
+                               "--output", str(output)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, "", f"error: {command} needs numpy, which is not installed\n")
+        assert not output.exists()
+
+    def test_other_missing_module_still_raises(self, capsys, monkeypatch, table1_path):
+        def missing(args):
+            raise ModuleNotFoundError("No module named 'numpyish'", name="numpyish")
+
+        monkeypatch.setattr(cli, "cmd_oracle", missing)
+        with pytest.raises(ModuleNotFoundError):
+            main(["oracle", table1_path])
+
+
 def run_process(*argv):
     """`python -m onoffqueue` with argv, in a child process."""
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))

@@ -12,11 +12,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import onoffqueue.model as model_module
-from helpers import TABLE1_F, TABLE1_G, model_specs, reference_moments, transition_matrix
+from helpers import (SIGNED_ZEROS, TABLE1_F, TABLE1_G, TABLE2_F, TABLE2_G, model_specs,
+                     reference_moments, transition_matrix)
 from onoffqueue import (
     ModelSpec,
     NonStochasticVector,
@@ -364,6 +365,11 @@ class TestMomentsOncePerSpec:
 
     @given(st.sampled_from(["float64", "exact"]).flatmap(lambda backend: model_specs(backend=backend)))
     @settings(max_examples=60, deadline=None)
+    @example(SIGNED_ZEROS)
+    @example(from_strings(TABLE1_F, TABLE1_G))
+    @example(from_strings(TABLE2_F, TABLE2_G))
+    @example(from_strings(TABLE1_F, TABLE1_G, "exact"))
+    @example(from_strings(TABLE2_F, TABLE2_G, "exact"))
     def test_kept_values_match_a_fresh_computation(self, spec):
         assert bits(moments(spec)) == bits(reference_moments(spec))
         assert moments(spec) is moments(spec)

@@ -1,9 +1,11 @@
 """Power-series recursion: coefficient tables, division, breakdown, pgf."""
 
+import builtins
 import dataclasses
 import gc
 import hashlib
 import pickle
+import random
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -15,10 +17,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    SIGNED_ZEROS,
     TABLE1_F,
     TABLE1_G,
     TABLE2_F,
     TABLE2_G,
+    build_model,
     light_f_vectors,
     model_specs,
     reference_distribution,
@@ -40,9 +44,11 @@ from onoffqueue import (
     pgf_eval,
     queue_distribution,
     queue_distribution_constant_batch,
+    report,
     validate,
 )
 from onoffqueue import series
+from onoffqueue.cli import main
 from onoffqueue.series import (_divide_series, deflated_coefficients, g_coefficients,
                                series_coefficients)
 
@@ -285,8 +291,8 @@ def windowed_case(window, k_max):
 # Below, at and above the degree n*(m-1)+1 of N and D, where the tables stop.
 DEGREE_OFFSETS = st.integers(-3, 3) | st.integers(4, 60)
 
-# Negative zeros in both vectors: a float spec taken as given keeps them.
-SIGNED_ZEROS = validate(ModelSpec((0.8, -0.0, 0.1, 0.1), (-0.0, 0.75, 0.25)))
+# n = 10 and m = 8, past `model_specs()`: rows of 11 cells, N and D of degree 71.
+LARGE = ((5, 1, 9, 2, 7, 3, 8, 4, 6, 10), (3, 9, 1, 7, 2, 8, 4, 6), 95)
 
 
 class TestReferenceEquality:
@@ -355,6 +361,7 @@ class TestReferenceEquality:
 
     @given(model_specs(), DEGREE_OFFSETS)
     @settings(max_examples=100, deadline=None)
+    @example(build_model(*LARGE), 3)
     def test_float_tables_bitwise_equal_reference(self, spec, offset):
         self.assert_tables_match(spec, offset)
 
@@ -370,6 +377,7 @@ class TestReferenceEquality:
 
     @given(model_specs(backend="exact"), DEGREE_OFFSETS)
     @settings(max_examples=40, deadline=None)
+    @example(build_model(*LARGE, backend="exact"), 3)
     def test_exact_tables_equal_reference(self, spec, offset):
         self.assert_tables_match(spec, offset)
 
@@ -400,6 +408,52 @@ class TestReferenceEquality:
             ref = reference_distribution(spec, config)
             assert_bitwise_equal(dist, ref)
         assert queue_distribution(table1, NumericConfig(k_max=400)).breakdown_detected
+
+
+def digest_models(seed, count):
+    """count float models from a seeded stdlib generator: n up to 10, m up to 8, rho up to 0.95."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        on = [rng.randint(1, 1000) for _ in range(rng.randint(1, 10))]
+        sizes = [rng.randint(1, 1000) for _ in range(rng.randint(1, 8))]
+        yield build_model(on, sizes, rng.randint(5, 95))
+
+
+class TestFloatDigest:
+    """The float bits over a domain wider than `model_specs()`, pinned on every interpreter."""
+
+    def test_moments_and_distributions_keep_their_bits(self):
+        digest = hashlib.sha256()
+        for spec in digest_models(seed=40, count=300):
+            dist = queue_distribution(spec, NumericConfig(k_max=200))
+            fields = (dataclasses.astuple(moments(spec)), dist.p, dist.breakdown_index,
+                      dist.breakdown_value, dist.breakdown_reason, dist.mass_accounted)
+            digest.update(repr(bits(fields)).encode())
+        # the bits of the generator folds through `ordered_sum` that `reference_tables`
+        # and `reference_moments` keep
+        assert digest.hexdigest() == "9f5e3be829a647cd1e9f9c50912eb2195560b81cc23eab60520173f8d609999d"
+
+
+class TestNoBuiltinSum:
+    """No float path calls the builtin sum(), which is compensated from Python 3.12."""
+
+    def test_float_paths_run_with_sum_refused(self, monkeypatch, capsys, table1_path, table2_path):
+        built = [SIGNED_ZEROS, build_model(*LARGE)]  # build_model itself calls sum()
+
+        def refused(*args, **kwargs):
+            raise AssertionError("builtin sum() called")
+
+        monkeypatch.setattr(builtins, "sum", refused)
+        parsed = [from_strings(TABLE1_F, TABLE1_G), from_strings(TABLE2_F, TABLE2_G)]
+        for spec in parsed + built:
+            report(moments(spec))
+            assert queue_distribution(spec, NumericConfig(k_max=300)).tail
+            assert 0 < pgf_eval(spec, 0.5) < 1
+        for r in (1, 3):
+            assert queue_distribution_constant_batch(TABLE1_F, r, NumericConfig(k_max=100)).tail
+        for path in (table1_path, table2_path):
+            assert main(["dist", path, "--kmax", "300"]) == 0
+        assert capsys.readouterr().out
 
 
 class TestDeflatedCoefficients:
