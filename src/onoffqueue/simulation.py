@@ -21,16 +21,20 @@ carry into the next, so no draw is discarded and the tallies do not
 depend on how many are drawn ahead.  The queue after slot t is
 S_t - min(-Q_0, min_{s<=t} S_s), with S the running sum of a.  Draws are
 binned into the narrowest integer type that also holds -1 (int8 for up
-to 128 steps), and the Lindley step runs in place in one int64 buffer
-besides S.  The queue length, the first off slot past the block and the
-unused on-periods carry into the next block, and across the
+to 128 steps), and the Lindley step runs in place in an int64 copy of
+them besides S.  The queue length, the first off slot past the block and
+the unused on-periods carry into the next block, and across the
 burn-in/tally boundary.  The integer arithmetic is exact, so every report
 is bitwise reproducible.
 
-`simulate` runs the replications concurrently on a thread pool (numpy
-releases the GIL in the draws, running sums and counts that dominate a
-block) and pools their tallies in run order, so its report does not depend
-on the number of workers.
+`simulate` runs the replications concurrently on a thread pool and pools
+their tallies in run order, so its report does not depend on the number
+of workers.  numpy releases the GIL in the draws and in the running sums
+and minima that dominate a block, so the runs overlap.  A running sum
+releases it only with the same dtype in and out, written to an array it
+does not read: one that casts (int8 into int64) or writes over its input
+goes through numpy's buffered iterator, which holds the GIL.  So both
+running sums sum int64 into a new array.
 
 Confidence intervals are computed across runs with the t distribution,
 since within-run samples are autocorrelated.  Its 0.975 quantile comes
@@ -210,30 +214,33 @@ def simulate_run(spec: ModelSpec, config: SimulationConfig, run_index: int) -> R
                     ahead = np.concatenate((ahead, drawn))
                 # ends[i] = first + sum_{j<=i} (1 + ahead[j]), the off slot
                 # after the one that draws ahead[i]
-                ends = ahead[:want].astype(np.int64)
-                ends += 1
-                ends[0] += first
-                np.cumsum(ends, out=ends)
+                hops = ahead[:want].astype(np.int64)
+                hops += 1
+                hops[0] += first
+                ends = np.cumsum(hops)  # not in place, which holds the GIL
                 inside = int(np.searchsorted(ends, size))
                 step[first] = -1
                 step[ends[:inside]] = -1
                 first = int(ends[inside]) - size
                 ahead = ahead[inside + 1 :]
-                del ends  # before the Lindley buffers are made
+                del hops, ends  # before the Lindley buffers are made
             else:
                 first -= size
-            # Lindley: the queue after slot t is S_t - min(-q, min_{s<=t} S_s)
-            after = np.cumsum(step, dtype=np.int64)
-            low = np.minimum.accumulate(after)
+            # Lindley: the queue after slot t is S_t - min(-q, min_{s<=t} S_s);
+            # cast before the running sum, which then releases the GIL
+            low = step.astype(np.int64)
+            after = np.cumsum(low)
+            np.minimum.accumulate(after, out=low)
             np.minimum(low, -q, out=low)
             np.subtract(after, low, out=after)
             # the queue as each slot starts is q, then after[:-1]
             q_start, q = q, int(after[-1])
             block_sum = q_start + int(after.sum()) - q
-            counts += np.bincount(np.minimum(after, lump, out=low), minlength=lump + 1)
+            tally = np.bincount(np.minimum(after, lump, out=low))  # values <= lump
+            counts[: len(tally)] += tally
             counts[min(q_start, lump)] += 1
             counts[min(q, lump)] -= 1
-            del after, low  # before the next block's arrays are made
+            del after, low, tally  # before the next block's arrays are made
             queue_sum += block_sum
             if size == _CHUNK:
                 batch_sums.append(block_sum)

@@ -1,5 +1,6 @@
 """Monte Carlo engine: determinism, conservation, CIs, statistical sanity."""
 
+import hashlib
 import math
 import statistics
 import threading
@@ -113,6 +114,9 @@ class TestBlockEqualsReference:
              k_max=4, seed=0, run_index=0)
     @example(spec=ModelSpec(RARE_LONG_ON, (0.9, 0.1)), burn_in=_CHUNK - 1,
              length=2 * _CHUNK + 1, k_max=4, seed=0, run_index=0)
+    # k_max far above every queue: each block counts only to its largest
+    @example(spec=ModelSpec(LONG_ON, (0.4, 0.4, 0.2)), burn_in=1, length=_CHUNK + 1,
+             k_max=200_000, seed=0, run_index=2)
     @settings(max_examples=25, deadline=None)
     def test_random_models_around_block_edges(self, spec, burn_in, length, k_max, seed, run_index):
         config = SimulationConfig(iterations=burn_in + length, runs=1, burn_in=burn_in,
@@ -182,6 +186,37 @@ class TestConcurrentRuns:
             if workers is not None:
                 patch.setattr(simulation, "_worker_count", lambda runs: workers)
             assert simulate(spec, config) == serial(spec, config)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pinned_benchmark_tallies(self, table2, monkeypatch, workers):
+        # the benchmark's compare run on table2; the digest covers integers
+        # only, so no numpy release can move it
+        tallies = []
+        pool = simulation.aggregate
+        monkeypatch.setattr(simulation, "aggregate",
+                            lambda runs, seed=0: tallies.extend(runs) or pool(runs, seed))
+        monkeypatch.setattr(simulation, "_worker_count", lambda runs: workers)
+        simulate(table2, SimulationConfig(iterations=1_000_000, runs=4, burn_in=10_000,
+                                          seed=1, k_max=60))
+        fields = [(t.run_index, t.counts, t.lumped, t.queue_sum, t.batch_sums) for t in tallies]
+        assert hashlib.sha256(repr(fields).encode()).hexdigest() == (
+            "3a7a12aa194567cadd2cbd38155aa1e34018364647dc6d6966303939205ec1cf"
+        )
+
+    def test_running_sums_release_the_gil(self, table2, monkeypatch):
+        # numpy releases the GIL in a running sum only when it neither casts
+        # nor writes over its input, so that the runs on the pool overlap
+        cumsum = np.cumsum
+        calls = set()  # (input dtype, output dtype, output overlaps input)
+
+        def recorded(a, axis=None, dtype=None, out=None):
+            result = cumsum(a, axis=axis, dtype=dtype, out=out)
+            calls.add((a.dtype.name, result.dtype.name, np.shares_memory(result, a)))
+            return result
+
+        monkeypatch.setattr(np, "cumsum", recorded)
+        simulate_run(table2, EDGE, 0)
+        assert calls == {("int64", "int64", False)}
 
     def test_worker_count_bounded_by_runs_and_cpus(self):
         assert simulation._worker_count(1) == 1
