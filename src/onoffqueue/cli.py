@@ -12,7 +12,7 @@ behavior and reported as footer metadata, not as an error.
 Each command validates its input and checks its model before it returns,
 so an error opens no output; it returns its text as an iterable of pieces,
 which `run` writes as they come.  Every command but exact `dist` also
-computes its result first.  Exact `dist` builds N and D first and divides
+computes its result first.  Exact `dist` builds S and E first and divides
 as it writes: `series.exact_rows` makes each row just before it is
 formatted, and the footer is made from the last row.  A float `dist` or
 `oracle` table is handed to `tables` as its two columns, p and tail, not as

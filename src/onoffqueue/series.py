@@ -8,11 +8,12 @@ E[z^Q] = b0 * N(z) / D(z) with
 
 so P(Q=k) is the coefficient of z^k in the quotient.  Dividing the two
 power series term by term yields a short recurrence for P(Q=k) driven by
-the coefficient table G[i][j] of (g(z)/z)^j.  N and D are polynomials of
-degree n*(m-1)+1, so the tables stop at that degree whatever k_max is, and
-the division treats every later coefficient as zero.  As N(1) = D(1) = 0,
-`deflated_coefficients` also gives S = N/(z - 1) and E = D/(z - 1), from
-f and g alone; `pgf_eval` evaluates b0 * S(z)/E(z) at a point with them.
+the coefficient table G[i][j] of (g(z)/z)^j: the paper's recurrence, which
+float64 runs.  N and D are polynomials of degree n*(m-1)+1, so the tables
+stop at that degree whatever k_max is, and the division treats every later
+coefficient as zero.  As N(1) = D(1) = 0, `deflated_coefficients` gives
+S = N/(z - 1) and E = D/(z - 1) from f and g alone, with no G table; the
+exact backend divides S by E, and `pgf_eval` evaluates b0 * S(z)/E(z).
 
 Binary floats are fast but the recurrence eventually produces negative
 values once the true coefficients sink below accumulated rounding error
@@ -24,9 +25,9 @@ runs a straight-line kernel per window width with the bits of the plain
 convolution (see `_division_kernel`), and every other float sum goes
 left to right from the int 0, by `config.ordered_sum` or by the one loop
 per row of `series_coefficients`, so the bits are the same on every
-interpreter.  Exact rationals never break down: N and D are scaled
+interpreter.  Exact rationals never break down: S and E are scaled
 to integers and divided with an integer-only recurrence, whose values
-are reduced over the few primes of den*d0 alone (see `_exact_rows`).
+are reduced over the few primes of den*e0 alone (see `_exact_rows`).
 `exact_rows` hands out its rows as they are made, so a caller that
 writes each row before reading the next holds one row, not k_max.
 A float distribution stores p alone: its tail, 1 - running sum of p, is
@@ -93,6 +94,15 @@ class QueueDistribution:
         return self.breakdown_index is not None
 
 
+def _convolve(a: Sequence, b: Sequence) -> list:
+    """The coefficients of a(z) * b(z), each a sum of products added in order of a's index."""
+    out = [b[0] * 0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for k, y in enumerate(b, start=i):
+            out[k] += x * y
+    return out
+
+
 def g_coefficients(spec: ModelSpec, k_max: int) -> tuple:
     """Coefficient table G[i][j] of (g(z)/z)^j, 0 <= i <= k_max, 0 <= j <= n.
 
@@ -103,16 +113,10 @@ def g_coefficients(spec: ModelSpec, k_max: int) -> tuple:
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    g = spec.g
-    zero = g[0] * 0
+    zero = spec.g[0] * 0
     cols = [[zero + 1]]
     for j in range(1, spec.n + 1):
-        top = min(j * (spec.m - 1), k_max)
-        col = [zero] * (top + 1)
-        for k, a in enumerate(cols[-1]):
-            for i, c in enumerate(g[:top + 1 - k], start=k):
-                col[i] += a * c
-        cols.append(col)
+        cols.append(_convolve(cols[-1], spec.g)[: min(j * (spec.m - 1), k_max) + 1])
     return tuple(zip(*(col + [zero] * (k_max + 1 - len(col)) for col in cols)))
 
 
@@ -220,10 +224,10 @@ def _fraction(y: int, M: int) -> Fraction:
 
 
 def _reduce_over(y: int, M: int, odd_base: int) -> Fraction:
-    """The Fraction y / M, given y >= 0, M > 0 and every odd prime of M dividing odd_base.
+    """The Fraction y / M, given y >= 0, M > 0 a multiple of odd_base, and M's odd primes in odd_base.
 
     The common power of 2 is stripped with bit operations and the odd
-    primes with t = gcd(gcd(y, odd_base), M), which is cheap because
+    primes with t = gcd(y, odd_base), which divides M and is cheap because
     odd_base is small.  Only when an odd prime of t still divides both
     (a prime repeated in y and M) does one full gcd(y, M) run.
     """
@@ -232,7 +236,7 @@ def _reduce_over(y: int, M: int, odd_base: int) -> Fraction:
     shift = min((y & -y).bit_length(), (M & -M).bit_length()) - 1
     y >>= shift
     M >>= shift
-    t = gcd(gcd(y, odd_base), M)
+    t = gcd(y, odd_base)
     if t > 1:
         y //= t
         M //= t
@@ -243,70 +247,72 @@ def _reduce_over(y: int, M: int, odd_base: int) -> Fraction:
     return _fraction(y, M)
 
 
-def _exact_rows(b0: Fraction, N, D, k_max: int):
-    """Yield (P(Q=k), P(Q>k)) for k = 0..k_max: the exact division recurrence over
-    integers, reduced over the primes of b0 and d0.
+def _exact_rows(b0: Fraction, S, E, k_max: int):
+    """Yield (P(Q=k), P(Q>k)) for k = 0..k_max of b0 * S(z)/E(z), E[0] != 0: the exact
+    division recurrence over integers, reduced over the primes of b0 and e0.
 
-    With N and D scaled by the lcm of their denominators to integers n_k
-    and d_k, the content c = -gcd(d) divided out of d (and folded into
-    b0' = b0/c = num/den; D[0] < 0 as f[0] > 0, so d0 > 0), and w the last
-    nonzero index of d, the integers R_k = d0^(k+1) * P(Q=k) / b0' satisfy
+    With S and E scaled by the lcm of their denominators to integers s_k
+    and e_k, the content c = gcd(e), signed as e's first term, divided out
+    of e (and folded into b0' = b0/c = num/den, so e0 > 0), and w the last
+    nonzero index of e, the integers R_k = e0^(k+1) * P(Q=k) / b0' satisfy
 
-        R_k = n_k*d0^k - sum_{j=1..w} R_{k-j} * d_j*d0^(j-1)
+        R_k = s_k*e0^k - sum_{j=1..w} R_{k-j} * e_j*e0^(j-1)
 
-    (n_k = 0 past the end of N; the sum is taken by Horner's rule in d0,
-    from j = min(k, w) down), and C_k = C_{k-1}*d0 + R_k carries the
+    (s_k = 0 past the end of S; the sum is taken by Horner's rule in e0,
+    from j = min(k, w) down), and C_k = C_{k-1}*e0 + R_k carries the
     cumulative sum, so P(Q=k) = num*R_k/M and P(Q>k) = (M - num*C_k)/M
-    with M = den*d0^(k+1) > 0.  Every prime of M divides den*d0, so each
+    with M = den*e0^(k+1) > 0.  Every prime of M divides den*e0, so each
     value is reduced by `_reduce_over` without a full-width gcd unless an
-    odd prime of den*d0 cancels more than once.  Only the last w values
+    odd prime of den*e0 cancels more than once.  Only the last w values
     of R are kept, so no row is held once it is yielded.
     """
-    scale = lcm(*(c.denominator for c in N + D))
-    n = [c.numerator * (scale // c.denominator) for c in N]
-    d = [c.numerator * (scale // c.denominator) for c in D]
-    content = -gcd(*d)
-    d = [c // content for c in d]
-    d0 = d[0]
-    w = max(i for i, c in enumerate(d) if c)
+    scale = lcm(*(c.denominator for c in S + E))
+    s = [c.numerator * (scale // c.denominator) for c in S]
+    e = [c.numerator * (scale // c.denominator) for c in E]
+    content = gcd(*e) if e[0] > 0 else -gcd(*e)
+    e = [c // content for c in e]
+    e0 = e[0]
+    w = max(i for i, c in enumerate(e) if c)
     num, den = (b0 / content).as_integer_ratio()
-    base = den * d0
+    base = den * e0
     odd_base = base >> ((base & -base).bit_length() - 1)
     R = deque(maxlen=w)  # R_{k-w} .. R_{k-1}
     cum = 0
-    power = 1  # d0^k
+    power = 1  # e0^k
     for k in range(k_max + 1):
         acc = 0
-        for r, dj in zip(R, d[len(R) : 0 : -1]):
-            acc = acc * d0 + r * dj
-        acc = (n[k] * power if k < len(n) else 0) - acc
+        for r, ej in zip(R, e[len(R) : 0 : -1]):
+            acc = acc * e0 + r * ej
+        acc = (s[k] * power if k < len(s) else 0) - acc
         R.append(acc)
-        cum = cum * d0 + acc
-        power *= d0
+        cum = cum * e0 + acc
+        power *= e0
         scaled = den * power
         yield (_reduce_over(num * acc, scaled, odd_base),
                _reduce_over(scaled - num * cum, scaled, odd_base))
 
 
-def _divide_exact(b0: Fraction, N, D, k_max: int) -> QueueDistribution:
+def _divide_exact(b0: Fraction, S, E, k_max: int) -> QueueDistribution:
     """`_exact_rows` collected into a distribution, its tail cache filled from the rows."""
-    p, tail = zip(*_exact_rows(b0, N, D, k_max))
+    p, tail = zip(*_exact_rows(b0, S, E, k_max))
     dist = QueueDistribution(p, 1 - tail[-1])
     object.__setattr__(dist, "_tail", tail)  # cheaper than a big Fraction sum per row
     return dist
 
 
 def _divide(b0, N, D, config: NumericConfig) -> QueueDistribution:
-    """b0 * N(z) / D(z) to config.k_max, by the division of config's backend."""
+    """b0 * N(z) / D(z) to config.k_max (S and E in place of N and D from exact `_quotient`)."""
     divide = _divide_exact if config.is_exact else _divide_series
     return divide(b0, N, D, config.k_max)
 
 
 def _quotient(spec: ModelSpec, config: NumericConfig) -> tuple:
-    """(b0, N, D) of a validated spec, coerced to config's backend and checked stable."""
+    """(b0, S, E) in exact, else the paper's (b0, N, D), of a validated spec coerced and checked stable."""
     spec = coerce(spec, config.backend)
     mom = moments(spec)
     check_stable(mom.rho)
+    if config.is_exact:
+        return (mom.b0, *deflated_coefficients(spec))
     degree = spec.n * (spec.m - 1) + 1  # of N(z); D(z) has no higher term
     N, D = series_coefficients(spec, g_coefficients(spec, min(config.k_max, degree)))
     return mom.b0, N, D
@@ -326,7 +332,7 @@ def exact_rows(spec: ModelSpec, k_max: int):
 
     The rows are those of `queue_distribution` on the exact backend, but
     none is held after it is read.  The spec must already be validated.
-    k_max is checked, the spec coerced and checked stable, and N and D
+    k_max is checked, the spec coerced and checked stable, and S and E
     built on this call, so an error is raised before the first row.
     """
     config = NumericConfig(EXACT, k_max)
@@ -349,8 +355,8 @@ def queue_distribution_constant_batch(
                               - b0 * F[(k-1)/(r-1)]   (when r-1 divides k-1)
                               + b0 * F[k/(r-1)] ]     (when r-1 divides k)
 
-    with every out-of-range term zero.  Matches the general path term for
-    term; r = 1 yields the trivial distribution.  f is checked in float64
+    with every out-of-range term zero: float64's general N and D term for
+    term, and exact's S/E values; r = 1 yields the trivial distribution.  f is checked in float64
     tolerance as given (all that float64 needs) before exact mode
     renormalises it, so a vector that does not sum to 1 is rejected in either mode.
     """
@@ -377,15 +383,6 @@ def queue_distribution_constant_batch(
         N[j * step] -= Fj
         N[j * step + 1] += Fj
     return _divide(b0, N[:size], D[:size], config)
-
-
-def _convolve(a: Sequence, b: Sequence) -> list:
-    """The coefficients of a(z) * b(z), each a sum of products added in order of a's index."""
-    out = [b[0] * 0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for k, y in enumerate(b, start=i):
-            out[k] += x * y
-    return out
 
 
 def _horner(coefficients: Sequence, z):

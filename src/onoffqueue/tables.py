@@ -15,7 +15,7 @@ numerator of p[k] (str(int) is quadratic in the digit count on CPython
 `decimal` arithmetic, which prints in linear time.  Each denominator is its
 neighbour's times u/v, the ratio in lowest terms: the previous tail
 denominator gives p[k]'s and p[k]'s gives tail[k]'s.  The exact backend's
-denominators all divide den*d0^(k+1), so u and v are small.  tail[k]'s
+denominators all divide den*e0^(k+1), so u and v are small.  tail[k]'s
 numerator comes from tail[k] = tail[k-1] - p[k] (tail[-1] = 1), checked
 first in integers.  An integer is converted directly where the ratio is no
 smaller than the integer itself, where that identity fails, and on rows

@@ -44,6 +44,15 @@ TABLE1_G = ("0.4", "0.4", "0.2")
 TABLE2_F = ("0.6", "0.2", "0.1", "0.05", "0.05")
 TABLE2_G = ("0.2", "0.6", "0.1", "0.1")
 
+# sha256 of `dist <model> --backend exact --kmax <k>`: the bytes exact dist printed when every
+# cell went through str(); `bench/exact_digests.json` and the no-numpy CI job pin the same.
+EXACT_DIST_DIGESTS = {
+    ("table1", 200): "62ce6ae65c974047a9c55d39debc0455c5861cd12f9acea0efc1b0b67dfa487d",
+    ("table1", 800): "57579bfe22a4bfa19581f2e5a6482c4680ed69d47ee139a2f88dc3d35bac97e5",
+    ("table2", 200): "3a7815f63b53f1b79e99ef1b11c9a6719f9c1cafdadcb68fb9b436a1bb1f521d",
+    ("table2", 800): "42410177cb95577d98cc80f7b6d92d18b30abc49543249a36683968e933e5a12",
+}
+
 # Negative zeros in both vectors: a float spec taken as given keeps them.
 SIGNED_ZEROS = validate(ModelSpec((0.8, -0.0, 0.1, 0.1), (-0.0, 0.75, 0.25)))
 

@@ -18,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MODELS_DIR, REPO_ROOT
-from helpers import TABLE1_F, TABLE1_G, model_specs, parse_csv, reference_kernel
+from helpers import (
+    EXACT_DIST_DIGESTS, TABLE1_F, TABLE1_G, model_specs, parse_csv, reference_kernel,
+)
 from onoffqueue import (
     NumericConfig, build_joint_chain, cli, from_strings, joint_stationary, oracle,
     oracle_expected_queue, queue_marginal, series,
@@ -225,14 +227,9 @@ class TestDistCommand:
         assert [row[1] for row in rows] == ["1", "0", "0", "0"]
         assert "-0" not in out
 
-    @pytest.mark.parametrize("name, kmax, digest", [
-        ("table1", 200, "62ce6ae65c974047a9c55d39debc0455c5861cd12f9acea0efc1b0b67dfa487d"),
-        ("table1", 800, "57579bfe22a4bfa19581f2e5a6482c4680ed69d47ee139a2f88dc3d35bac97e5"),
-        ("table2", 200, "3a7815f63b53f1b79e99ef1b11c9a6719f9c1cafdadcb68fb9b436a1bb1f521d"),
-        ("table2", 800, "42410177cb95577d98cc80f7b6d92d18b30abc49543249a36683968e933e5a12"),
-    ])
+    @pytest.mark.parametrize("name, kmax, digest",
+                             [(*key, digest) for key, digest in EXACT_DIST_DIGESTS.items()])
     def test_exact_output_bytes(self, capsys, request, name, kmax, digest):
-        # the bytes exact dist printed when every cell went through str()
         path = request.getfixturevalue(f"{name}_path")
         code, out, _ = run_cli(capsys, "dist", path, "--backend", "exact", "--kmax", str(kmax))
         assert code == 0

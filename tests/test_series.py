@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    EXACT_DIST_DIGESTS,
     SIGNED_ZEROS,
     TABLE1_F,
     TABLE1_G,
@@ -318,6 +319,11 @@ class TestReferenceEquality:
     # light load: every numerator stays under 30 bits, so no value takes
     # the prime-stripping path
     @example(from_strings(["0.68", "0.24", "0.08"], ["0.90", "0.10"], backend="exact"), 150)
+    # `bench/inputs.table2_like` seeds 2 and 20: the full gcd runs on almost every value
+    @example(from_strings(["0.42", "0.10", "0.44", "0.01", "0.03"], ["0.81", "0.10", "0.01", "0.08"],
+                          backend="exact"), 150)
+    @example(from_strings(["0.60", "0.23", "0.11", "0.05", "0.01"], ["0.27", "0.30", "0.41", "0.02"],
+                          backend="exact"), 150)
     def test_exact_equals_fraction_recurrence(self, spec, k_max):
         config = NumericConfig(backend="exact", k_max=k_max)
         dist = queue_distribution(spec, config)
@@ -534,9 +540,9 @@ class TestConstantBatchDistribution:
     @settings(max_examples=25, deadline=None)
     def test_matches_general_path_exactly(self, f, r):
         cfg = NumericConfig(backend="exact", k_max=40)
-        special = queue_distribution_constant_batch(f, r, cfg)
+        special = queue_distribution_constant_batch(f, r, cfg)  # the closed-form N/D
         g = tuple([Fraction(0)] * (r - 1) + [Fraction(1)])
-        general = queue_distribution(validate(ModelSpec(f, g), cfg.backend), cfg)
+        general = queue_distribution(validate(ModelSpec(f, g), cfg.backend), cfg)  # S/E
         assert special == general
         assert special.tail == general.tail
 
@@ -673,6 +679,32 @@ class TestExactRows:
         rows = series.exact_rows(table2_exact, sys.maxsize)  # no list could hold them all
         dist = queue_distribution(table2_exact, NumericConfig(backend="exact", k_max=2))
         assert list(islice(rows, 3)) == list(zip(dist.p, dist.tail))
+
+
+class TestExactBuildsNoGTable:
+    """The exact backend divides S by E: the G table and N/D serve float64 alone."""
+
+    def test_exact_paths_run_with_the_tables_refused(self, monkeypatch, capsys, request, table1):
+        def refused(*args, **kwargs):
+            raise AssertionError("G table or N/D built")
+
+        config = NumericConfig(backend="exact", k_max=200)
+        names = ("table1", "table2")
+        specs = [request.getfixturevalue(f"{name}_exact") for name in names]
+        refs = [reference_distribution(spec, config) for spec in specs]  # the N/D Fraction division
+        monkeypatch.setattr(series, "g_coefficients", refused)
+        monkeypatch.setattr(series, "series_coefficients", refused)
+        for name, spec, ref in zip(names, specs, refs):
+            dist = queue_distribution(spec, config)
+            assert dist == ref
+            assert dist.tail == ref.tail
+            assert list(series.exact_rows(spec, 200)) == list(zip(ref.p, ref.tail))
+            path = request.getfixturevalue(f"{name}_path")
+            assert main(["dist", path, "--backend", "exact", "--kmax", "200"]) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == EXACT_DIST_DIGESTS[name, 200]
+        with pytest.raises(AssertionError, match="G table"):
+            queue_distribution(table1, NumericConfig(k_max=200))
 
 
 class TestPgfEval:
