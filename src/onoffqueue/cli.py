@@ -16,9 +16,8 @@ computes its result first.  Exact `dist` builds S and E first and divides
 as it writes: `series.exact_rows` makes each row just before it is
 formatted, and the footer is made from the last row.  A float `dist` or
 `oracle` table is handed to `tables` as its two columns, p and tail, not as
-formatted rows.  Rows are formatted as they are written, a chunk at a time,
-so a whole CSV text is never held at once; structured text is written a
-group of rows at a time too.
+formatted rows.  `tables.render` writes either format a chunk of rows at a
+time, as the rows are formatted, so no table's text is held whole.
 """
 
 from __future__ import annotations
@@ -36,9 +35,7 @@ from . import analytic, series
 from .config import EXACT, FLOAT64, NumericConfig
 from .errors import QueueModelError, TruncationBias, ValidationError
 from .model import from_strings, moments
-from .tables import (
-    DistributionRows, OutputTable, csv_chunks, distribution_rows, format_scalar, structured_chunks,
-)
+from .tables import DistributionRows, OutputTable, distribution_rows, format_scalar, render
 
 
 class CliInputError(Exception):
@@ -67,11 +64,6 @@ def load_model(path: str, backend: str = FLOAT64):
         if not isinstance(doc[key], list):
             raise CliInputError(f"{path}: '{key}' must be an array of decimal strings")
     return from_strings(doc["f"], doc["g"], backend=backend)
-
-
-def render(table: OutputTable, fmt: str):
-    """The table's text in pieces: CSV a chunk of rows at a time, JSON a group of encoder pieces."""
-    return structured_chunks(table) if fmt == "structured" else csv_chunks(table)
 
 
 def _dist_footer(table, dist, backend):

@@ -19,27 +19,26 @@ denominators all divide den*e0^(k+1), so u and v are small.  tail[k]'s
 numerator comes from tail[k] = tail[k-1] - p[k] (tail[-1] = 1), checked
 first in integers.  An integer is converted directly where the ratio is no
 smaller than the integer itself, where that identity fails, and on rows
-that are not two Fractions.  A row of two floats gets `format_scalar`'s
-float text without the call; structured output reads float rows so.
+that are not two Fractions.
+
+`render` writes a table in either format as pieces: the header, the rows
+CHUNK_ROWS at a time, then the footer, read only after the last row, so
+rows from a generator may add the footer when they run out (exact `dist`
+adds its footer from the last row it made).  No text is held whole: an
+exact table's (about 5 MB for `table2` at k=800) is formatted and written
+a chunk at a time.  The structured text is `json.dumps` of {"columns",
+"rows", "metadata"} at indent 2, built from each nested value's own
+`json.dumps`; every row's text starts with its comma, which the first row
+drops.
 
 A (k, p, tail) table keeps its two columns, as `DistributionRows`.  When
-both hold floats alone (float64 arrays or sequences of floats), its CSV
-forms no rows: `csv_chunks` prints CHUNK_ROWS rows with one printf-style
-`%` over one flat tuple of cells, k, p + 0.0 and tail + 0.0 (the + 0.0 is
+both hold floats alone (float64 arrays or sequences of floats), its rows
+are never formed: each chunk is one printf-style `%` of one row's template
+over one flat tuple of cells, k, p + 0.0 and tail + 0.0 (the + 0.0 is
 `format_scalar`'s -0.0 rule), and `%.17g` is the same text as
 `format_scalar`'s.  An array column becomes Python floats a chunk at a
-time, never whole.
-
-Any other text is built by one `str.join` over its pieces, cells and
-separators alike, with no per-row line string and no concatenation of the
-whole text.  `csv_chunks` renders a table CHUNK_ROWS rows at a time, and
-`distribution_rows` yields its rows one by one, so an exact table's text
-(about 5 MB for `table2` at k=800) is never held whole while it is written.
-`structured_chunks` holds the table's cells, but not its JSON text.
-
-Both renderers read a table's footer only after its last row, so rows
-from a generator may add the footer when they run out: exact `dist` adds
-its footer from the last row it made.
+time, never whole.  Any other CSV text is built by one `str.join` over its
+pieces, cells and separators alike, with no per-row line string.
 """
 
 from __future__ import annotations
@@ -56,8 +55,7 @@ from operator import add
 # own context is never used.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
-CHUNK_ROWS = 64  # rows per piece of `csv_chunks`
-CHUNK_PIECES = 6 * CHUNK_ROWS  # encoder pieces per `structured_chunks` piece: 64 rows of 3 cells
+CHUNK_ROWS = 64  # rows per piece of `render`
 
 
 @dataclass
@@ -125,17 +123,13 @@ def distribution_rows(rows):
     """Yield (str(k), format_scalar(p), format_scalar(tail)) for each row (p, tail)
     of rows, k from 0 and tail = P(Q>k).
 
-    Rows of two floats print inline and rows of two Fractions with one
-    full conversion (see the module docstring); any other row formats cell
-    by cell.  Each row is formatted when it is read, so a table can be
-    written as it is formatted.
+    Rows of two Fractions print with one full conversion (see the module
+    docstring); any other row formats cell by cell.  Each row is formatted
+    when it is read, so a table can be written as it is formatted.
     """
     num, den = 1, 1  # tail[k-1], starting from tail[-1] = 1
     num_dec = den_dec = Decimal(1)
     for k, (pk, tk) in enumerate(rows):
-        if type(pk) is float and type(tk) is float:
-            yield str(k), f"{pk + 0.0:.17g}", f"{tk + 0.0:.17g}"  # as format_scalar
-            continue
         if type(pk) is not Fraction or type(tk) is not Fraction:
             yield str(k), format_scalar(pk), format_scalar(tk)
             continue
@@ -183,9 +177,9 @@ class DistributionRows:
         return all(getattr(c, "dtype", None) == float or set(map(type, c)) <= {float}
                    for c in (self.p, self.tail))
 
-    def float_csv_chunks(self):
-        """The rows as CSV CHUNK_ROWS at a time, each chunk by one `%` over
-        one flat tuple of cells; for columns that hold floats only."""
+    def float_chunks(self, template):
+        """The rows CHUNK_ROWS at a time, each chunk by one `%` of one row's
+        template over one flat tuple of cells; for columns that hold floats only."""
         start = 0
         for p, tail in zip(_column_chunks(self.p), _column_chunks(self.tail)):
             rows = len(p)
@@ -193,7 +187,7 @@ class DistributionRows:
             cells[0::3] = range(start, start + rows)
             cells[1::3] = map(add, p, repeat(0.0))  # -0.0 + 0.0 is 0.0, as format_scalar
             cells[2::3] = map(add, tail, repeat(0.0))
-            yield "%d,%.17g,%.17g\n" * rows % tuple(cells)
+            yield template * rows % tuple(cells)
             start += rows
 
 
@@ -203,7 +197,7 @@ def render_csv(table: OutputTable) -> str:
     One join over a flat list of cells and separators, filled a column at a
     time; a row whose width differs from the header raises ValueError.  A
     table with no columns prints no header line, and its rows are checked
-    against each other: it is one of the pieces `csv_chunks` renders.
+    against each other: it is one of the pieces `render` writes.
     """
     lines = [table.columns, *table.rows] if table.columns else list(table.rows)
     width = len(lines[0]) if lines else 0
@@ -218,43 +212,47 @@ def render_csv(table: OutputTable) -> str:
     return "".join(pieces)
 
 
-def csv_chunks(table: OutputTable):
-    """render_csv(table) in pieces: the header line, the rows CHUNK_ROWS at a
-    time, then the footer lines.
+def _nested(value, depth: int) -> str:
+    """json.dumps(value, indent=2) as it prints depth levels deep in an indented document."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
 
-    The rows are read a chunk at a time as the pieces are, so rows from a
-    generator are formatted as they are written and never held whole.  The
-    footer is read after the last row.  Each
-    piece is one render_csv call, except the rows of two float columns
-    (`DistributionRows`), which print by one `%` per chunk.
-    """
-    yield render_csv(OutputTable(table.columns))
-    rows = table.rows
-    if isinstance(rows, DistributionRows) and rows.floats_only():
-        yield from rows.float_csv_chunks()
-    else:
-        rows = iter(rows)
-        while chunk := list(islice(rows, CHUNK_ROWS)):
-            if len(chunk[0]) != len(table.columns):
-                raise ValueError("row width does not match the header")
+
+def _row_chunks(table: OutputTable, structured: bool):
+    """The table's rows CHUNK_ROWS at a time, read as they are written; a
+    structured row starts with its comma, and a CSV chunk is one render_csv."""
+    rows = iter(table.rows)
+    while chunk := list(islice(rows, CHUNK_ROWS)):
+        if structured:
+            yield "".join([",\n    " + _nested(row, 2) for row in chunk])
+        elif len(chunk[0]) != len(table.columns):
+            raise ValueError("row width does not match the header")
+        else:
             yield render_csv(OutputTable((), chunk))
-    yield render_csv(OutputTable((), footer=table.footer))
 
 
-def structured_chunks(table: OutputTable):
-    """The table as indented JSON, its footer as "metadata", in pieces: each
-    the join of up to CHUNK_PIECES of the JSON encoder's pieces, then a newline.
+def render(table: OutputTable, fmt: str):
+    """The table's text in pieces, as CSV or, for fmt "structured", as
+    json.dumps({"columns", "rows", "metadata": footer}, indent=2) plus a newline.
 
-    The rows are read whole before the first piece, and the footer after
-    them, but the text is never held whole.
+    The pieces are the header, the rows CHUNK_ROWS at a time, then the
+    footer, which is read after the last row.  The rows of two float columns
+    (`DistributionRows`) print by one `%` per chunk.
     """
-    payload = {
-        "columns": list(table.columns),
-        "rows": list(table.rows),
-        "metadata": {key: value for key, value in table.footer},
-    }
-    pieces = json.JSONEncoder(indent=2).iterencode(payload)
-    while group := list(islice(pieces, CHUNK_PIECES)):
-        yield "".join(group)
-    yield "\n"
-
+    structured = fmt == "structured"
+    yield ('{\n  "columns": ' + _nested(list(table.columns), 1) + ',\n  "rows": ['
+           if structured else render_csv(OutputTable(table.columns)))
+    if isinstance(table.rows, DistributionRows) and table.rows.floats_only():
+        chunks = table.rows.float_chunks(
+            ',\n    [\n      "%d",\n      "%.17g",\n      "%.17g"\n    ]' if structured
+            else "%d,%.17g,%.17g\n")
+    else:
+        chunks = _row_chunks(table, structured)
+    first = next(chunks, None)
+    if first is not None:
+        yield first[1:] if structured else first  # the first row drops its comma
+        yield from chunks
+    if not structured:
+        yield render_csv(OutputTable((), footer=table.footer))
+        return
+    metadata = _nested({key: value for key, value in table.footer}, 1)
+    yield ("]" if first is None else "\n  ]") + ',\n  "metadata": ' + metadata + "\n}\n"

@@ -534,7 +534,8 @@ def reference_render_csv(table: OutputTable) -> str:
 
 
 def reference_render_structured(table: OutputTable) -> str:
-    """The join of `tables.structured_chunks` through `json.dumps`, then a newline."""
+    """`tables.render`'s structured text, by one `json.dumps` of the collected
+    table (its rows read before its footer), then a newline."""
     payload = {
         "columns": list(table.columns),
         "rows": [list(row) for row in table.rows],

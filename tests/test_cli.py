@@ -20,13 +20,14 @@ from hypothesis import strategies as st
 from conftest import MODELS_DIR, REPO_ROOT
 from helpers import (
     EXACT_DIST_DIGESTS, TABLE1_F, TABLE1_G, model_specs, parse_csv, reference_kernel,
+    reference_render_structured,
 )
 from onoffqueue import (
     NumericConfig, build_joint_chain, cli, from_strings, joint_stationary, oracle,
     oracle_expected_queue, queue_marginal, series,
 )
 from onoffqueue.cli import main
-from onoffqueue.tables import CHUNK_ROWS, OutputTable, render_csv, structured_chunks
+from onoffqueue.tables import CHUNK_ROWS, OutputTable, render_csv
 
 SIM_FLAGS = ["--iterations", "20000", "--burn-in", "1000", "--runs", "3", "--kmax", "4"]
 SMALL_SIM = ["--iterations", "2000", "--burn-in", "100", "--runs", "2"]
@@ -260,6 +261,17 @@ class TestDistCommand:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("name, kmax, digest", [
+        ("table1", 300, "c5eac3c7822d203763eb1e89cbc91d48281376bb06888326fb402bf63cbe9820"),
+        ("table2", 200, "8559cb83e72e300ac9fe2764dca15f60f6f26e3bc32eab8859aec7fb370b91c7"),
+    ])
+    def test_float64_structured_output_bytes(self, capsys, request, name, kmax, digest):
+        # one `%` template per chunk must print json.dumps's bytes of the cells
+        path = request.getfixturevalue(f"{name}_path")
+        code, out, _ = run_cli(capsys, "dist", path, "--kmax", str(kmax), "--format", "structured")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_exact_rows_past_int_str_digit_limit(self, capsys, tmp_path):
         # denominators here pass sys.get_int_max_str_digits() near k = 430
         path = tmp_path / "deep.json"
@@ -489,15 +501,15 @@ def written_bytes(tmp_dir, command, path, rows_flag_value, fmt, whole):
     """Exit status and the bytes main writes to --output (None on an error).
 
     With whole=True every row is formatted first and the table rendered as
-    one text, by one render_csv call or one join of structured_chunks, as
-    the CLI did before it streamed.
+    one text, by one render_csv call or by json.dumps of the collected
+    table, not by the chunk writer.
     """
     head, flag = STREAMED_COMMANDS[command]
     out = tmp_dir / f"{command}-{fmt}-{whole}.out"
     with pytest.MonkeyPatch.context() as mp:
         if whole:
             mp.setattr(cli, "render", lambda table, fmt: [
-                "".join(structured_chunks(table)) if fmt == "structured" else render_csv(table)
+                reference_render_structured(table) if fmt == "structured" else render_csv(table)
             ])
         code = main([head[0], path, *head[1:], flag, str(rows_flag_value),
                      "--format", fmt, "--output", str(out)])
@@ -592,16 +604,22 @@ class TestStreamedOutput:
         assert peak <= 4 * largest
         assert peak <= len(text) / 2
 
-    def test_exact_structured_peak_memory_is_the_cells(self, tmp_path, table2_path):
-        # the cells are held whole, the JSON text 64 rows at a time: the whole
-        # command peaks at 7.4 MB for 5.0 MB, 9.8 MB when every row was computed first
+    def test_exact_structured_peak_memory_is_a_few_chunks(self, tmp_path, table2_path):
+        # as the CSV: the whole command is traced, and the text is held a chunk at a time
         target = tmp_path / "table2.json"
         code, peak = traced_main(["dist", table2_path, "--backend", "exact", "--kmax", "800",
                                   "--format", "structured", "--output", str(target)])
         assert code == 0
-        size = target.stat().st_size
-        assert peak > size  # tracing saw the cells
-        assert peak <= 1.6 * size
+        text = target.read_text()
+        # 7 lines of header, then 5 lines a row: "[", its three cells and "],"
+        lines = text.splitlines(keepends=True)[7:7 + 5 * 801]
+        step = 5 * CHUNK_ROWS
+        largest = max(sum(map(len, lines[i:i + step])) for i in range(0, len(lines), step))
+        assert len(text) > 6 * largest  # 5.02 MB, the largest chunk 0.73 MB
+        assert peak > largest  # tracing saw the formatting
+        # the chunk's cells, its text and the bytes it is encoded to: 3.2 times the largest chunk
+        assert peak <= 5 * largest
+        assert peak <= 2 * len(text) / 3
 
     @pytest.mark.parametrize("model, reason", [
         ('{"f": ["0.5", "0.4"], "g": ["1.0"]}', "sums to 0.9"),
@@ -791,13 +809,13 @@ sys.exit(code)
 """
 
 
-def run_limited_oracle(q_cap, stdout, entry=("-m", "onoffqueue")):
+def run_limited_oracle(q_cap, stdout, entry=("-m", "onoffqueue"), fmt="csv"):
     """Run `oracle` on table1 in a child process capped at 1 GiB of address space."""
     # one BLAS thread: each thread's buffers count against the limit
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), OPENBLAS_NUM_THREADS="1")
     return subprocess.run(
         [sys.executable, *entry, "oracle", str(MODELS_DIR / "table1.json"),
-         "--qcap", str(q_cap)],
+         "--qcap", str(q_cap), "--format", fmt],
         env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
         preexec_fn=limit_address_space,
     )
@@ -818,10 +836,13 @@ class TestOracleStorageBound:
         done = run_limited_oracle(2097151, subprocess.DEVNULL)
         assert (done.returncode, done.stderr) == (0, "")
 
-    def test_largest_peak_rss_is_the_solve(self):
-        # ~205 MB to solve; printing converts the numpy columns a chunk at a
-        # time, where a list of q_cap + 1 Python floats would add ~64 MB each
-        done = run_limited_oracle(2097151, subprocess.DEVNULL, entry=("-c", MAIN_THEN_MAXRSS))
+    @pytest.mark.parametrize("fmt", ["csv", "structured"])
+    def test_largest_peak_rss_is_the_solve(self, fmt):
+        # ~205 MB to solve; printing either format converts the numpy columns a
+        # chunk at a time, where a list of q_cap + 1 Python floats would add
+        # ~64 MB each
+        done = run_limited_oracle(2097151, subprocess.DEVNULL, entry=("-c", MAIN_THEN_MAXRSS),
+                                  fmt=fmt)
         assert done.returncode == 0
         assert int(done.stderr) / 1024 < 300
 

@@ -25,12 +25,19 @@ from onoffqueue.model import suffix_sums
 from onoffqueue.tables import (
     CHUNK_ROWS,
     OutputTable,
-    csv_chunks,
     distribution_rows,
     format_scalar,
+    render,
     render_csv,
-    structured_chunks,
 )
+
+
+def csv_chunks(table):
+    return render(table, "csv")
+
+
+def structured_chunks(table):
+    return render(table, "structured")
 
 
 def per_row(p, tail):
@@ -175,17 +182,21 @@ FLOAT_ROWS = [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS +
 
 
 def assert_float_chunks_print_format_scalar(p, tail):
-    """p and tail's CSV, as tuples and as float64 arrays, by the float path
-    and CHUNK_ROWS rows a chunk, against render_csv over format_scalar's texts."""
-    want = render_csv(OutputTable(("k", "p", "tail"), per_row(p, tail)))
+    """p and tail's CSV and structured text, as tuples and as float64 arrays,
+    by the float path and CHUNK_ROWS rows a chunk, against render_csv and
+    json.dumps over format_scalar's texts."""
+    cells = OutputTable(("k", "p", "tail"), per_row(p, tail))
+    chunk_rows = [min(CHUNK_ROWS, len(p) - start) for start in range(0, len(p), CHUNK_ROWS)]
     for columns in ((tuple(p), tuple(tail)), (np.array(p, dtype=float), np.array(tail, dtype=float))):
         table = _distribution_table(*columns)
         assert table.rows.floats_only()
         pieces = list(csv_chunks(table))
-        assert "".join(pieces) == want
-        assert [piece.count("\n") for piece in pieces[1:-1]] == [
-            min(CHUNK_ROWS, len(p) - start) for start in range(0, len(p), CHUNK_ROWS)]
-        assert list(table.rows) == per_row(p, tail)  # the cells structured output reads
+        assert "".join(pieces) == render_csv(cells)
+        assert [piece.count("\n") for piece in pieces[1:-1]] == chunk_rows
+        pieces = list(structured_chunks(table))
+        assert "".join(pieces) == reference_render_structured(cells)
+        assert [piece.count("[") for piece in pieces[1:-1]] == chunk_rows
+        assert list(table.rows) == per_row(p, tail)  # the row path, for other cells
 
 
 class TestFloatRows:
@@ -205,8 +216,9 @@ class TestFloatRows:
     def test_other_cells_take_the_row_path(self, p):
         table = _distribution_table(p, [0.5] * len(p))
         assert not table.rows.floats_only()
-        assert "".join(csv_chunks(table)) == render_csv(
-            OutputTable(("k", "p", "tail"), per_row(p, [0.5] * len(p))))
+        cells = OutputTable(("k", "p", "tail"), per_row(p, [0.5] * len(p)))
+        assert "".join(csv_chunks(table)) == render_csv(cells)
+        assert "".join(structured_chunks(table)) == reference_render_structured(cells)
 
 
 _NAMES = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
@@ -247,8 +259,8 @@ class TestRender:
         assert (again.rows, again.footer) == (table.rows, table.footer)
 
     @pytest.mark.parametrize("rows", [0, 1, 64, 65])
-    @pytest.mark.parametrize("render", [csv_chunks, structured_chunks])
-    def test_footer_read_after_the_last_row(self, render, rows):
+    @pytest.mark.parametrize("chunks", [csv_chunks, structured_chunks])
+    def test_footer_read_after_the_last_row(self, chunks, rows):
         # rows from a generator may add the footer when they run out, as exact dist does
         table = OutputTable(columns=("k", "p"))
 
@@ -258,10 +270,10 @@ class TestRender:
             table.add_footer("rows", rows)
 
         table.rows = rows_then_footer()
-        text = "".join(render(table))
+        text = "".join(chunks(table))
         want = OutputTable(("k", "p"), [(str(k), str(k * k)) for k in range(rows)],
                            [("rows", str(rows))])
-        assert text == "".join(render(want))
+        assert text == "".join(chunks(want))
 
     @pytest.mark.parametrize("row", [("1",), ("1", "2", "3")])
     def test_ragged_row_rejected(self, row):
